@@ -14,10 +14,9 @@ from .kernels import (KernelSpec, PotentialSpec, ScaledFactors, alpha, c_phi,
                       mean_phi, sample_displacement)
 from .torus import Torus
 from .simulator import (Configuration, SimulationParams, Simulation, Trajectory,
-                        detailed_balance_residual, gillespie_step,
-                        interaction_energy, jump_rate, sample_poisson_initial,
-                        sample_poisson_positions, simulate, simulate_ensemble,
-                        total_pair_energy)
+                        detailed_balance_residual, interaction_energy, jump_rate,
+                        sample_poisson_initial, sample_poisson_positions, simulate,
+                        simulate_ensemble, total_pair_energy)
 from .estimator import (CorrelationEstimate, SubPoissonReport,
                         estimate_correlations, estimate_density,
                         estimate_pair_correlation, lp_exponent,

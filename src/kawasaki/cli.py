@@ -288,7 +288,7 @@ def _run_kinetic(cfg, out_dir, seed_override, threads):
         fh.write("time,cell_index,value\n")
         for s, vals in fields:
             for idx, v in enumerate(np.ravel(vals)):
-                fh.write(f"{s!r},{idx},{v!r}\n")
+                fh.write(f"{s!r},{idx},{float(v)!r}\n")
     return 0
 
 

@@ -32,7 +32,7 @@ class DensityField:
             raise ConfigError(f"grid must be square, got shape {vals.shape}")
         if n < 1:
             raise ConfigError("grid needs at least one cell")
-        if np.any(np.isnan(vals)) or np.any(vals < 0):
+        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
             raise ConfigError("density values must be finite and >= 0")
 
     @property

@@ -21,19 +21,31 @@ along every trajectory. Energy sums are pruned with a uniform cell grid whose
 cells are at least one interaction radius wide; the profile is treated as
 exactly zero beyond the effective support radius in every code path.
 
+Ensembles of small systems run in lockstep: `simulate_ensemble` steps a
+chunk of trajectories together, with positions in a padded (rows, n_max, d)
+array and all-pairs energy queries, one event slot per trajectory per
+iteration. An ensemble takes this route when its expected particle count per
+trajectory (the integral of rho0, or the largest given initial
+configuration) is at most LOCKSTEP_MAX_PARTICLES; larger systems keep the
+cell-list `simulate`, one trajectory at a time. Chunks hold as many
+trajectories as keep their prefetched variates within about 2 MB.
+
 Reproducibility: trajectory i of an ensemble uses the PCG64 stream seeded by
-the entropy pair (base_seed, i), so ensembles are bit-identical across runs
-and across serial/parallel execution.
+the entropy pair (base_seed, i) and consumes it in the same order on both
+routes, so ensembles are bit-identical across runs, across serial/parallel
+execution and across routes (smooth potentials up to the summation order of
+their energy sums).
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, InvalidSpecError, NoDynamicsError
+from .errors import ConfigError, InvalidSpecError, NoDynamicsError, NumericError
 from .fields import DensityField
 from .kernels import KernelSpec, PotentialSpec, alpha, sample_displacement
 from .torus import Torus
@@ -380,45 +392,15 @@ class Simulation:
             )
             if self.check_envelope:
                 ratio = math.exp(-self.epsilon * energy)
-                assert 0.0 < ratio <= 1.0
+                if not 0.0 < ratio <= 1.0:
+                    raise NumericError(
+                        f"acceptance ratio {ratio!r} outside (0, 1] at energy {energy!r}"
+                    )
             if energy > 0.0:
                 accepted = bool(self._acc[k] < math.exp(-self.epsilon * energy))
         if accepted:
             cfg.move(i, y)
         return Event(self.t, i, old, y, accepted)
-
-
-def gillespie_step(config: Configuration, clock: float, kernel: KernelSpec,
-                   potential: PotentialSpec, epsilon: float,
-                   rng: np.random.Generator, exclude_mover: bool = False):
-    """One exact-thinning step from `clock`; returns (event, new_clock).
-
-    Reference single-shot form of Simulation.step: draws, in order, the
-    Exp(alpha * n) waiting time, the uniform mover, the displacement with
-    density a / alpha, and (for interacting potentials) the acceptance
-    uniform compared against exp(-eps * E(y, gamma)).
-    """
-    if potential.family == "local":
-        raise InvalidSpecError(
-            "local(kappa) has no microscopic realization; use the kinetic solver"
-        )
-    n = config.n
-    if n == 0:
-        raise NoDynamicsError("cannot run hop dynamics on an empty configuration")
-    a = alpha(kernel)
-    clock = clock + rng.standard_exponential() / (a * n)
-    i = int(rng.integers(0, n))
-    old = config.positions[i].copy()
-    y = config.torus.wrap(old + sample_displacement(kernel, rng))
-    accepted = True
-    if not potential.is_zero:
-        energy = interaction_energy(
-            y, config, potential, exclude=i if exclude_mover else None
-        )
-        accepted = bool(rng.random() < math.exp(-epsilon * energy))
-    if accepted:
-        config.move(i, y)
-    return Event(clock, i, old, y, accepted), clock
 
 
 # -- trajectories and ensembles ----------------------------------------------
@@ -475,6 +457,36 @@ class Trajectory:
         raise KeyError(f"no snapshot stored at t={time}")
 
 
+def _stream_seed(base_seed, i):
+    """Seed of trajectory i of an ensemble: the entropy pair (base_seed, i)."""
+    if isinstance(base_seed, (tuple, list)):
+        return [*base_seed, i]
+    return [base_seed, i]
+
+
+def _targets(params):
+    """Sorted snapshot times, and the clock limits run to in turn (t_end last)."""
+    sts = tuple(sorted(params.snapshot_times))
+    targets = list(sts)
+    if not targets or targets[-1] < params.t_end:
+        targets.append(params.t_end)
+    return sts, targets
+
+
+def _trajectory(params, seed, n, sts, snapshots, times=(), movers=(), olds=(),
+                news=(), accepted=(), n_events=0, n_accepted=0):
+    d = params.torus.dim
+    return Trajectory(
+        seed_key=tuple(np.atleast_1d(seed).tolist()), torus=params.torus,
+        n_particles=n, t_end=params.t_end, snapshot_times=sts, snapshots=snapshots,
+        times=np.asarray(times, dtype=float), movers=np.asarray(movers, dtype=int),
+        old_positions=np.asarray(olds, dtype=float).reshape(-1, d),
+        new_positions=np.asarray(news, dtype=float).reshape(-1, d),
+        accepted=np.asarray(accepted, dtype=bool),
+        n_events=n_events, n_accepted=n_accepted,
+    )
+
+
 def simulate(params: SimulationParams, seed, initial_positions=None) -> Trajectory:
     """Run one trajectory. `seed` may be an int or a (base, index) sequence."""
     params.validate()
@@ -486,31 +498,22 @@ def simulate(params: SimulationParams, seed, initial_positions=None) -> Trajecto
         pos = np.asarray(initial_positions, dtype=float)
     config = Configuration(params.torus, pos, interaction_radius=radius)
 
-    sts = tuple(sorted(params.snapshot_times))
-    snapshots = []
-    seed_key = tuple(np.atleast_1d(seed).tolist())
+    sts, targets = _targets(params)
     n = config.n
     if n == 0:
         # nothing can move; every snapshot is the empty configuration
-        empty = np.zeros((0, params.torus.dim))
-        return Trajectory(seed_key=seed_key, torus=params.torus, n_particles=0,
-                          t_end=params.t_end,
-                          snapshot_times=sts, snapshots=[empty.copy() for _ in sts],
-                          times=np.zeros(0), movers=np.zeros(0, dtype=int),
-                          old_positions=empty.copy(), new_positions=empty.copy(),
-                          accepted=np.zeros(0, dtype=bool))
+        return _trajectory(params, seed, 0, sts,
+                           [np.zeros((0, params.torus.dim)) for _ in sts])
 
     sim = Simulation(config, params.kernel, params.potential, params.epsilon,
                      rng, exclude_mover=params.exclude_mover)
     rec = params.record_events
+    snapshots = []
     times, movers, olds, news, accs = [], [], [], [], []
     n_events = n_accepted = 0
     # run up to each snapshot boundary in turn; stopping the clock there and
     # redrawing the waiting time is exact because the holding times are
     # memoryless
-    targets = list(sts)
-    if not targets or targets[-1] < params.t_end:
-        targets.append(params.t_end)
     for i_t, target in enumerate(targets):
         while True:
             ev = sim.step(t_limit=target)
@@ -526,39 +529,233 @@ def simulate(params: SimulationParams, seed, initial_positions=None) -> Trajecto
                 accs.append(ev.accepted)
         if i_t < len(sts):
             snapshots.append(config.copy_positions())
-
-    d = params.torus.dim
-    return Trajectory(
-        seed_key=seed_key, torus=params.torus, n_particles=n, t_end=params.t_end,
-        snapshot_times=sts, snapshots=snapshots,
-        times=np.asarray(times), movers=np.asarray(movers, dtype=int),
-        old_positions=np.asarray(olds).reshape(-1, d),
-        new_positions=np.asarray(news).reshape(-1, d),
-        accepted=np.asarray(accs, dtype=bool),
-        n_events=n_events, n_accepted=n_accepted,
-    )
+    return _trajectory(params, seed, n, sts, snapshots, times, movers, olds, news,
+                       accs, n_events, n_accepted)
 
 
-def _simulate_indexed(args):
-    params, base_seed, i, initial = args
-    if isinstance(base_seed, (tuple, list)):
-        seed = [*base_seed, i]
+def _simulate_each(params, base_seed, indices, initials=None):
+    """The scalar route: one cell-list `simulate` per trajectory."""
+    return [simulate(params, _stream_seed(base_seed, i),
+                     initial_positions=None if initials is None else initials[r])
+            for r, i in enumerate(indices)]
+
+
+# -- lockstep ensembles ------------------------------------------------------
+
+# Ensembles with at most this many expected particles per trajectory run on
+# the lockstep kernel, larger ones on the cell-list `simulate`. The lockstep
+# energy query is all-pairs over the padded row, so it wins only at small n:
+# per event it overtook the cell list near n = 1000 for a 2-d Gaussian phi
+# (sigma 0.5) and above n = 3200 for a 1-d top-hat.
+LOCKSTEP_MAX_PARTICLES = 1000
+
+# Bytes of prefetched variates per lockstep chunk: one refill costs
+# (24 + 8 d) bytes per slot and stream (movers are kept as int32 but drawn as
+# int64).
+_LOCKSTEP_BYTES = 1 << 21
+
+
+def _expected_particles(params, n_trajectories, initials):
+    """Particles per trajectory that routing goes by: the integral of rho0,
+    or the largest given initial configuration."""
+    if initials is not None:
+        return max(len(initials[i]) for i in range(n_trajectories))
+    if isinstance(params.rho0, DensityField):
+        return params.rho0.mass
+    return float(params.rho0) * params.torus.volume
+
+
+def _lockstep_chunk_size(dim: int) -> int:
+    return max(1, _LOCKSTEP_BYTES // ((24 + 8 * dim) * _RNG_BLOCK))
+
+
+def _batch_energy(pos, valid, y, side, potential, mover=None):
+    """E(y_r, gamma_r) for every row r of a padded batch of configurations.
+
+    pos is (rows, n_max, d) with `valid` marking the real particles. Each row
+    repeats the arithmetic of `interaction_energy` (minimal image, support
+    cutoff, the mover's own term subtracted when `mover` is given), so top-hat
+    energies are the same counts; smooth profiles differ from the cell-list
+    sum only in summation order.
+    """
+    diff = pos - y[:, None, :]
+    diff -= side * np.round(diff / side)
+    r2 = np.einsum("ajk,ajk->aj", diff, diff)
+    r_sup = potential.support_radius
+    inside = valid & (r2 <= r_sup * r_sup)
+    fam = potential.family
+    if fam == "top_hat":
+        phi = inside
+        energy = potential.height * np.count_nonzero(inside, axis=1)
     else:
-        seed = [base_seed, i]
-    return simulate(params, seed, initial_positions=initial)
+        if fam == "gaussian":
+            phi = np.exp(r2 * (-0.5 / potential.sigma**2))
+        else:
+            phi = np.exp(-potential.rate * np.sqrt(r2))
+        phi = np.where(inside, phi, 0.0)
+        energy = potential.height * phi.sum(axis=1)
+    if mover is not None:
+        energy -= potential.height * phi[np.arange(len(mover)), mover]
+    return energy
+
+
+def _simulate_lockstep(params: SimulationParams, base_seed, indices, initials=None):
+    """Run trajectories `indices` of an ensemble together; return them in order.
+
+    Every active trajectory uses exactly one (waiting time, mover,
+    displacement, acceptance) slot of its own stream per iteration, including
+    the step that crosses a snapshot or t_end boundary, so the block index is
+    shared and each stream draws and consumes its variates exactly as
+    `simulate` does. `initials`, when given, is aligned with `indices`.
+    """
+    torus, kernel, pot = params.torus, params.kernel, params.potential
+    d, side = torus.dim, torus.side
+    rngs, starts = [], []
+    for r, i in enumerate(indices):
+        rng = np.random.default_rng(_stream_seed(base_seed, i))
+        if initials is None:
+            pos = sample_poisson_positions(torus, params.rho0, rng)
+        else:
+            pos = np.asarray(initials[r], dtype=float)
+        rngs.append(rng)
+        starts.append(Configuration(torus, pos).positions)
+    counts = [p.shape[0] for p in starts]
+    sts, targets = _targets(params)
+    limits = np.asarray(targets, dtype=float)
+    snapshots = [[] if n else [np.zeros((0, d)) for _ in sts] for n in counts]
+    n_events = [0] * len(starts)
+    n_accepted = [0] * len(starts)
+    log = []
+
+    streams = np.flatnonzero(counts)  # block row -> stream; empty ones never step
+    if streams.size and pot.family == "local":
+        raise InvalidSpecError(
+            "local(kappa) has no microscopic realization; use the kinetic solver"
+        )
+    n_of = np.asarray(counts, dtype=np.int64)[streams]
+    n_max = int(n_of.max(initial=0))
+    pos = np.zeros((streams.size, n_max, d))
+    for r, j in enumerate(streams):
+        pos[r, :counts[j]] = starts[j]
+    valid = np.arange(n_max) < n_of[:, None]
+    inv_rate = 1.0 / (alpha(kernel) * n_of)
+    t = np.zeros(streams.size)
+    target = np.zeros(streams.size, dtype=np.int64)
+    events = np.zeros(streams.size, dtype=np.int64)
+    accepts = np.zeros(streams.size, dtype=np.int64)
+    rows = np.arange(streams.size)  # active row -> block row
+    here = rows.copy()
+
+    interacting = not pot.is_zero
+    eps = float(params.epsilon)
+    block = _RNG_BLOCK
+    exps = np.empty((streams.size, block))
+    movs = np.empty((streams.size, block), dtype=np.int32)
+    disps = np.empty((streams.size, block, d))
+    accs = np.empty((streams.size, block)) if interacting else None
+    k = block
+    while rows.size:
+        if k == block:
+            # the same draws, in the same order, as Simulation._refill
+            for r in rows:
+                j = streams[r]
+                rng = rngs[j]
+                exps[r] = rng.standard_exponential(block)
+                movs[r] = rng.integers(0, counts[j], size=block)
+                disps[r] = sample_displacement(kernel, rng, size=block)
+                if interacting:
+                    accs[r] = rng.random(block)
+            k = 0
+        t_next = t + exps[rows, k] * inv_rate
+        limit = limits[target]
+        cross = t_next > limit
+        move = ~cross
+        mover = movs[rows, k]
+        old = pos[here, mover]
+        y = np.mod(old + disps[rows, k], side)
+        y[y >= side] = 0.0
+        accept = move
+        if interacting:
+            energy = _batch_energy(pos, valid, y, side, pot,
+                                   mover if params.exclude_mover else None)
+            # math.exp, as in Simulation.step, so the decisions match bit for bit
+            test = np.flatnonzero(move & (energy > 0.0))
+            if test.size:
+                accept = move.copy()
+                bound = [math.exp(-eps * e) for e in energy[test].tolist()]
+                accept[test] = accs[rows[test], k] < bound
+        t = np.where(cross, limit, t_next)
+        hit = np.flatnonzero(accept)
+        pos[hit, mover[hit]] = y[hit]
+        events += move
+        accepts += accept
+        if params.record_events:
+            # one row set per iteration, split by stream once at the end
+            m = np.flatnonzero(move)
+            log.append((streams[rows[m]], t_next[m], mover[m], old[m], y[m],
+                        accept[m]))
+        k += 1
+        if not cross.any():
+            continue
+        for r in np.flatnonzero(cross):
+            if target[r] < len(sts):
+                j = streams[rows[r]]
+                snapshots[j].append(pos[r, :counts[j]].copy())
+        target += cross
+        done = target == len(limits)
+        if done.any():
+            for r in np.flatnonzero(done):
+                j = streams[rows[r]]
+                n_events[j], n_accepted[j] = int(events[r]), int(accepts[r])
+            keep = ~done
+            rows, t, target, events, accepts = (
+                rows[keep], t[keep], target[keep], events[keep], accepts[keep])
+            inv_rate, n_of = inv_rate[keep], n_of[keep]
+            n_max = int(n_of.max(initial=0))
+            pos, valid = pos[keep, :n_max], valid[keep, :n_max]
+            here = np.arange(rows.size)
+
+    if log:
+        cols = [np.concatenate(c) for c in zip(*log)]
+        order = np.argsort(cols[0], kind="stable")
+        cols = [c[order] for c in cols]
+        bounds = np.searchsorted(cols[0], np.arange(len(starts) + 1))
+    out = []
+    for j, i in enumerate(indices):
+        rec = ()
+        if log:
+            rec = [c[bounds[j]:bounds[j + 1]] for c in cols[1:]]
+        out.append(_trajectory(params, _stream_seed(base_seed, i), counts[j], sts,
+                               snapshots[j], *rec, n_events=n_events[j],
+                               n_accepted=n_accepted[j]))
+    return out
 
 
 def simulate_ensemble(params: SimulationParams, n_trajectories: int,
                       base_seed: int, n_jobs: int = 1, initials=None):
     """Run n independent trajectories; trajectory i is a pure function of
-    (params, base_seed, i), so parallel and serial execution agree exactly."""
+    (params, base_seed, i), so parallel and serial execution agree exactly.
+
+    Ensembles of at most LOCKSTEP_MAX_PARTICLES expected particles per
+    trajectory run in lockstep chunks; larger ones run one `simulate` per
+    trajectory. With n_jobs > 1 the chunk or the trajectory is the unit handed
+    to the process pool, whose size is clamped to the CPU and unit counts.
+    """
     if n_trajectories < 1:
         raise ConfigError("need at least one trajectory")
-    jobs = [
-        (params, base_seed, i, None if initials is None else initials[i])
-        for i in range(n_trajectories)
-    ]
-    if n_jobs <= 1:
-        return [_simulate_indexed(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(_simulate_indexed, jobs, chunksize=max(1, len(jobs) // (4 * n_jobs))))
+    params.validate()
+    if _expected_particles(params, n_trajectories, initials) <= LOCKSTEP_MAX_PARTICLES:
+        run, size = _simulate_lockstep, _lockstep_chunk_size(params.torus.dim)
+    else:
+        run, size = _simulate_each, 1
+    units = [(params, base_seed, range(lo, min(lo + size, n_trajectories)),
+              None if initials is None else initials[lo:lo + size])
+             for lo in range(0, n_trajectories, size)]
+    workers = min(n_jobs, os.cpu_count() or 1, len(units))
+    if workers <= 1:
+        chunks = [run(*unit) for unit in units]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(run, *zip(*units),
+                                   chunksize=max(1, len(units) // (4 * workers))))
+    return [traj for chunk in chunks for traj in chunk]

@@ -18,8 +18,7 @@ from kawasaki import (Configuration, KernelSpec, PotentialSpec,
                       estimate_density, estimate_pair_correlation,
                       existence_horizon, find_T_for_q, kinetic_rhs,
                       monitor_bounds, op_norm_bound, picard_solve, run_sweep,
-                      simulate, simulate_ensemble, solve_kinetic,
-                      vlasov_first_order)
+                      simulate_ensemble, solve_kinetic, vlasov_first_order)
 from kawasaki.fields import DensityField
 from kawasaki.simulator import Simulation
 
@@ -313,8 +312,8 @@ def test_criterion_12_equilibrium_stationarity():
     params = SimulationParams(torus=torus, kernel=kernel, potential=pot,
                               rho0=2.0, t_end=t_end, snapshot_times=(t_end,),
                               record_events=False)
-    finals = [simulate(params, [99, i], initial_positions=init).snapshots[0]
-              for i, init in enumerate(initials)]
+    finals = [traj.snapshots[0] for traj in
+              simulate_ensemble(params, len(initials), 99, initials=initials)]
     edges = np.linspace(0.0, 5.0, 26)
     est0 = estimate_pair_correlation(initials, 0.0, edges, torus=torus)
     est1 = estimate_pair_correlation(finals, 0.0, edges, torus=torus)

@@ -142,9 +142,14 @@ def test_kinetic_run_outputs(tmp_path):
     out = tmp_path / "kout"
     assert main(["kinetic", "--config", path, "--out", str(out)]) == 0
     assert (out / "bounds.json").exists()
-    rows = (out / "rho.csv").read_text().splitlines()
+    text = (out / "rho.csv").read_text()
+    rows = text.splitlines()
     assert rows[0] == "time,cell_index,value"
     assert len(rows) == 1 + 64
+    assert "np.float64" not in text
+    for row in rows[1:]:
+        t, idx, v = row.split(",")
+        float(t), int(idx), float(v)
     bounds = json.loads((out / "bounds.json").read_text())
     assert bounds["ok"] is True
 

@@ -367,3 +367,11 @@ def test_snapshots_on_grid_only():
     with pytest.raises(ConfigError):
         solve_kinetic(rho, KERNEL, FREE, dt=1e-2, t_end=1.0,
                       snapshot_times=(0.0155,))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_density_field_rejects_non_finite_values(bad):
+    vals = np.full(16, 0.5)
+    vals[3] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        DensityField(TORUS, vals)

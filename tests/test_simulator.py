@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from kawasaki import (Configuration, GeometryError, InvalidSpecError, KernelSpec,
-                      NoDynamicsError, PotentialSpec, SimulationParams, Torus,
-                      detailed_balance_residual, gillespie_step,
+                      NoDynamicsError, NumericError, PotentialSpec,
+                      SimulationParams, Torus, detailed_balance_residual,
                       interaction_energy, jump_rate, sample_displacement,
                       sample_poisson_initial, sample_poisson_positions, simulate,
                       simulate_ensemble, total_pair_energy)
+from kawasaki import simulator
 from kawasaki.fields import DensityField
 from kawasaki.simulator import Simulation
 
@@ -201,32 +202,43 @@ def test_poisson_initial_returns_configuration():
 
 # -- single steps -------------------------------------------------------------------
 
+def lone_particles(n_traj):
+    return [np.array([[5.0]]) for _ in range(n_traj)]
+
+
 def test_gillespie_free_case_always_accepts():
     rng = np.random.default_rng(21)
     pos = rng.random((30, 1)) * 20.0
     config = Configuration(TORUS, pos)
-    clock = 0.0
+    sim = Simulation(config, KERNEL, FREE, 1.0, rng)
     for _ in range(200):
-        ev, clock = gillespie_step(config, clock, KERNEL, FREE, 1.0, rng)
-        assert ev.accepted
+        assert sim.step().accepted
     assert config.n == 30
+    ens = simulate_ensemble(params(potential=FREE, record_events=True), 10, base_seed=21)
+    assert all(t.accepted.all() and t.n_accepted == t.n_events > 0 for t in ens)
 
 
 def test_gillespie_single_particle_self_interaction():
     # with the mover included in the energy sum, a lone particle accepts
-    # with probability exp(-eps * phi(y - x)) < 1 for nearby proposals
+    # with probability exp(-eps * phi(y - x)) < 1 for nearby proposals;
+    # |y - x| <= 1 < potential radius always, so acceptance = e^{-0.8} exactly
     p = PotentialSpec.top_hat(2.0, 0.8, dim=1)
+    expect = math.exp(-0.8)
+
+    def within(hits, trials):
+        se = math.sqrt(expect * (1 - expect) / trials)
+        return abs(hits / trials - expect) <= 3.5 * se
+
     rng = np.random.default_rng(33)
     hits = trials = 0
     for _ in range(4000):
         config = Configuration(TORUS, np.array([[5.0]]), interaction_radius=p.support_radius)
-        ev, _ = gillespie_step(config, 0.0, KERNEL, p, 1.0, rng)
+        hits += Simulation(config, KERNEL, p, 1.0, rng, block=1).step().accepted
         trials += 1
-        hits += ev.accepted
-    # |y - x| <= 1 < potential radius always, so acceptance = e^{-0.8} exactly
-    expect = math.exp(-0.8)
-    se = math.sqrt(expect * (1 - expect) / trials)
-    assert abs(hits / trials - expect) <= 3.5 * se
+    assert within(hits, trials)
+    ens = simulate_ensemble(params(potential=p, t_end=10.0, snapshot_times=()),
+                            200, base_seed=33, initials=lone_particles(200))
+    assert within(sum(t.n_accepted for t in ens), sum(t.n_events for t in ens))
 
 
 def test_gillespie_exclude_mover_variant():
@@ -234,14 +246,18 @@ def test_gillespie_exclude_mover_variant():
     rng = np.random.default_rng(34)
     for _ in range(100):
         config = Configuration(TORUS, np.array([[5.0]]), interaction_radius=p.support_radius)
-        ev, _ = gillespie_step(config, 0.0, KERNEL, p, 1.0, rng, exclude_mover=True)
-        assert ev.accepted  # lone particle sees no one else
+        sim = Simulation(config, KERNEL, p, 1.0, rng, exclude_mover=True, block=1)
+        assert sim.step().accepted  # lone particle sees no one else
+    ens = simulate_ensemble(params(potential=p, exclude_mover=True, t_end=5.0),
+                            40, base_seed=34, initials=lone_particles(40))
+    assert all(t.n_accepted == t.n_events > 0 for t in ens)
 
 
 def test_gillespie_empty_configuration_raises():
     config = Configuration(TORUS, np.zeros((0, 1)))
+    sim = Simulation(config, KERNEL, POT, 1.0, np.random.default_rng(0))
     with pytest.raises(NoDynamicsError):
-        gillespie_step(config, 0.0, KERNEL, POT, 1.0, np.random.default_rng(0))
+        sim.step()
 
 
 def test_accepted_rate_matches_direct_omega_oracle():
@@ -310,7 +326,18 @@ def test_envelope_ratio_in_unit_interval():
     config = Configuration(TORUS, pos, interaction_radius=1.0)
     sim = Simulation(config, KERNEL, POT, 1.0, rng, check_envelope=True)
     for _ in range(500):
-        sim.step()  # check_envelope asserts exp(-eps E) in (0, 1]
+        sim.step()  # check_envelope raises unless exp(-eps E) is in (0, 1]
+
+
+def test_envelope_check_raises_numeric_error(monkeypatch):
+    # a negative energy gives an acceptance ratio above 1, which thinning
+    # against the envelope alpha * n cannot realize
+    monkeypatch.setattr(simulator, "interaction_energy", lambda *a, **k: -1.0)
+    config = Configuration(TORUS, np.array([[1.0], [1.5]]), interaction_radius=1.0)
+    sim = Simulation(config, KERNEL, POT, 1.0, np.random.default_rng(0),
+                     check_envelope=True)
+    with pytest.raises(NumericError, match="outside"):
+        sim.step()
 
 
 # -- trajectories and ensembles ------------------------------------------------------
@@ -388,3 +415,170 @@ def test_torus_too_small_rejected():
 def test_simulator_rejects_local_potential():
     with pytest.raises(InvalidSpecError):
         simulate(params(potential=PotentialSpec.local(1.0, dim=1)), 0)
+
+
+# -- lockstep ensembles ----------------------------------------------------------------
+
+TORUS2 = Torus(2, 12.0)
+KERNEL2 = KernelSpec.top_hat(1.0, 1.0, dim=2)
+POT2 = PotentialSpec.top_hat(1.0, 0.5, dim=2)
+
+
+def scalar_ensemble(p, n_traj, base_seed, initials=None):
+    return [simulate(p, [base_seed, i],
+                     initial_positions=None if initials is None else initials[i])
+            for i in range(n_traj)]
+
+
+def assert_same_trajectories(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.seed_key == b.seed_key
+        assert (a.n_particles, a.n_events, a.n_accepted) == (
+            b.n_particles, b.n_events, b.n_accepted)
+        assert a.snapshot_times == b.snapshot_times
+        assert len(a.snapshots) == len(b.snapshots)
+        for sa, sb in zip(a.snapshots, b.snapshots):
+            assert sa.shape == sb.shape and np.array_equal(sa, sb)
+        for name in ("times", "movers", "old_positions", "new_positions", "accepted"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert np.array_equal(x, y), name
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_lockstep_top_hat_bit_identical_to_simulate(dim):
+    if dim == 1:
+        p = params(rho0=1.2, t_end=1.0, snapshot_times=(0.0, 0.3, 0.7, 1.0),
+                   record_events=True)
+    else:
+        p = params(torus=TORUS2, kernel=KERNEL2, potential=POT2, rho0=0.4,
+                   t_end=0.5, snapshot_times=(0.0, 0.2, 0.5), record_events=True)
+    ens = simulate_ensemble(p, 40, base_seed=19)
+    assert sum(t.n_events for t in ens) > 1000
+    assert 0 < sum(t.n_accepted for t in ens) < sum(t.n_events for t in ens)
+    assert_same_trajectories(ens, scalar_ensemble(p, 40, 19))
+
+
+@pytest.mark.parametrize("exclude", [False, True])
+def test_lockstep_given_initials_bit_identical(exclude):
+    rng = np.random.default_rng(4)
+    initials = [rng.random((int(rng.integers(0, 40)), 1)) * 20.0 for _ in range(25)]
+    p = params(snapshot_times=(0.0, 1.0), record_events=True, exclude_mover=exclude)
+    ens = simulate_ensemble(p, 25, base_seed=6, initials=initials)
+    assert_same_trajectories(ens, scalar_ensemble(p, 25, 6, initials))
+
+
+def test_lockstep_exclude_mover_bit_identical_from_poisson_start():
+    p = params(rho0=1.5, exclude_mover=True, record_events=True)
+    assert_same_trajectories(simulate_ensemble(p, 30, base_seed=12),
+                             scalar_ensemble(p, 30, 12))
+
+
+def test_lockstep_low_density_with_empty_trajectories():
+    p = params(rho0=0.05, snapshot_times=(0.0, 0.5, 1.0), record_events=True)
+    ens = simulate_ensemble(p, 40, base_seed=2)
+    counts = [t.n_particles for t in ens]
+    assert 0 in counts and max(counts) > 0
+    assert_same_trajectories(ens, scalar_ensemble(p, 40, 2))
+    empty = simulate_ensemble(params(rho0=0.0), 5, base_seed=2)
+    assert all(t.n_particles == 0 and len(t.snapshots) == 2 for t in empty)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "exponential"])
+@pytest.mark.parametrize("exclude", [False, True])
+def test_lockstep_smooth_energies_match_interaction_energy(family, exclude):
+    torus = Torus(2, 30.0)
+    pot = (PotentialSpec.gaussian(0.6, 1.3, dim=2) if family == "gaussian"
+           else PotentialSpec.exponential(4.0, 2.0, dim=2))
+    rng = np.random.default_rng(17)
+    rows, n_max = 12, 30
+    counts = rng.integers(0, n_max + 1, size=rows)
+    counts[0] = 0
+    pos = rng.random((rows, n_max, 2)) * 30.0  # padding holds junk on purpose
+    valid = np.arange(n_max) < counts[:, None]
+    y = rng.random((rows, 2)) * 30.0
+    mover = np.array([int(rng.integers(0, max(c, 1))) for c in counts])
+    got = simulator._batch_energy(pos, valid, y, 30.0, pot, mover if exclude else None)
+    for r in range(rows):
+        config = Configuration(torus, pos[r, :counts[r]],
+                               interaction_radius=pot.support_radius)
+        if exclude and counts[r] == 0:
+            continue
+        want = interaction_energy(y[r], config, pot,
+                                  exclude=int(mover[r]) if exclude else None)
+        assert got[r] == pytest.approx(want, rel=1e-12, abs=1e-300)
+    p = SimulationParams(torus=torus, kernel=KERNEL2, potential=pot, rho0=0.15,
+                         t_end=0.5, snapshot_times=(0.0, 0.5), record_events=True,
+                         exclude_mover=exclude)
+    assert_same_trajectories(simulate_ensemble(p, 10, base_seed=5),
+                             scalar_ensemble(p, 10, 5))
+
+
+def test_lockstep_serial_and_parallel_identical_across_chunks():
+    n_traj = simulator._lockstep_chunk_size(1) + 13
+    p = params(t_end=0.5, snapshot_times=(0.25, 0.5), record_events=True)
+    serial = simulate_ensemble(p, n_traj, base_seed=5, n_jobs=1)
+    parallel = simulate_ensemble(p, n_traj, base_seed=5, n_jobs=2)
+    assert_same_trajectories(parallel, serial)
+
+
+def test_lockstep_routing_rule(monkeypatch):
+    cap = simulator.LOCKSTEP_MAX_PARTICLES
+    at_cap = params(rho0=cap / TORUS.volume)
+    above = params(rho0=2.0 * cap / TORUS.volume)
+    field = DensityField(TORUS, np.full(16, cap / TORUS.volume))
+    assert simulator._expected_particles(at_cap, 3, None) == pytest.approx(cap)
+    assert simulator._expected_particles(params(rho0=field), 3, None) == pytest.approx(cap)
+    initials = [np.zeros((0, 1)), np.zeros((cap + 1, 1)), np.zeros((4, 1))]
+    assert simulator._expected_particles(above, 3, initials) == cap + 1
+    assert simulator._expected_particles(above, 1, initials) == 0
+
+    def boom(*args, **kwargs):
+        raise AssertionError("wrong route")
+
+    # at the cap the ensemble goes lockstep, just above it the scalar route
+    small = params(rho0=0.5, t_end=0.2, snapshot_times=(0.2,))
+    monkeypatch.setattr(simulator, "LOCKSTEP_MAX_PARTICLES",
+                        simulator._expected_particles(small, 3, None))
+    monkeypatch.setattr(simulator, "simulate", boom)
+    simulate_ensemble(small, 3, base_seed=1)
+    monkeypatch.undo()
+    monkeypatch.setattr(simulator, "LOCKSTEP_MAX_PARTICLES",
+                        np.nextafter(simulator._expected_particles(small, 3, None), 0))
+    monkeypatch.setattr(simulator, "_simulate_lockstep", boom)
+    simulate_ensemble(small, 3, base_seed=1)
+
+
+class RecordingPool:
+    """Stand-in for ProcessPoolExecutor that records its size and runs inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+def test_pool_workers_clamped_to_cpus_and_units(monkeypatch):
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
+    RecordingPool.sizes = []
+    chunk = simulator._lockstep_chunk_size(1)
+    p = params(t_end=0.2, snapshot_times=(0.2,))
+    two_chunks = simulate_ensemble(p, chunk + 1, base_seed=3, n_jobs=64)
+    simulate_ensemble(p, chunk, base_seed=3, n_jobs=64)  # one unit: no pool
+    assert RecordingPool.sizes == [2]
+    assert_same_trajectories(two_chunks, simulate_ensemble(p, chunk + 1, base_seed=3))
+    monkeypatch.setattr(simulator, "LOCKSTEP_MAX_PARTICLES", 0)
+    simulate_ensemble(p, 5, base_seed=3, n_jobs=64)
+    simulate_ensemble(p, 2, base_seed=3, n_jobs=64)
+    assert RecordingPool.sizes == [2, 3, 2]
