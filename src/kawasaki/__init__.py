@@ -10,20 +10,20 @@ from .errors import (BoundViolation, BudgetError, ConfigError, GeometryError,
                      HorizonError, InvalidSpecError, KawasakiError,
                      NoDynamicsError, NumericError, StepSizeError)
 from .fields import DensityField
-from .kernels import (KernelSpec, PotentialSpec, ScaledFactors, alpha, c_phi,
-                      mean_phi, sample_displacement)
+from .kernels import (KernelSpec, PotentialSpec, alpha, c_phi, mean_phi,
+                      sample_displacement)
 from .torus import Torus
 from .simulator import (Configuration, SimulationParams, Simulation, Trajectory,
-                        detailed_balance_residual, interaction_energy, jump_rate,
+                        detailed_balance_residual, interaction_energy,
                         sample_poisson_initial, sample_poisson_positions, simulate,
                         simulate_ensemble, total_pair_energy)
 from .estimator import (CorrelationEstimate, SubPoissonReport,
                         estimate_correlations, estimate_density,
-                        estimate_pair_correlation, lp_exponent,
-                        radial_product_profile, sub_poisson_report)
-from .kinetic import (BoundReport, KineticTrajectory, PicardResult, SolverConfig,
-                      convolve, kinetic_rhs, monitor_bounds, picard_solve,
-                      solve_kinetic, step_rk4, vlasov_first_order)
+                        estimate_pair_correlation, radial_product_profile,
+                        sub_poisson_report)
+from .kinetic import (BoundReport, KineticTrajectory, PicardResult, convolve,
+                      kinetic_rhs, monitor_bounds, picard_solve, solve_kinetic,
+                      vlasov_first_order)
 from .horizon import (HorizonReport, contraction_factor, existence_horizon,
                       find_T_for_q, horizon_report, op_norm_bound, t_star,
                       theta_of_t)

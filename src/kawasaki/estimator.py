@@ -218,18 +218,6 @@ def estimate_correlations(ensemble, time, n_cells, r_edges, torus=None) -> Corre
     return est1
 
 
-def lp_exponent(fn, config) -> float:
-    """Product of fn over the points of the configuration (empty -> 1)."""
-    pos = config.positions if hasattr(config, "positions") else np.asarray(config)
-    if pos.size == 0:
-        return 1.0
-    if pos.ndim == 2 and pos.shape[1] == 1:
-        vals = np.asarray(fn(pos[:, 0]), dtype=float)
-    else:
-        vals = np.asarray(fn(pos), dtype=float)
-    return float(np.prod(vals))
-
-
 # -- radial product profile --------------------------------------------------
 
 

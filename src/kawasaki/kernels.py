@@ -293,28 +293,6 @@ def c_phi(potential: PotentialSpec, epsilon: float = 1.0) -> float:
     return surf * val / epsilon
 
 
-@dataclass(frozen=True)
-class ScaledFactors:
-    """Mayer-type factors of the weakened potential eps * phi.
-
-    t(x) = exp(-eps * phi(x)) - 1 lies in [-1, 0] and tau = t + 1 in [0, 1];
-    these ranges are what make the thinning envelope of the simulator exact.
-    """
-
-    epsilon: float
-    potential: PotentialSpec
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise InvalidSpecError(f"epsilon must be positive, got {self.epsilon}")
-
-    def t(self, x):
-        return np.expm1(-self.epsilon * self.potential.value(x))
-
-    def tau(self, x):
-        return np.expm1(-self.epsilon * self.potential.value(x)) + 1.0
-
-
 # -- displacement sampling --------------------------------------------------
 
 

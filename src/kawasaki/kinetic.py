@@ -182,27 +182,32 @@ def vlasov_first_order(rho: DensityField, kernel: KernelSpec,
 _CLAMP_FLOOR = -1e-13
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Time-grid and method selection for the kinetic solvers."""
+def check_dt(dt: float, alpha: float):
+    """The RK4 stability guard: raise ConfigError unless 0 < dt <= 0.1 / alpha."""
+    if not 0 < dt:
+        raise ConfigError("dt must be positive")
+    if dt > 0.1 / alpha * (1. + 1e-12):
+        raise ConfigError(
+            f"dt={dt:g} violates the stability guard dt <= 0.1/alpha = {0.1 / alpha:g}"
+        )
 
-    dt: float
-    t_end: float
-    method: str = "rk4"
-    picard_tolerance: float = 1e-10
-    picard_max_iter: int = 200
 
-    def validate(self, alpha: float):
-        if self.method not in ("rk4", "picard"):
-            raise ConfigError(f"method must be rk4 or picard, got {self.method!r}")
-        if not 0 < self.dt:
-            raise ConfigError("dt must be positive")
-        if self.dt > 0.1 / alpha * (1. + 1e-12):
+def snapshot_steps(times, t_end: float, dt: float) -> list:
+    """Step index k of each time s on the grid both solvers march on.
+
+    The grid has n = max(1, round(t_end / dt)) steps of t_end / n; s must lie
+    within 1e-9 of k * t_end / n with 0 <= k <= n, else ConfigError.
+    """
+    n_steps = max(1, int(round(t_end / dt)))
+    h = t_end / n_steps
+    steps = []
+    for s in times:
+        k = int(round(s / h)) if h else 0
+        if abs(k * h - s) > 1e-9 or not 0 <= k <= n_steps:
             raise ConfigError(
-                f"dt={self.dt:g} violates the stability guard dt <= 0.1/alpha = {0.1 / alpha:g}"
-            )
-        if self.t_end < 0:
-            raise ConfigError("t_end must be >= 0")
+                f"snapshot time {s} is not on the dt grid over [0, {t_end:g}]")
+        steps.append(k)
+    return steps
 
 
 def _rk4_once(values, dt, tab_a, tab_phi, kappa):
@@ -211,19 +216,6 @@ def _rk4_once(values, dt, tab_a, tab_phi, kappa):
     k3 = _rhs_values(values + 0.5 * dt * k2, tab_a, tab_phi, kappa)
     k4 = _rhs_values(values + dt * k3, tab_a, tab_phi, kappa)
     return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def step_rk4(rho: DensityField, dt: float, kernel: KernelSpec,
-             potential: PotentialSpec) -> DensityField:
-    """One classical RK4 step; round-off negativity (>= -1e-13) is clamped."""
-    tab_a, tab_phi, kappa = _tabs_for(rho, kernel, potential)
-    new = _rk4_once(rho.values, dt, tab_a, tab_phi, kappa)
-    low = float(new.min())
-    if low < _CLAMP_FLOOR:
-        raise StepSizeError(
-            f"negativity {low:.3e} beyond round-off; reduce dt below {dt:g}"
-        )
-    return rho.with_values(np.maximum(new, 0.0))
 
 
 @dataclass(eq=False)
@@ -262,17 +254,16 @@ def solve_kinetic(rho0: DensityField, kernel: KernelSpec, potential: PotentialSp
     times must lie on the resulting grid (to 1e-9).
     """
     a = kernel_alpha(kernel)
-    SolverConfig(dt=dt, t_end=t_end).validate(a)
+    check_dt(dt, a)
+    if t_end < 0:
+        raise ConfigError("t_end must be >= 0")
     n_steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
     dt_eff = t_end / n_steps if n_steps else dt
     tab_a, tab_phi, kappa = _tabs_for(rho0, kernel, potential)
 
     sts = tuple(sorted(snapshot_times))
     snap_idx = {}
-    for s in sts:
-        k = int(round(s / dt_eff)) if dt_eff else 0
-        if abs(k * dt_eff - s) > 1e-9 or k > n_steps:
-            raise ConfigError(f"snapshot time {s} is not on the dt grid")
+    for s, k in zip(sts, snapshot_steps(sts, t_end, dt)):
         snap_idx.setdefault(k, []).append(s)
 
     vals = rho0.values.copy()

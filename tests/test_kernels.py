@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kawasaki import (InvalidSpecError, KernelSpec, PotentialSpec, ScaledFactors,
-                      alpha, c_phi, mean_phi, sample_displacement)
+from kawasaki import (InvalidSpecError, KernelSpec, PotentialSpec, alpha, c_phi,
+                      mean_phi, sample_displacement)
 from kawasaki.kernels import sphere_area
 
 
@@ -125,14 +125,15 @@ def test_radial_symmetry_exact():
 
 
 def test_scaled_factors_ranges():
+    # Mayer factors of eps * phi: t = exp(-eps phi) - 1 in [-1, 0] and
+    # tau = t + 1 in [0, 1], the ranges that make the thinning envelope exact
     rng = np.random.default_rng(1)
     p = PotentialSpec.gaussian(0.8, 2.5, dim=1)
     for _ in range(20):
         eps = float(rng.uniform(1e-3, 1.0))
-        sf = ScaledFactors(eps, p)
         xy = rng.normal(size=500) * 2.0
-        t = sf.t(xy)
-        tau = sf.tau(xy)
+        t = np.expm1(-eps * p.value(xy))
+        tau = t + 1.0
         assert np.all((t >= -1.0) & (t <= 0.0))
         assert np.all((tau >= 0.0) & (tau <= 1.0))
 

@@ -6,9 +6,10 @@ import pytest
 from kawasaki import (ConfigError, GeometryError, HorizonError, KernelSpec,
                       NumericError, PotentialSpec, StepSizeError, Torus,
                       contraction_factor, convolve, kinetic_rhs, monitor_bounds,
-                      picard_solve, solve_kinetic, step_rk4, vlasov_first_order)
+                      picard_solve, solve_kinetic, vlasov_first_order)
+from kawasaki import kinetic
 from kawasaki.fields import DensityField
-from kawasaki.kinetic import SolverConfig, tabulate
+from kawasaki.kinetic import check_dt, snapshot_steps, tabulate
 
 TORUS = Torus(1, 20.0)
 KERNEL = KernelSpec.top_hat(1.0, 1.0, dim=1)  # alpha = 2
@@ -185,18 +186,19 @@ def test_vlasov_first_order_equals_rhs_on_random_fields():
 
 # -- RK4 stepping -------------------------------------------------------------------
 
-def test_step_rk4_constant_fixed_point():
+def test_rk4_constant_fixed_point():
     rho = DensityField.constant(TORUS, 64, 0.8)
-    out = step_rk4(rho, 1e-3, KERNEL, POT)
+    out = solve_kinetic(rho, KERNEL, POT, dt=1e-3, t_end=1e-3).final
     assert np.abs(out.values - 0.8).max() <= 1e-14
 
 
-def test_step_rk4_huge_dt_raises_step_size_error():
+def test_rk4_huge_dt_raises_step_size_error(monkeypatch):
+    # the stability guard rejects dt = 2 outright; with the guard bypassed,
+    # the negativity check inside the march must still stop the run
+    monkeypatch.setattr(kinetic, "check_dt", lambda dt, alpha: None)
     rho = bump_field(n=32, base=0.2, amp=0.19, mode=5)
     with pytest.raises(StepSizeError):
-        out = rho
-        for _ in range(200):
-            out = step_rk4(out, 2.0, KERNEL, FREE)
+        solve_kinetic(rho, KERNEL, FREE, dt=2.0, t_end=400.0)
 
 
 def test_rk4_fourier_mode_decay_matches_discrete_symbol():
@@ -240,10 +242,24 @@ def test_rk4_self_convergence_order():
     assert math.log2(e_mid / e_fine) >= 3.5
 
 
-def test_solver_config_stability_guard():
+def test_dt_stability_guard():
+    for dt in (0.1, 0.0, -0.01):  # alpha = 2: the guard is 0 < dt <= 0.05
+        with pytest.raises(ConfigError):
+            check_dt(dt, 2.0)
+    check_dt(0.05, 2.0)
+    check_dt(0.05 * (1 + 1e-13), 2.0)  # round-off at the boundary passes
+    rho = DensityField.constant(TORUS, 16, 0.5)
     with pytest.raises(ConfigError):
-        SolverConfig(dt=0.1, t_end=1.0).validate(2.0)  # guard is 0.05
-    SolverConfig(dt=0.05, t_end=1.0).validate(2.0)
+        solve_kinetic(rho, KERNEL, POT, dt=0.1, t_end=1.0)
+
+
+def test_snapshot_steps_grid_rule():
+    # t_end = 1, dt = 0.3 gives 3 steps of 1/3
+    assert snapshot_steps([0.0, 1 / 3, 2 / 3 + 5e-10, 1.0], 1.0, 0.3) == [0, 1, 2, 3]
+    assert snapshot_steps([0.0], 0.0, 0.1) == [0]
+    for s in (0.5, 4 / 3, -1 / 3):
+        with pytest.raises(ConfigError):
+            snapshot_steps([s], 1.0, 0.3)
 
 
 # -- conservation and monitors --------------------------------------------------------

