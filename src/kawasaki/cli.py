@@ -254,20 +254,20 @@ def _run_simulate(v, out_dir):
         fh.write(f"traj_id,time,particle_id,{cols}\n")
         for ti, traj in enumerate(ensemble):
             for s, snap in zip(traj.snapshot_times, traj.snapshots):
-                for pid in range(snap.shape[0]):
-                    xs = ",".join(repr(float(x)) for x in snap[pid])
-                    fh.write(f"{ti},{s!r},{pid},{xs}\n")
+                fh.write("".join(f"{ti},{s!r},{pid},{','.join(map(repr, xs))}\n"
+                                 for pid, xs in enumerate(snap.tolist())))
     if v["record_events"]:
         oldc = ",".join(f"old_x{k}" for k in range(d))
         newc = ",".join(f"new_x{k}" for k in range(d))
         with open(os.path.join(out_dir, "events.csv"), "w") as fh:
             fh.write(f"traj_id,time,mover,accepted,{oldc},{newc}\n")
             for ti, traj in enumerate(ensemble):
-                for k in range(traj.n_events):
-                    olds = ",".join(repr(float(x)) for x in traj.old_positions[k])
-                    news = ",".join(repr(float(x)) for x in traj.new_positions[k])
-                    fh.write(f"{ti},{float(traj.times[k])!r},{int(traj.movers[k])},"
-                             f"{int(traj.accepted[k])},{olds},{news}\n")
+                rows = zip(traj.times.tolist(), traj.movers.tolist(),
+                           traj.accepted.tolist(), traj.old_positions.tolist(),
+                           traj.new_positions.tolist())
+                fh.write("".join(f"{ti},{t!r},{m},{int(a)},{','.join(map(repr, old))},"
+                                 f"{','.join(map(repr, new))}\n"
+                                 for t, m, a, old, new in rows))
     est_cfg = v["estimator"]
     if est_cfg is not None:
         r_edges = np.linspace(0.0, est_cfg["r_max"], est_cfg["n_bins"] + 1)
@@ -397,9 +397,8 @@ def _sweep_spec(v):
 
 
 def _check_sweep(v):
-    radius = max(v["kernel"].support_radius, v["potential"].support_radius)
     spec = _sweep_spec(v)
-    diags = _violations(lambda: v["torus"].require_fits(radius), spec.validate)
+    diags = _violations(spec.validate)
     if not diags:
         plan_budget(spec)  # BudgetError: exit 3 from a run, a violation from validate
     return diags

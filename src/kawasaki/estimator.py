@@ -7,6 +7,12 @@ times torus volume, so that for a Poisson sample of density rho the radial
 pair estimate is flat at rho^2 with no combinatorial 1/2. Standard errors
 are always computed across trajectories, never within one.
 
+Pair counts cost O(n log n + pairs within r_max) per snapshot rather than
+O(n^2): a periodic kd-tree (scipy.spatial.cKDTree), one per group of
+snapshots, proposes the candidate pairs, and each candidate is binned by its
+exact minimal-image distance recomputed from the raw positions, so the counts
+equal those of an all-pairs histogram bit for bit.
+
 The factorization diagnostic compares the pair estimate against the radial
 average of the product field k1 (x) k1. For d = 1 that average is computed
 exactly for the piecewise-constant density estimate (the in-cell offset of
@@ -20,12 +26,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import ConfigError
 from .fields import DensityField
 from .torus import Torus
 
-_PAIR_CHUNK = 512
+_PAIR_BLOCK = 1024  # particles per kd-tree; small snapshots share one
 
 
 def shell_measure(dim: int, r_edges) -> np.ndarray:
@@ -156,23 +163,47 @@ def estimate_density(ensemble, time, n_cells, torus=None) -> CorrelationEstimate
                                k1=k1, k1_se=k1_se)
 
 
-def _pair_distance_counts(pos, torus, r_edges):
-    """Ordered-pair counts per distance bin (chunked all-pairs, minimal image)."""
-    n = pos.shape[0]
-    counts = np.zeros(len(r_edges) - 1)
-    if n < 2:
-        return counts
-    L = torus.side
-    for lo in range(0, n, _PAIR_CHUNK):
-        chunk = pos[lo:lo + _PAIR_CHUNK]
-        diff = chunk[:, None, :] - pos[None, :, :]
+def _pair_distance_counts(snaps, torus, r_edges):
+    """Ordered-pair counts per distance bin, one row per snapshot: (t, n_bins).
+
+    Consecutive snapshots are packed into groups of at most _PAIR_BLOCK
+    particles (a larger snapshot is a group of its own), and each group goes
+    into one periodic kd-tree. The search radius r_q is the last edge padded
+    against round-off. An extra periodic axis at owner * 3 r_q keeps the
+    snapshots of a group at least 3 r_q apart, so the search only pairs
+    points of one snapshot. The tree only proposes candidates: each
+    candidate's minimal-image distance is recomputed from the raw positions
+    (diff -= L round(diff / L)) and binned as np.histogram bins, [lo, hi)
+    with the last bin closed, so the counts do not depend on the tree's own
+    rounding.
+    """
+    d, L = torus.dim, torus.side
+    n_bins = len(r_edges) - 1
+    # > 0 even for bins that end at or below 0
+    r_q = max(r_edges[-1], 0.0) * (1.0 + 1e-9) + 1e-12
+    gap = 3.0 * r_q
+    sizes = [pos.shape[0] for pos in snaps]
+    counts = np.zeros((len(snaps), n_bins))
+    lo = 0
+    while lo < len(snaps):
+        hi, n = lo + 1, sizes[lo]
+        while hi < len(snaps) and n + sizes[hi] <= _PAIR_BLOCK:
+            n += sizes[hi]
+            hi += 1
+        g = hi - lo
+        pos = np.concatenate(snaps[lo:hi]).reshape(-1, d)
+        owner = np.repeat(np.arange(g), sizes[lo:hi])
+        tree = cKDTree(np.column_stack([torus.wrap(pos), owner * gap]),
+                       boxsize=[L] * d + [g * gap])
+        i, j = tree.query_pairs(r_q, output_type="ndarray").T
+        diff = np.take(pos, i, axis=0) - np.take(pos, j, axis=0)
         diff -= L * np.round(diff / L)
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        # mask self pairs
-        idx = np.arange(lo, min(lo + _PAIR_CHUNK, n))
-        dist[np.arange(len(idx)), idx] = np.inf
-        hist, _ = np.histogram(dist.ravel(), bins=r_edges)
-        counts += hist
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        keep = (dist >= r_edges[0]) & (dist <= r_edges[-1])
+        b = np.minimum(np.searchsorted(r_edges, dist[keep], "right") - 1, n_bins - 1)
+        hist = np.bincount(owner[i[keep]] * n_bins + b, minlength=g * n_bins)
+        counts[lo:hi] = 2.0 * hist.reshape(g, n_bins)
+        lo = hi
     return counts
 
 
@@ -191,8 +222,8 @@ def estimate_pair_correlation(ensemble, time, r_edges, torus=None) -> Correlatio
     total = np.zeros(len(r_edges) - 1)
     total_sq = np.zeros_like(total)
     counts = 0.0
-    for pos in snaps:
-        v = _pair_distance_counts(pos, torus, r_edges) / norm
+    for pos, pairs in zip(snaps, _pair_distance_counts(snaps, torus, r_edges)):
+        v = pairs / norm
         total += v
         total_sq += v * v
         counts += pos.shape[0]

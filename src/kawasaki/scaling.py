@@ -27,8 +27,8 @@ from .estimator import (CorrelationEstimate, estimate_correlations,
                         radial_product_profile)
 from .fields import DensityField
 from .kernels import KernelSpec, PotentialSpec, alpha as kernel_alpha
-from .kinetic import solve_kinetic
-from .simulator import SimulationParams, simulate_ensemble
+from .kinetic import check_dt, snapshot_steps, solve_kinetic
+from .simulator import SimulationParams, check_model, simulate_ensemble
 from .torus import Torus
 
 
@@ -61,6 +61,19 @@ class SweepSpec:
             raise ConfigError("comparison times must be >= 0")
         if self.n_traj is not None and len(self.n_traj) != len(eps):
             raise ConfigError("n_traj must match the epsilon ladder")
+        check_model(self.torus, self.kernel, self.potential)
+        # the kinetic reference solve checks the same, but only after a run starts
+        dt = self.reference_dt()
+        check_dt(dt, kernel_alpha(self.kernel))
+        try:
+            snapshot_steps(self.times, max(self.times), dt)
+        except ConfigError as exc:
+            raise ConfigError(f"comparison times, on the kinetic reference grid of "
+                              f"dt {dt:g}: {exc}") from None
+
+    def reference_dt(self) -> float:
+        """Step of the kinetic reference solve: dt, by default 0.05 / alpha."""
+        return self.dt if self.dt is not None else 0.05 / kernel_alpha(self.kernel)
 
     def limit_field(self) -> DensityField:
         if isinstance(self.rho0, DensityField):
@@ -145,11 +158,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     spec.validate()
     plan_budget(spec)
     rho0 = spec.limit_field()
-    a = kernel_alpha(spec.kernel)
-    dt = spec.dt if spec.dt is not None else 0.05 / a
     t_end = max(spec.times)
-    ref = solve_kinetic(rho0, spec.kernel, spec.potential, dt=dt, t_end=t_end,
-                        snapshot_times=spec.times)
+    ref = solve_kinetic(rho0, spec.kernel, spec.potential, dt=spec.reference_dt(),
+                        t_end=t_end, snapshot_times=spec.times)
     ref_fields = [ref.snapshot_at(t) for t in spec.times]
     r_edges = spec.pair_edges()
     ref_prods = [radial_product_profile(f, r_edges)[0] for f in ref_fields]

@@ -198,6 +198,20 @@ def _sum_phi(potential, r2):
     return potential.height * float(np.exp(-potential.rate * np.sqrt(r2[mask])).sum())
 
 
+def _require_microscopic(potential):
+    if potential.family == "local":
+        raise InvalidSpecError(
+            "local(kappa) has no microscopic realization; use the kinetic solver"
+        )
+
+
+def check_model(torus: Torus, kernel: KernelSpec, potential: PotentialSpec):
+    """Raise ConfigError unless the model has a particle realization on the
+    torus: both radii pass the minimal-image rule and phi is not local(kappa)."""
+    torus.require_fits(max(kernel.support_radius, potential.support_radius))
+    _require_microscopic(potential)
+
+
 def _squared_distances(points, y, side):
     d = points - y
     d -= side * np.round(d / side)
@@ -211,10 +225,7 @@ def interaction_energy(y, config: Configuration, potential: PotentialSpec,
     Distances are minimal-image and the sum is pruned to the potential's
     effective support via the configuration's cell index when possible.
     """
-    if potential.family == "local":
-        raise InvalidSpecError(
-            "local(kappa) has no microscopic realization; use the kinetic solver"
-        )
+    _require_microscopic(potential)
     if potential.is_zero or config.n == 0:
         return 0.0
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -322,10 +333,7 @@ class Simulation:
                  potential: PotentialSpec, epsilon: float, rng,
                  exclude_mover: bool = False, check_envelope: bool = False,
                  block: int = _RNG_BLOCK):
-        if potential.family == "local":
-            raise InvalidSpecError(
-                "local(kappa) has no microscopic realization; use the kinetic solver"
-            )
+        _require_microscopic(potential)
         self.config = config
         self.kernel = kernel
         self.potential = potential
@@ -409,8 +417,7 @@ class SimulationParams:
     exclude_mover: bool = False
 
     def validate(self):
-        radius = max(self.kernel.support_radius, self.potential.support_radius)
-        self.torus.require_fits(radius)
+        check_model(self.torus, self.kernel, self.potential)
         if self.epsilon <= 0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.t_end < 0:
@@ -616,10 +623,6 @@ def _simulate_lockstep(params: SimulationParams, base_seed, indices, initials=No
     log = []
 
     streams = np.flatnonzero(counts)  # block row -> stream; empty ones never step
-    if streams.size and pot.family == "local":
-        raise InvalidSpecError(
-            "local(kappa) has no microscopic realization; use the kinetic solver"
-        )
     n_of = np.asarray(counts, dtype=np.int64)[streams]
     n_max = int(n_of.max(initial=0))
     pos = np.zeros((streams.size, n_max, d))

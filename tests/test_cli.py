@@ -260,6 +260,8 @@ def test_budget_overrun_exits_3(tmp_path):
     assert main(["scale-sweep", "--config", path, "--out", str(tmp_path / "o")]) == 3
 
 
+LOCAL = {"family": "local", "kappa": 1.0, "dim": 1}
+
 BAD_CONFIGS = {
     "record_events-string": ("simulate", {"record_events": "false"}),
     "n_traj-fraction": ("simulate", {"n_traj": 2.7}),
@@ -278,16 +280,25 @@ BAD_CONFIGS = {
     "n_traj_base-zero": ("scale-sweep", {"n_traj_base": 0}),
     "u0-negative": ("horizon", {"u0": -1.0}),
     "t_end-infinite": ("kinetic", {"t_end": float("inf")}),
+    # well-formed, but the run would fail only after writing the manifest
+    "simulate-local-potential": ("simulate", {"potential": LOCAL}),
+    "sweep-local-potential": ("scale-sweep", {"potential": LOCAL}),
+    # alpha = 2: the kinetic reference grid has steps of 0.05 / alpha = 0.025
+    "sweep-times-off-grid": ("scale-sweep", {"times": [0.01, 0.3]}),
+    "sweep-dt-unstable": ("scale-sweep", {"dt": 1.0}),
 }
 
 
 @pytest.mark.parametrize("sub, change", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
 def test_malformed_config_exits_1_before_any_output(tmp_path, capsys, sub, change):
-    path = write_json(tmp_path / "bad.json", CONFIGS[sub](**change))
+    cfg = CONFIGS[sub](**change)
+    path = write_json(tmp_path / "bad.json", cfg)
     out = tmp_path / "o"
     assert main([sub, "--config", path, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error (config)")
     assert not (out / "manifest.json").exists()
+    path = write_json(tmp_path / "validate.json", {"subcommand": sub, **cfg})
+    assert main(["validate", "--config", path]) == 1
 
 
 @pytest.mark.parametrize("method", ["rk4", "picard"])

@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from kawasaki import (ConfigError, CorrelationEstimate, GibbsSampler, KernelSpec
                       estimate_correlations, estimate_density,
                       estimate_pair_correlation, radial_product_profile,
                       simulate_ensemble, sub_poisson_report)
+from kawasaki import estimator
 from kawasaki.estimator import shell_measure
 from kawasaki.fields import DensityField
 
@@ -96,6 +98,98 @@ def test_pair_repulsive_dip_detected_via_gibbs_oracle():
     assert resid[1] / comb[1] < -3.0
     # far outside it there is no structure
     assert abs(resid[-1] / comb[-1]) < 3.5
+
+
+def all_pairs_counts(pos, torus, r_edges, chunk=512):
+    """Reference ordered-pair counts: every pair's minimal-image distance, in
+    row chunks, binned by np.histogram."""
+    n = pos.shape[0]
+    counts = np.zeros(len(r_edges) - 1)
+    if n < 2:
+        return counts
+    L = torus.side
+    for lo in range(0, n, chunk):
+        rows = pos[lo:lo + chunk]
+        diff = rows[:, None, :] - pos[None, :, :]
+        diff -= L * np.round(diff / L)
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        idx = np.arange(lo, min(lo + chunk, n))
+        dist[np.arange(len(idx)), idx] = np.inf  # no self pairs
+        hist, _ = np.histogram(dist.ravel(), bins=r_edges)
+        counts += hist
+    return counts
+
+
+def _uniform(rng, sizes, torus, lo=0.0, hi=1.0):
+    return [torus.side * rng.uniform(lo, hi, (n, torus.dim)) for n in sizes]
+
+
+def _lattice(rng, sizes, torus, m=8):
+    return [rng.integers(0, m, (n, torus.dim)) * (torus.side / m) for n in sizes]
+
+
+# x-coordinates of pairs whose minimal-image distance r is a little smaller
+# than their distance once wrapped into [0, L): with bins ending at r, only a
+# padded search radius finds them
+ROUNDING_PAIRS = {20.0: (-8.029, 36.527), 12.0: (2.954, 17.873), 10.0: (16.206, 4.169)}
+
+
+def _pair_case(name):
+    """(snapshots, torus, r_edges) of one pair-count case."""
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    dim = int(name[1])
+    torus = Torus(dim, {1: 20.0, 2: 12.0, 3: 10.0}[dim])
+    L = torus.side
+    sizes = [40, 0, 1, 60, 25]
+    if name.endswith("from-zero"):
+        return _uniform(rng, sizes, torus), torus, np.linspace(0.0, 2.5, 11)
+    if name.endswith("above-zero"):
+        return _uniform(rng, sizes, torus), torus, np.linspace(0.7, 3.1, 9)
+    if name.endswith("half-side"):
+        return _uniform(rng, sizes, torus), torus, np.linspace(0.0, L / 2, 7)
+    if name.endswith("lattice-on-edges"):
+        # every distance is a multiple of L/8 or a root of a sum of such squares
+        return (_lattice(rng, [50, 2, 30], torus), torus,
+                np.arange(5) * (L / 8))
+    if name.endswith("unwrapped"):
+        snaps = _uniform(rng, sizes, torus, lo=-1.0, hi=2.0)
+        snaps[0][:4] = np.array([[L - 1e-17], [np.nextafter(L, 0.0)], [-1e-17], [L]])
+        pair = np.zeros((2, dim))
+        pair[:, 0] = ROUNDING_PAIRS[L]
+        diff = pair[0, 0] - pair[1, 0]
+        r = abs(diff - L * np.round(diff / L))
+        return snaps + [pair], torus, np.linspace(0.0, r, 9)
+    if name.endswith("tiny"):
+        return _uniform(rng, [0, 1, 0, 2, 1], torus), torus, np.linspace(0.0, L / 2, 5)
+    if name.endswith("ending-at-zero"):
+        # coincident points fall in the closed last bin [-0.5, 0]
+        return _lattice(rng, [40, 12], torus, m=4), torus, np.array([-1.0, -0.5, 0.0])
+    if name.endswith("below-zero"):
+        return _lattice(rng, [40, 12], torus, m=4), torus, np.array([-2.0, -1.0])
+    if name.endswith("many-blocks"):
+        block = estimator._PAIR_BLOCK
+        sizes = [block // 3] * 7 + [block + 100, 5, block // 2]
+        return _uniform(rng, sizes, torus), torus, np.linspace(0.0, 2.0, 9)
+    raise KeyError(name)
+
+
+PAIR_CASES = [f"d{dim}-{kind}" for dim in (1, 2, 3)
+              for kind in ("from-zero", "above-zero", "half-side", "lattice-on-edges",
+                           "unwrapped", "tiny")] + [
+    "d1-ending-at-zero", "d1-below-zero", "d2-many-blocks"]
+
+
+@pytest.mark.parametrize("name", PAIR_CASES)
+def test_pair_counts_equal_all_pairs_reference(name):
+    snaps, torus, edges = _pair_case(name)
+    counts = estimator._pair_distance_counts(snaps, torus, edges)
+    ref = np.array([all_pairs_counts(p, torus, edges) for p in snaps])
+    assert counts.shape == (len(snaps), len(edges) - 1)
+    assert np.array_equal(counts, ref)
+    # grouping snapshots into shared trees cannot change any row
+    alone = np.array([estimator._pair_distance_counts([p], torus, edges)[0]
+                      for p in snaps])
+    assert np.array_equal(counts, alone)
 
 
 def test_pair_bins_validation():
