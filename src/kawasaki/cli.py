@@ -38,7 +38,7 @@ from .kinetic import (check_dt, monitor_bounds, picard_solve, snapshot_steps,
                       solve_kinetic)
 from .scaling import (SweepSpec, convergence_report, plan_budget, run_sweep,
                       write_sweep_outputs)
-from .simulator import SimulationParams, simulate_ensemble
+from .simulator import SimulationParams, check_model, simulate_ensemble
 from .torus import Torus
 
 
@@ -398,7 +398,8 @@ def _sweep_spec(v):
 
 def _check_sweep(v):
     spec = _sweep_spec(v)
-    diags = _violations(spec.validate)
+    diags = _violations(lambda: check_model(v["torus"], v["kernel"], v["potential"]),
+                        spec.validate_plan)
     if not diags:
         plan_budget(spec)  # BudgetError: exit 3 from a run, a violation from validate
     return diags

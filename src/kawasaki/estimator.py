@@ -7,11 +7,13 @@ times torus volume, so that for a Poisson sample of density rho the radial
 pair estimate is flat at rho^2 with no combinatorial 1/2. Standard errors
 are always computed across trajectories, never within one.
 
-Pair counts cost O(n log n + pairs within r_max) per snapshot rather than
-O(n^2): a periodic kd-tree (scipy.spatial.cKDTree), one per group of
-snapshots, proposes the candidate pairs, and each candidate is binned by its
-exact minimal-image distance recomputed from the raw positions, so the counts
-equal those of an all-pairs histogram bit for bit.
+Pair counts cost O(n log n + pairs within r_max) time per snapshot rather
+than O(n^2): a periodic kd-tree (scipy.spatial.cKDTree) per snapshot proposes
+the candidate pairs, and each candidate is binned by its exact minimal-image
+distance recomputed from the raw positions, so the counts equal those of an
+all-pairs histogram bit for bit. Memory is O(pairs within r_max): 16 bytes of
+candidate indices per unordered pair, about 0.39 n^2 pairs in 2-d at
+r_max = L/2.
 
 The factorization diagnostic compares the pair estimate against the radial
 average of the product field k1 (x) k1. For d = 1 that average is computed
@@ -32,7 +34,7 @@ from .errors import ConfigError
 from .fields import DensityField
 from .torus import Torus
 
-_PAIR_BLOCK = 1024  # particles per kd-tree; small snapshots share one
+_PAIR_SLICE = 1 << 16  # candidate pairs binned at a time
 
 
 def shell_measure(dim: int, r_edges) -> np.ndarray:
@@ -163,48 +165,30 @@ def estimate_density(ensemble, time, n_cells, torus=None) -> CorrelationEstimate
                                k1=k1, k1_se=k1_se)
 
 
-def _pair_distance_counts(snaps, torus, r_edges):
-    """Ordered-pair counts per distance bin, one row per snapshot: (t, n_bins).
+def _pair_distance_counts(pos, torus, r_edges):
+    """Ordered-pair counts per distance bin of one snapshot.
 
-    Consecutive snapshots are packed into groups of at most _PAIR_BLOCK
-    particles (a larger snapshot is a group of its own), and each group goes
-    into one periodic kd-tree. The search radius r_q is the last edge padded
-    against round-off. An extra periodic axis at owner * 3 r_q keeps the
-    snapshots of a group at least 3 r_q apart, so the search only pairs
-    points of one snapshot. The tree only proposes candidates: each
-    candidate's minimal-image distance is recomputed from the raw positions
-    (diff -= L round(diff / L)) and binned as np.histogram bins, [lo, hi)
-    with the last bin closed, so the counts do not depend on the tree's own
-    rounding.
+    A periodic kd-tree over the wrapped positions proposes the unordered
+    pairs within r_q, the last edge padded against round-off. Each
+    candidate's minimal-image distance is then recomputed from the raw
+    positions (diff -= L round(diff / L)) and binned by np.histogram, so the
+    counts equal those of an all-pairs histogram whatever the tree's own
+    rounding. The candidates are binned _PAIR_SLICE at a time, which bounds
+    the float temporaries; the candidate index array itself takes 16 bytes
+    per pair within r_q.
     """
     d, L = torus.dim, torus.side
-    n_bins = len(r_edges) - 1
+    pos = pos.reshape(-1, d)
     # > 0 even for bins that end at or below 0
     r_q = max(r_edges[-1], 0.0) * (1.0 + 1e-9) + 1e-12
-    gap = 3.0 * r_q
-    sizes = [pos.shape[0] for pos in snaps]
-    counts = np.zeros((len(snaps), n_bins))
-    lo = 0
-    while lo < len(snaps):
-        hi, n = lo + 1, sizes[lo]
-        while hi < len(snaps) and n + sizes[hi] <= _PAIR_BLOCK:
-            n += sizes[hi]
-            hi += 1
-        g = hi - lo
-        pos = np.concatenate(snaps[lo:hi]).reshape(-1, d)
-        owner = np.repeat(np.arange(g), sizes[lo:hi])
-        tree = cKDTree(np.column_stack([torus.wrap(pos), owner * gap]),
-                       boxsize=[L] * d + [g * gap])
-        i, j = tree.query_pairs(r_q, output_type="ndarray").T
+    cand = cKDTree(torus.wrap(pos), boxsize=L).query_pairs(r_q, output_type="ndarray")
+    counts = np.zeros(len(r_edges) - 1, dtype=np.int64)
+    for a in range(0, len(cand), _PAIR_SLICE):
+        i, j = cand[a:a + _PAIR_SLICE].T
         diff = np.take(pos, i, axis=0) - np.take(pos, j, axis=0)
         diff -= L * np.round(diff / L)
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        keep = (dist >= r_edges[0]) & (dist <= r_edges[-1])
-        b = np.minimum(np.searchsorted(r_edges, dist[keep], "right") - 1, n_bins - 1)
-        hist = np.bincount(owner[i[keep]] * n_bins + b, minlength=g * n_bins)
-        counts[lo:hi] = 2.0 * hist.reshape(g, n_bins)
-        lo = hi
-    return counts
+        counts += np.histogram(np.sqrt(np.einsum("ij,ij->i", diff, diff)), r_edges)[0]
+    return 2.0 * counts
 
 
 def estimate_pair_correlation(ensemble, time, r_edges, torus=None) -> CorrelationEstimate:
@@ -222,8 +206,8 @@ def estimate_pair_correlation(ensemble, time, r_edges, torus=None) -> Correlatio
     total = np.zeros(len(r_edges) - 1)
     total_sq = np.zeros_like(total)
     counts = 0.0
-    for pos, pairs in zip(snaps, _pair_distance_counts(snaps, torus, r_edges)):
-        v = pairs / norm
+    for pos in snaps:
+        v = _pair_distance_counts(pos, torus, r_edges) / norm
         total += v
         total_sq += v * v
         counts += pos.shape[0]

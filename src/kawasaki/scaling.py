@@ -52,6 +52,11 @@ class SweepSpec:
     n_jobs: int = 1
 
     def validate(self):
+        check_model(self.torus, self.kernel, self.potential)
+        self.validate_plan()
+
+    def validate_plan(self):
+        """The ladder, times and reference-grid rules, without the model's."""
         eps = tuple(self.epsilons)
         if len(eps) < 1 or any(not (0 < e <= 1) for e in eps):
             raise ConfigError("epsilons must lie in (0, 1]")
@@ -61,7 +66,6 @@ class SweepSpec:
             raise ConfigError("comparison times must be >= 0")
         if self.n_traj is not None and len(self.n_traj) != len(eps):
             raise ConfigError("n_traj must match the epsilon ladder")
-        check_model(self.torus, self.kernel, self.potential)
         # the kinetic reference solve checks the same, but only after a run starts
         dt = self.reference_dt()
         check_dt(dt, kernel_alpha(self.kernel))

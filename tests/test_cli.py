@@ -99,6 +99,17 @@ def test_validate_flags_minimal_image_ambiguity(tmp_path, capsys):
     assert "minimal-image ambiguity" in capsys.readouterr().out
 
 
+def test_validate_reports_sweep_model_and_ladder_errors_together(tmp_path, capsys):
+    cfg = sweep_config(epsilons=[0.5, 1.0])
+    cfg["subcommand"] = "scale-sweep"
+    cfg["kernel"]["radius"] = 10.0  # = L/2
+    path = write_json(tmp_path / "bad.json", cfg)
+    assert main(["validate", "--config", path]) == 1
+    out = capsys.readouterr().out
+    assert "minimal-image ambiguity" in out
+    assert "strictly decreasing" in out
+
+
 def test_validate_flags_uncertified_picard_window(tmp_path, capsys):
     # pick T with q(T) about 1.2 for u0 = alpha = <phi> = 1
     lo, hi = 0.0, math.log(2.0) * 0.999

@@ -166,30 +166,25 @@ def _pair_case(name):
         return _lattice(rng, [40, 12], torus, m=4), torus, np.array([-1.0, -0.5, 0.0])
     if name.endswith("below-zero"):
         return _lattice(rng, [40, 12], torus, m=4), torus, np.array([-2.0, -1.0])
-    if name.endswith("many-blocks"):
-        block = estimator._PAIR_BLOCK
-        sizes = [block // 3] * 7 + [block + 100, 5, block // 2]
-        return _uniform(rng, sizes, torus), torus, np.linspace(0.0, 2.0, 9)
+    if name.endswith("many-slices"):
+        # about 0.39 n^2 candidates within L/2: several slices of them
+        n = int(np.sqrt(3 * estimator._PAIR_SLICE / 0.39))
+        return _uniform(rng, [n], torus), torus, np.linspace(0.0, L / 2, 9)
     raise KeyError(name)
 
 
 PAIR_CASES = [f"d{dim}-{kind}" for dim in (1, 2, 3)
               for kind in ("from-zero", "above-zero", "half-side", "lattice-on-edges",
                            "unwrapped", "tiny")] + [
-    "d1-ending-at-zero", "d1-below-zero", "d2-many-blocks"]
+    "d1-ending-at-zero", "d1-below-zero", "d2-many-slices"]
 
 
 @pytest.mark.parametrize("name", PAIR_CASES)
 def test_pair_counts_equal_all_pairs_reference(name):
     snaps, torus, edges = _pair_case(name)
-    counts = estimator._pair_distance_counts(snaps, torus, edges)
-    ref = np.array([all_pairs_counts(p, torus, edges) for p in snaps])
-    assert counts.shape == (len(snaps), len(edges) - 1)
-    assert np.array_equal(counts, ref)
-    # grouping snapshots into shared trees cannot change any row
-    alone = np.array([estimator._pair_distance_counts([p], torus, edges)[0]
-                      for p in snaps])
-    assert np.array_equal(counts, alone)
+    for pos in snaps:
+        counts = estimator._pair_distance_counts(pos, torus, edges)
+        assert np.array_equal(counts, all_pairs_counts(pos, torus, edges))
 
 
 def test_pair_bins_validation():
