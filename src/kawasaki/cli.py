@@ -301,7 +301,9 @@ def _check_kinetic(v):
     a = alpha(v["kernel"])
     diags += _violations(lambda: check_dt(v["dt"], a),
                          lambda: snapshot_steps(v["snapshots"], v["t_end"], v["dt"]))
-    if v["method"] == "picard":
+    if v["method"] == "picard" and not v["t_end"] > 0:
+        diags.append(f"Picard window needs t_end > 0, got {v['t_end']:g}")
+    elif v["method"] == "picard":
         try:
             q = contraction_factor(v["rho0"].sup, a, mean_phi(v["potential"]),
                                    v["t_end"])

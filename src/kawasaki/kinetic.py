@@ -22,13 +22,14 @@ are provided on a shared uniform time grid:
 Kernels are tabulated on the grid via minimal-image distances and rescaled
 so the discrete sum times the cell volume equals the continuum integral
 exactly; this makes constant densities exact stationary points and mass
-conservation hold to round-off. Convolutions go through the FFT when the
-grid size is a power of two and through explicit minimal-image summation
-otherwise; `vlasov_first_order` always takes the summation route so the
-product-state identity rhs == first-order hierarchy action is a genuine
-cross-check of two code paths.
+conservation hold to round-off. Convolutions take the real FFT at every grid
+size (pocketfft is O(n log n) for any n); the solvers transform rho once and
+invert a * rho and phi * rho in one batched call. `vlasov_first_order` alone
+sums over minimal images, so the product-state identity rhs == first-order
+hierarchy action is a genuine cross-check of two code paths.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,6 +44,21 @@ from .torus import Torus
 
 
 # -- kernel tabulation -------------------------------------------------------
+
+
+def _rfft(values, d):
+    """Real FFT over the trailing d axes (rfft itself for d = 1: same bits, less overhead)."""
+    if d == 1:
+        return np.fft.rfft(values)
+    return np.fft.rfftn(values, axes=tuple(range(values.ndim - d, values.ndim)))
+
+
+def _irfft(spectrum, n, d):
+    """Inverse of `_rfft` onto n cells per axis."""
+    if d == 1:
+        return np.fft.irfft(spectrum, n)
+    return np.fft.irfftn(spectrum, s=(n,) * d,
+                         axes=tuple(range(spectrum.ndim - d, spectrum.ndim)))
 
 
 class TabulatedKernel:
@@ -74,56 +90,37 @@ class TabulatedKernel:
             # whole mass at zero offset, i.e. convolution becomes target * rho
             tab[(0,) * d] = target / self.cell_volume
         self.values = tab
-        self.is_pow2 = self.n & (self.n - 1) == 0
-        self._fft = None
+        self.is_pow2 = self.n & (self.n - 1) == 0  # bench/tracing.py names its leaf by it
+        self.fft = _rfft(tab, d)
         nz = np.nonzero(tab)
         self._nz_shifts = np.column_stack(nz)
         self._nz_values = tab[nz]
 
-    @property
-    def fft(self):
-        if self._fft is None:
-            self._fft = np.fft.rfftn(self.values)
-        return self._fft
-
-    def convolve(self, values, method="auto"):
+    def convolve(self, values, method="fft"):
         """Circular convolution (kernel * values) * cell_volume.
 
         `values` may carry extra leading axes (e.g. a time stack); the
-        convolution acts on the trailing spatial axes.
+        convolution acts on the trailing spatial axes. "direct" is explicit
+        minimal-image summation, kept as an independent cross-check.
         """
         d = self.torus.dim
-        axes = tuple(range(values.ndim - d, values.ndim))
-        if method == "auto":
-            method = "fft" if self.is_pow2 else "direct"
         if method == "fft":
-            if not self.is_pow2:
-                raise ConfigError("spectral convolution needs a power-of-two grid")
-            out = np.fft.irfftn(
-                np.fft.rfftn(values, axes=axes) * self.fft, axes=axes,
-                s=(self.n,) * d,
-            )
-            return out * self.cell_volume
+            return _irfft(_rfft(values, d) * self.fft, self.n, d) * self.cell_volume
         if method != "direct":
             raise ConfigError(f"unknown convolution method {method!r}")
+        axes = tuple(range(values.ndim - d, values.ndim))
         out = np.zeros_like(values, dtype=float)
         for shift, val in zip(self._nz_shifts, self._nz_values):
             out += val * np.roll(values, shift=tuple(shift), axis=axes)
         return out * self.cell_volume
 
 
-_TAB_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=64)
 def tabulate(spec, torus: Torus, n_cells: int) -> TabulatedKernel:
-    key = (spec, torus, int(n_cells))
-    tab = _TAB_CACHE.get(key)
-    if tab is None:
-        tab = _TAB_CACHE[key] = TabulatedKernel(spec, torus, n_cells)
-    return tab
+    return TabulatedKernel(spec, torus, n_cells)
 
 
-def convolve(rho: DensityField, spec, method="auto") -> np.ndarray:
+def convolve(rho: DensityField, spec, method="fft") -> np.ndarray:
     """Periodic convolution of a density field with a kernel/potential spec."""
     tab = tabulate(spec, rho.torus, rho.n_cells)
     return tab.convolve(rho.values, method=method)
@@ -132,26 +129,34 @@ def convolve(rho: DensityField, spec, method="auto") -> np.ndarray:
 # -- right-hand side ---------------------------------------------------------
 
 
-def _rhs_values(values, tab_a, tab_phi, local_kappa, method="auto"):
-    if local_kappa is not None:
-        w = local_kappa * values
-    else:
-        w = tab_phi.convolve(values, method=method)
-    g = np.exp(-w)
-    return tab_a.convolve(values, method=method) * g - values * tab_a.convolve(g, method=method)
-
-
-def _tabs_for(rho, kernel, potential):
+def _tabs_for(rho, kernel, potential, lead=0):
+    """(tab_a, spectra, kappa) for fields with `lead` leading axes; spectra
+    stacks [a^; phi^] (a^ alone for local(kappa)). Built per solve, never
+    cached on one kernel: a kernel meets many potentials."""
     tab_a = tabulate(kernel, rho.torus, rho.n_cells)
-    if potential.family == "local":
-        return tab_a, None, potential.kappa
-    return tab_a, tabulate(potential, rho.torus, rho.n_cells), None
+    local = potential.family == "local"
+    tabs = [tab_a] if local else [tab_a, tabulate(potential, rho.torus, rho.n_cells)]
+    spectra = np.stack([t.fft for t in tabs])
+    spectra = spectra.reshape(spectra.shape[:1] + (1,) * lead + spectra.shape[1:])
+    return tab_a, spectra, potential.kappa if local else None
+
+
+def _convolved(values, tab_a, spectra):
+    """[a * values; phi * values] from one forward transform and one batched inverse."""
+    d = tab_a.torus.dim
+    return _irfft(_rfft(values, d) * spectra, tab_a.n, d) * tab_a.cell_volume
+
+
+def _rhs_values(values, tab_a, spectra, local_kappa):
+    conv = _convolved(values, tab_a, spectra)
+    w = local_kappa * values if local_kappa is not None else conv[1]
+    g = np.exp(-w)
+    return conv[0] * g - values * _convolved(g, tab_a, spectra[0])
 
 
 def kinetic_rhs(rho: DensityField, kernel: KernelSpec, potential: PotentialSpec) -> np.ndarray:
     """(a * rho) e^{-(phi * rho)} - rho (a * e^{-(phi * rho)}) on the grid."""
-    tab_a, tab_phi, kappa = _tabs_for(rho, kernel, potential)
-    return _rhs_values(rho.values, tab_a, tab_phi, kappa)
+    return _rhs_values(rho.values, *_tabs_for(rho, kernel, potential))
 
 
 def vlasov_first_order(rho: DensityField, kernel: KernelSpec,
@@ -165,12 +170,12 @@ def vlasov_first_order(rho: DensityField, kernel: KernelSpec,
     kinetic_rhs identically; this implementation goes through direct
     minimal-image summation so the identity compares two numerical routes.
     """
-    tab_a, tab_phi, kappa = _tabs_for(rho, kernel, potential)
+    tab_a = tabulate(kernel, rho.torus, rho.n_cells)
     vals = rho.values
-    if kappa is not None:
-        w = kappa * vals
+    if potential.family == "local":
+        w = potential.kappa * vals
     else:
-        w = tab_phi.convolve(vals, method="direct")
+        w = tabulate(potential, rho.torus, rho.n_cells).convolve(vals, method="direct")
     escape = np.exp(-w)
     gain = tab_a.convolve(vals, method="direct") * escape
     loss = vals * tab_a.convolve(escape, method="direct")
@@ -210,11 +215,11 @@ def snapshot_steps(times, t_end: float, dt: float) -> list:
     return steps
 
 
-def _rk4_once(values, dt, tab_a, tab_phi, kappa):
-    k1 = _rhs_values(values, tab_a, tab_phi, kappa)
-    k2 = _rhs_values(values + 0.5 * dt * k1, tab_a, tab_phi, kappa)
-    k3 = _rhs_values(values + 0.5 * dt * k2, tab_a, tab_phi, kappa)
-    k4 = _rhs_values(values + dt * k3, tab_a, tab_phi, kappa)
+def _rk4_once(values, dt, ops):
+    k1 = _rhs_values(values, *ops)
+    k2 = _rhs_values(values + 0.5 * dt * k1, *ops)
+    k3 = _rhs_values(values + 0.5 * dt * k2, *ops)
+    k4 = _rhs_values(values + dt * k3, *ops)
     return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -259,7 +264,7 @@ def solve_kinetic(rho0: DensityField, kernel: KernelSpec, potential: PotentialSp
         raise ConfigError("t_end must be >= 0")
     n_steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
     dt_eff = t_end / n_steps if n_steps else dt
-    tab_a, tab_phi, kappa = _tabs_for(rho0, kernel, potential)
+    ops = _tabs_for(rho0, kernel, potential)
 
     sts = tuple(sorted(snapshot_times))
     snap_idx = {}
@@ -284,7 +289,7 @@ def solve_kinetic(rho0: DensityField, kernel: KernelSpec, potential: PotentialSp
     lows[0] = float(rho0.values.min())
     record(0)
     for k in range(1, n_steps + 1):
-        vals = _rk4_once(vals, dt_eff, tab_a, tab_phi, kappa)
+        vals = _rk4_once(vals, dt_eff, ops)
         low = float(vals.min())
         if low < _CLAMP_FLOOR:
             raise StepSizeError(
@@ -395,6 +400,8 @@ def picard_solve(rho0: DensityField, T: float, kernel: KernelSpec,
     Iteration stops once the sup-over-time sup-norm update is below
     `tolerance`; the update sizes and their successive ratios are reported.
     """
+    if not T > 0 or (dt is not None and not dt > 0):
+        raise ConfigError(f"Picard needs T > 0 and dt > 0, got T = {T}, dt = {dt}")
     a = kernel_alpha(kernel)
     u0 = rho0.sup
     mphi = mean_phi(potential)
@@ -407,33 +414,40 @@ def picard_solve(rho0: DensityField, T: float, kernel: KernelSpec,
         dt = min(0.1 / a, T / 16.0)
     n_steps = max(1, int(round(T / dt)))
     dt = T / n_steps
-    tab_a, tab_phi, kappa = _tabs_for(rho0, kernel, potential)
+    tab_a, spectra, kappa = _tabs_for(rho0, kernel, potential, lead=1)
 
     times = np.arange(n_steps + 1) * dt
     shape = rho0.values.shape
     cur = np.broadcast_to(rho0.values, (n_steps + 1,) + shape).copy()
     decay = np.exp(-a * times).reshape((-1,) + (1,) * len(shape))
-    base = rho0.values[None] * decay
+    decay_dt = math.exp(-a * dt)
 
     deltas, ratios = [], []
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        if kappa is not None:
-            w = kappa * cur
-        else:
-            w = tab_phi.convolve(cur)
-        g = np.exp(-w)
-        integrand = tab_a.convolve(cur) * g + cur * tab_a.convolve(1.0 - g)
+        # integrand (a * rho) g + rho (a * (1 - g)), g = e^{-(phi * rho)}, built
+        # in place: the (n_steps + 1, grid) stacks set the solver's memory
+        conv = _convolved(cur, tab_a, spectra)
+        gain, g = conv[0], (conv[1] if kappa is None else kappa * cur)
+        np.exp(np.negative(g, out=g), out=g)
+        gain *= g
+        integrand = _convolved(np.subtract(1.0, g, out=g), tab_a, spectra[0])
+        integrand *= cur
+        integrand += gain
+        del conv, gain, g
         # exact-decay trapezoid recursion for int_0^t e^{-alpha (t-s)} G_s ds
-        nxt = np.empty_like(cur)
-        nxt[0] = rho0.values
+        integrand *= 0.5 * dt
+        nxt = rho0.values[None] * decay
         acc = np.zeros(shape)
-        decay_dt = math.exp(-a * dt)
         for k in range(1, n_steps + 1):
-            acc = decay_dt * (acc + 0.5 * dt * integrand[k - 1]) + 0.5 * dt * integrand[k]
-            nxt[k] = base[k] + acc
-        delta = float(np.max(np.abs(nxt - cur)))
+            acc += integrand[k - 1]
+            acc *= decay_dt
+            acc += integrand[k]
+            nxt[k] += acc
+        del integrand
+        diff = np.subtract(nxt, cur, out=cur)
+        delta = float(np.abs(diff, out=diff).max())
         deltas.append(delta)
         if len(deltas) > 1 and deltas[-2] > 0:
             ratios.append(deltas[-1] / deltas[-2])

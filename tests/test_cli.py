@@ -297,6 +297,8 @@ BAD_CONFIGS = {
     # alpha = 2: the kinetic reference grid has steps of 0.05 / alpha = 0.025
     "sweep-times-off-grid": ("scale-sweep", {"times": [0.01, 0.3]}),
     "sweep-dt-unstable": ("scale-sweep", {"dt": 1.0}),
+    "picard-t_end-zero": ("kinetic", {"method": "picard", "t_end": 0.0,
+                                      "snapshots": [0.0]}),
 }
 
 

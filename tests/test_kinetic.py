@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -91,14 +94,20 @@ def test_convolve_spectral_vs_direct():
     assert np.abs(a - b).max() <= 1e-10
 
 
-def test_convolve_non_power_of_two_uses_direct():
+def test_convolve_fft_matches_direct_on_any_grid():
+    # pocketfft covers every n (97 is prime, so Bluestein's chirp-z transform)
     rng = np.random.default_rng(2)
-    rho = DensityField(TORUS, rng.random(48))
-    auto = convolve(rho, KERNEL, method="auto")
-    direct = convolve(rho, KERNEL, method="direct")
-    assert np.array_equal(auto, direct)
-    with pytest.raises(ConfigError):
-        convolve(rho, KERNEL, method="fft")
+    cases = [(TORUS, KERNEL, n) for n in (48, 97, 250, 1000)]
+    cases.append((Torus(2, 12.0), KernelSpec.top_hat(1.0, 0.5, dim=2), 30))
+    for torus, kernel, n in cases:
+        rho = DensityField(torus, rng.random((n,) * torus.dim))
+        fft = convolve(rho, kernel, method="fft")
+        direct = convolve(rho, kernel, method="direct")
+        assert np.abs(fft - direct).max() <= 1e-14
+        assert np.array_equal(convolve(rho, kernel), fft)
+    for method in ("auto", "spectral"):
+        with pytest.raises(ConfigError):
+            convolve(rho, kernel, method=method)
 
 
 def test_convolve_kernel_radius_at_half_side_rejected():
@@ -159,6 +168,129 @@ def test_rhs_local_mode_pointwise():
     expect = convolve(rho, KERNEL) * np.exp(-w) - rho.values * convolve(
         rho.with_values(np.exp(-w)), KERNEL)
     assert np.abs(out - expect).max() <= 1e-12
+
+
+# -- shared transforms against the three-convolution references -------------------
+
+def reference_convolve(tab, values):
+    """The one-spectrum FFT convolution every RHS term used to make on its own."""
+    d = tab.torus.dim
+    axes = tuple(range(values.ndim - d, values.ndim))
+    out = np.fft.irfftn(np.fft.rfftn(values, axes=axes) * np.fft.rfftn(tab.values),
+                        axes=axes, s=(tab.n,) * d)
+    return out * tab.cell_volume
+
+
+def reference_rhs(values, tab_a, tab_phi, kappa):
+    """The RHS as three separate convolutions, each with its own transforms."""
+    w = kappa * values if kappa is not None else reference_convolve(tab_phi, values)
+    g = np.exp(-w)
+    return reference_convolve(tab_a, values) * g - values * reference_convolve(tab_a, g)
+
+
+def reference_picard_fields(rho0, T, kernel, potential, tolerance, dt):
+    """The Picard iteration with the three-convolution integrand."""
+    a = kinetic.kernel_alpha(kernel)
+    tab_a, tab_phi, kappa = reference_tabs(rho0, kernel, potential)
+    n_steps = max(1, int(round(T / dt)))
+    dt = T / n_steps
+    times = np.arange(n_steps + 1) * dt
+    shape = rho0.values.shape
+    cur = np.broadcast_to(rho0.values, (n_steps + 1,) + shape).copy()
+    base = rho0.values[None] * np.exp(-a * times).reshape((-1,) + (1,) * len(shape))
+    for _ in range(200):
+        w = kappa * cur if kappa is not None else reference_convolve(tab_phi, cur)
+        g = np.exp(-w)
+        integrand = (reference_convolve(tab_a, cur) * g
+                     + cur * reference_convolve(tab_a, 1.0 - g))
+        nxt = np.empty_like(cur)
+        nxt[0] = rho0.values
+        acc = np.zeros(shape)
+        decay_dt = math.exp(-a * dt)
+        for k in range(1, n_steps + 1):
+            acc = decay_dt * (acc + 0.5 * dt * integrand[k - 1]) + 0.5 * dt * integrand[k]
+            nxt[k] = base[k] + acc
+        delta = float(np.max(np.abs(nxt - cur)))
+        cur = nxt
+        if delta < tolerance:
+            break
+    return cur
+
+
+def reference_tabs(rho, kernel, potential):
+    tab_a = tabulate(kernel, rho.torus, rho.n_cells)
+    if potential.family == "local":
+        return tab_a, None, potential.kappa
+    return tab_a, tabulate(potential, rho.torus, rho.n_cells), None
+
+
+TORUS2 = Torus(2, 12.0)
+SHARED_CASES = {
+    f"{dim}d-{name}": (torus, n, KernelSpec.top_hat(1.0, 0.5, dim=dim), pot)
+    for dim, torus, n in ((1, TORUS, 64), (2, TORUS2, 16))
+    for name, pot in (("top_hat", PotentialSpec.top_hat(1.0, 0.5, dim=dim)),
+                      ("gaussian", PotentialSpec.gaussian(0.6, 0.8, dim=dim)),
+                      ("local", PotentialSpec.local(0.8, dim=dim)))
+}
+
+
+def shared_case_field(torus, n):
+    rng = np.random.default_rng(11)
+    return DensityField(torus, 0.3 + 0.5 * rng.random((n,) * torus.dim))
+
+
+@pytest.mark.parametrize("case", SHARED_CASES.values(), ids=SHARED_CASES.keys())
+def test_shared_transforms_bit_identical_to_three_convolutions(case):
+    torus, n, kernel, pot = case
+    rho = shared_case_field(torus, n)
+    tabs = reference_tabs(rho, kernel, pot)
+    assert np.array_equal(kinetic_rhs(rho, kernel, pot), reference_rhs(rho.values, *tabs))
+
+    dt = 0.01
+    v = rho.values
+    k1 = reference_rhs(v, *tabs)
+    k2 = reference_rhs(v + 0.5 * dt * k1, *tabs)
+    k3 = reference_rhs(v + 0.5 * dt * k2, *tabs)
+    k4 = reference_rhs(v + dt * k3, *tabs)
+    step = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert step.min() >= 0.0  # no clamping on this step
+    assert np.array_equal(solve_kinetic(rho, kernel, pot, dt=dt, t_end=dt).final.values,
+                          step)
+
+    res = picard_solve(rho, 0.005, kernel, pot, tolerance=1e-12, dt=5e-4)
+    ref = reference_picard_fields(rho, 0.005, kernel, pot, tolerance=1e-12, dt=5e-4)
+    assert np.array_equal(res.fields, ref)
+
+
+def test_potentials_sharing_a_kernel_keep_their_own_spectra():
+    # one tabulated kernel serves both potentials; each solve must pair it
+    # with its own phi^, in either order
+    rho = shared_case_field(TORUS, 64)
+    kernel = KernelSpec.top_hat(1.0, 0.5, dim=1)
+    pots = [PotentialSpec.top_hat(1.0, 0.5, dim=1), PotentialSpec.gaussian(0.6, 0.8, dim=1)]
+    for pot in pots + pots[::-1]:
+        tabs = reference_tabs(rho, kernel, pot)
+        assert np.array_equal(kinetic_rhs(rho, kernel, pot),
+                              reference_rhs(rho.values, *tabs))
+        assert np.abs(kinetic_rhs(rho, kernel, pot)
+                      - vlasov_first_order(rho, kernel, pot)).max() <= 1e-10
+        res = picard_solve(rho, 0.005, kernel, pot, tolerance=1e-12, dt=5e-4)
+        assert np.array_equal(res.fields, reference_picard_fields(
+            rho, 0.005, kernel, pot, tolerance=1e-12, dt=5e-4))
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal alone takes ~0.36 s and ~23 MB to import, paid by every run
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kinetic.__file__)))
+    code = "import sys, kawasaki; assert 'scipy.signal' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
+def test_tabulate_cache_is_bounded_and_shared():
+    assert tabulate(KERNEL, TORUS, 40) is tabulate(KERNEL, TORUS, 40)
+    assert tabulate(KERNEL, TORUS, 40) is not tabulate(KERNEL, TORUS, 41)
+    assert 0 < tabulate.cache_info().maxsize < math.inf
 
 
 # -- chaos-propagation identity ----------------------------------------------------
@@ -368,6 +500,14 @@ def test_picard_rejects_uncertified_window():
         picard_solve(rho, 0.6, ALPHA1, MPHI1)  # exp(alpha T) close to 2
     with pytest.raises(HorizonError):
         picard_solve(rho, math.log(2.0), ALPHA1, MPHI1)
+
+
+@pytest.mark.parametrize("T, dt", [(0.0, None), (0.0, 1e-3), (-0.01, None),
+                                   (0.01, 0.0), (0.01, -1e-3), (math.nan, None)])
+def test_picard_rejects_empty_window_and_nonpositive_dt(T, dt):
+    rho = DensityField.constant(TORUS1, 32, 0.5)
+    with pytest.raises(ConfigError):
+        picard_solve(rho, T, ALPHA1, MPHI1, dt=dt)
 
 
 def test_picard_nonconvergence_reports_history():
