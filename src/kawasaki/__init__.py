@@ -15,8 +15,8 @@ from .kernels import (KernelSpec, PotentialSpec, alpha, c_phi, mean_phi,
 from .torus import Torus
 from .simulator import (Configuration, SimulationParams, Simulation, Trajectory,
                         detailed_balance_residual, interaction_energy,
-                        sample_poisson_initial, sample_poisson_positions, simulate,
-                        simulate_ensemble, total_pair_energy)
+                        sample_poisson_positions, simulate, simulate_ensemble,
+                        total_pair_energy)
 from .estimator import (CorrelationEstimate, SubPoissonReport,
                         estimate_correlations, estimate_density,
                         estimate_pair_correlation, radial_product_profile,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .kernels import PotentialSpec
-from .simulator import _squared_distances, _sum_phi
+from .simulator import _norm2, _sum_phi
 from .torus import Torus
 
 
@@ -61,7 +61,7 @@ class GibbsSampler:
 
     def _energy_with(self, y, skip=None):
         pos = self._pos[: self._n]
-        r2 = _squared_distances(pos, y, self.torus.side)
+        r2 = _norm2((pos - y).T, self.torus.side)
         if skip is not None:
             r2 = np.delete(r2, skip)
         return _sum_phi(self.potential, r2)

@@ -17,24 +17,24 @@ Rejected proposals are recorded as null events so the envelope argument can
 be audited from the event log.
 
 Hops neither create nor destroy particles, so the particle count is constant
-along every trajectory. Energy sums are pruned with a uniform cell grid whose
-cells are at least one interaction radius wide; the profile is treated as
-exactly zero beyond the effective support radius in every code path.
+along every trajectory. The profile is treated as exactly zero beyond the
+effective support radius in every code path.
 
-Ensembles of small systems run in lockstep: `simulate_ensemble` steps a
-chunk of trajectories together, with positions in a padded (rows, n_max, d)
-array and all-pairs energy queries, one event slot per trajectory per
-iteration. An ensemble takes this route when its expected particle count per
-trajectory (the integral of rho0, or the largest given initial
-configuration) is at most LOCKSTEP_MAX_PARTICLES; larger systems keep the
-cell-list `simulate`, one trajectory at a time. Chunks hold as many
-trajectories as keep their prefetched variates within about 2 MB.
+One kernel steps every trajectory: `simulate_ensemble` runs chunks of
+trajectories in lockstep, one event slot per trajectory per iteration, and
+`simulate` is a one-row call of it. Each row keeps its positions in a cell
+table whose cells are at least one support radius wide, sized so that the
+3^d cells around a target hold about _STENCIL_PARTICLES particles, and an
+energy query reads only those; where fewer than 5 cells per axis would fit,
+the table has one cell and the query is all-pairs. Each chunk holds about
+2 MB of prefetched variates and tables; every pool worker gets at least one.
 
 Reproducibility: trajectory i of an ensemble uses the PCG64 stream seeded by
-the entropy pair (base_seed, i) and consumes it in the same order on both
-routes, so ensembles are bit-identical across runs, across serial/parallel
-execution and across routes (smooth potentials up to the summation order of
-their energy sums).
+the entropy pair (base_seed, i) and consumes it in the same order as the
+scalar `Simulation`, so ensembles are bit-identical across runs and across
+serial/parallel execution. Top-hat trajectories are bit-identical to
+`Simulation`; smooth potentials sum their energies in table order, so they
+match it up to that summation order.
 """
 
 import math
@@ -53,82 +53,13 @@ from .torus import Torus
 _RNG_BLOCK = 2048
 
 
-class _CellGrid:
-    """Uniform-grid spatial index with cell size >= the covered radius."""
-
-    def __init__(self, torus, radius, n_hint):
-        d = torus.dim
-        L = torus.side
-        m_radius = max(1, int(L / radius)) if radius > 0 else 1
-        m_count = max(1, int(math.ceil((4.0 * max(n_hint, 1)) ** (1.0 / d))))
-        self.m = max(1, min(m_radius, m_count))
-        self.dim = d
-        self.side = L
-        self.inv_cell = self.m / L
-        self.covers = L / self.m  # true pruning radius of this grid
-        n_flat = self.m ** d
-        self.members = [[] for _ in range(n_flat)]
-        self.cell_of = None
-        self._neighbors = self._build_neighbor_table()
-
-    def _build_neighbor_table(self):
-        m, d = self.m, self.dim
-        offsets = np.array(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij"))
-        offsets = offsets.reshape(d, -1).T
-        table = []
-        for flat in range(m ** d):
-            idx = np.array(np.unravel_index(flat, (m,) * d))
-            neigh = np.mod(idx + offsets, m)
-            flats = np.ravel_multi_index(neigh.T, (m,) * d)
-            table.append(sorted(set(int(f) for f in flats)))
-        return table
-
-    def flat_index(self, point):
-        m = self.m
-        flat = 0
-        for k in range(self.dim):
-            i = int(point[k] * self.inv_cell)
-            if i >= m:
-                i = m - 1
-            flat = flat * m + i
-        return flat
-
-    def build(self, positions):
-        n = positions.shape[0]
-        self.cell_of = np.empty(n, dtype=np.int64)
-        for lst in self.members:
-            lst.clear()
-        for i in range(n):
-            c = self.flat_index(positions[i])
-            self.cell_of[i] = c
-            self.members[c].append(i)
-
-    def gather(self, point):
-        """Indices of all particles in the 3^d cells around point."""
-        out = []
-        for c in self._neighbors[self.flat_index(point)]:
-            out += self.members[c]
-        return out
-
-    def move(self, i, new_point):
-        c_new = self.flat_index(new_point)
-        c_old = self.cell_of[i]
-        if c_new != c_old:
-            self.members[c_old].remove(i)
-            self.members[c_new].append(i)
-            self.cell_of[i] = c_new
-
-
 class Configuration:
-    """A finite point configuration on the torus with an optional cell index.
+    """A finite point configuration on the torus.
 
-    Positions are stored as an (n, d) array in [0, L)^d. When built with a
-    positive interaction radius, a cell grid prunes neighbor searches; energy
-    queries for radii the grid does not cover silently fall back to the
-    all-pairs path, so results never depend on how the index was sized.
+    Positions are stored as an (n, d) array in [0, L)^d; they must be finite.
     """
 
-    def __init__(self, torus: Torus, positions, interaction_radius: float = 0.0):
+    def __init__(self, torus: Torus, positions):
         self.torus = torus
         pos = np.asarray(positions, dtype=float)
         if pos.size == 0:
@@ -139,11 +70,9 @@ class Configuration:
             raise ConfigError(
                 f"positions have dimension {pos.shape[1]}, torus has {torus.dim}"
             )
+        if not np.isfinite(pos).all():
+            raise ConfigError("positions must be finite")
         self._pos = torus.wrap(pos.copy())
-        self._grid = None
-        if interaction_radius > 0.0:
-            self._grid = _CellGrid(torus, interaction_radius, pos.shape[0])
-            self._grid.build(self._pos)
 
     @property
     def n(self) -> int:
@@ -157,26 +86,8 @@ class Configuration:
     def copy_positions(self) -> np.ndarray:
         return self._pos.copy()
 
-    def candidate_indices(self, y, radius):
-        """Particle indices that can lie within `radius` of y, or None for all."""
-        g = self._grid
-        if g is None or radius > g.covers * (1.0 + 1e-12):
-            return None
-        return g.gather(y)
-
     def move(self, i: int, y):
         self._pos[i] = y
-        if self._grid is not None:
-            self._grid.move(i, self._pos[i])
-
-    def consistency_check(self):
-        """Verify the cell index matches the positions (debug helper)."""
-        if self._grid is None:
-            return True
-        for i in range(self.n):
-            if self._grid.flat_index(self._pos[i]) != self._grid.cell_of[i]:
-                return False
-        return sum(len(m) for m in self._grid.members) == self.n
 
 
 def _sum_phi(potential, r2):
@@ -188,14 +99,16 @@ def _sum_phi(potential, r2):
     k = np.count_nonzero(mask)
     if k == 0:
         return 0.0
-    fam = potential.family
-    if fam == "top_hat":
+    if potential.family == "top_hat":
         return potential.height * k
-    if fam == "gaussian":
-        return potential.height * float(
-            np.exp(r2[mask] * (-0.5 / potential.sigma**2)).sum()
-        )
-    return potential.height * float(np.exp(-potential.rate * np.sqrt(r2[mask])).sum())
+    return potential.height * float(_profile(potential, r2[mask]).sum())
+
+
+def _profile(potential, r2):
+    """phi / height of a smooth potential at squared distances r2 (no cutoff)."""
+    if potential.family == "gaussian":
+        return np.exp(r2 * (-0.5 / potential.sigma**2))
+    return np.exp(-potential.rate * np.sqrt(r2))
 
 
 def _require_microscopic(potential):
@@ -212,30 +125,32 @@ def check_model(torus: Torus, kernel: KernelSpec, potential: PotentialSpec):
     _require_microscopic(potential)
 
 
-def _squared_distances(points, y, side):
-    d = points - y
-    d -= side * np.round(d / side)
-    return np.einsum("ij,ij->i", d, d)
+def _norm2(diff, side, image=None):
+    """Squared minimal-image lengths of displacements whose coordinates run
+    along the first axis, summed one coordinate after another; `image`, when
+    known in advance, is side * round(diff / side). Every energy query goes
+    through it, so all of them agree to the last bit."""
+    diff -= side * np.round(diff / side) if image is None else image
+    r2 = diff[0] * diff[0]
+    for c in diff[1:]:
+        r2 += c * c
+    return r2
 
 
 def interaction_energy(y, config: Configuration, potential: PotentialSpec,
                        exclude=None) -> float:
     """Total potential energy sum_{z in gamma, z != excluded} phi(y - z).
 
-    Distances are minimal-image and the sum is pruned to the potential's
-    effective support via the configuration's cell index when possible.
+    Distances are minimal-image and phi is cut off at its effective support.
     """
     _require_microscopic(potential)
     if potential.is_zero or config.n == 0:
         return 0.0
     y = np.asarray(y, dtype=float).reshape(-1)
-    idx = config.candidate_indices(y, potential.support_radius)
-    pos = config.positions if idx is None else config.positions[idx]
-    r2 = _squared_distances(pos, y, config.torus.side)
+    r2 = _norm2((config.positions - y).T, config.torus.side)
     total = _sum_phi(potential, r2)
     if exclude is not None:
-        r2x = _squared_distances(config.positions[exclude:exclude + 1], y,
-                                 config.torus.side)
+        r2x = _norm2((config.positions[exclude:exclude + 1] - y).T, config.torus.side)
         total -= _sum_phi(potential, r2x)
     return float(total)
 
@@ -302,12 +217,6 @@ def sample_poisson_positions(torus: Torus, density, rng: np.random.Generator):
         raise ConfigError(f"density must be >= 0, got {rho}")
     n = int(rng.poisson(rho * torus.volume))
     return rng.random((n, d)) * torus.side
-
-
-def sample_poisson_initial(torus: Torus, density, rng: np.random.Generator,
-                           interaction_radius: float = 0.0) -> Configuration:
-    pos = sample_poisson_positions(torus, density, rng)
-    return Configuration(torus, pos, interaction_radius)
 
 
 # -- the jump process --------------------------------------------------------
@@ -418,12 +327,12 @@ class SimulationParams:
 
     def validate(self):
         check_model(self.torus, self.kernel, self.potential)
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if self.t_end < 0:
-            raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise ConfigError(f"t_end must be finite and >= 0, got {self.t_end}")
         for s in self.snapshot_times:
-            if s < 0 or s > self.t_end:
+            if not 0 <= s <= self.t_end:
                 raise ConfigError(f"snapshot time {s} outside [0, {self.t_end}]")
 
 
@@ -482,136 +391,229 @@ def _trajectory(params, seed, n, sts, snapshots, times=(), movers=(), olds=(),
     )
 
 
-def simulate(params: SimulationParams, seed, initial_positions=None) -> Trajectory:
-    """Run one trajectory. `seed` may be an int or a (base, index) sequence."""
-    params.validate()
-    rng = np.random.default_rng(seed)
-    radius = params.potential.support_radius
-    if initial_positions is None:
-        pos = sample_poisson_positions(params.torus, params.rho0, rng)
-    else:
-        pos = np.asarray(initial_positions, dtype=float)
-    config = Configuration(params.torus, pos, interaction_radius=radius)
-
-    sts, targets = _targets(params)
-    n = config.n
-    if n == 0:
-        # nothing can move; every snapshot is the empty configuration
-        return _trajectory(params, seed, 0, sts,
-                           [np.zeros((0, params.torus.dim)) for _ in sts])
-
-    sim = Simulation(config, params.kernel, params.potential, params.epsilon,
-                     rng, exclude_mover=params.exclude_mover)
-    rec = params.record_events
-    snapshots = []
-    times, movers, olds, news, accs = [], [], [], [], []
-    n_events = n_accepted = 0
-    # run up to each snapshot boundary in turn; stopping the clock there and
-    # redrawing the waiting time is exact because the holding times are
-    # memoryless
-    for i_t, target in enumerate(targets):
-        while True:
-            ev = sim.step(t_limit=target)
-            if ev is None:
-                break
-            n_events += 1
-            n_accepted += ev.accepted
-            if rec:
-                times.append(ev.time)
-                movers.append(ev.mover)
-                olds.append(ev.old_position)
-                news.append(ev.new_position)
-                accs.append(ev.accepted)
-        if i_t < len(sts):
-            snapshots.append(config.copy_positions())
-    return _trajectory(params, seed, n, sts, snapshots, times, movers, olds, news,
-                       accs, n_events, n_accepted)
-
-
-def _simulate_each(params, base_seed, indices, initials=None):
-    """The scalar route: one cell-list `simulate` per trajectory."""
-    return [simulate(params, _stream_seed(base_seed, i),
-                     initial_positions=None if initials is None else initials[r])
-            for r, i in enumerate(indices)]
-
-
-# -- lockstep ensembles ------------------------------------------------------
-
-# Ensembles with at most this many expected particles per trajectory run on
-# the lockstep kernel, larger ones on the cell-list `simulate`. The lockstep
-# energy query is all-pairs over the padded row, so it wins only at small n:
-# per event it overtook the cell list near n = 1000 for a 2-d Gaussian phi
-# (sigma 0.5) and above n = 3200 for a 1-d top-hat.
-LOCKSTEP_MAX_PARTICLES = 1000
-
-# Bytes of prefetched variates per lockstep chunk: one refill costs
-# (24 + 8 d) bytes per slot and stream (movers are kept as int32 but drawn as
-# int64).
-_LOCKSTEP_BYTES = 1 << 21
-
-
-def _expected_particles(params, n_trajectories, initials):
-    """Particles per trajectory that routing goes by: the integral of rho0,
-    or the largest given initial configuration."""
+def _planned_particles(params, initials):
+    """Particles per trajectory that chunks and cells are sized for: the
+    largest given initial configuration, or the integral of rho0."""
     if initials is not None:
-        return max(len(initials[i]) for i in range(n_trajectories))
+        return max((len(x) for x in initials), default=0)
     if isinstance(params.rho0, DensityField):
         return params.rho0.mass
     return float(params.rho0) * params.torus.volume
 
 
-def _lockstep_chunk_size(dim: int) -> int:
-    return max(1, _LOCKSTEP_BYTES // ((24 + 8 * dim) * _RNG_BLOCK))
+def simulate(params: SimulationParams, seed, initial_positions=None) -> Trajectory:
+    """Run one trajectory. `seed` may be an int or a (base, index) sequence.
 
-
-def _batch_energy(pos, valid, y, side, potential, mover=None):
-    """E(y_r, gamma_r) for every row r of a padded batch of configurations.
-
-    pos is (rows, n_max, d) with `valid` marking the real particles. Each row
-    repeats the arithmetic of `interaction_energy` (minimal image, support
-    cutoff, the mover's own term subtracted when `mover` is given), so top-hat
-    energies are the same counts; smooth profiles differ from the cell-list
-    sum only in summation order.
+    This is a one-row call of the ensemble kernel: from a Poisson start it
+    gives exactly the trajectory `simulate_ensemble` gives for that stream.
     """
-    diff = pos - y[:, None, :]
-    diff -= side * np.round(diff / side)
-    r2 = np.einsum("ajk,ajk->aj", diff, diff)
-    r_sup = potential.support_radius
-    inside = valid & (r2 <= r_sup * r_sup)
-    fam = potential.family
-    if fam == "top_hat":
-        phi = inside
-        energy = potential.height * np.count_nonzero(inside, axis=1)
-    else:
-        if fam == "gaussian":
-            phi = np.exp(r2 * (-0.5 / potential.sigma**2))
+    params.validate()
+    initials = None if initial_positions is None else [initial_positions]
+    return _simulate_rows(params, [seed], initials,
+                          _planned_particles(params, initials))[0]
+
+
+# -- the lockstep kernel -----------------------------------------------------
+
+# Bytes per pool unit. A row prefetches (24 + 8 d) bytes of variates per slot
+# (movers are kept as int32 but drawn as int64), and its cell table takes
+# about (16 d + 24) bytes per particle.
+_CHUNK_BYTES = 1 << 21
+
+# Particles in the 3^d cells an energy query reads: cells hold about
+# _STENCIL_PARTICLES / 3^d each, 32 in 2-d (CHANGES.md has the crossover
+# measurements).
+_STENCIL_PARTICLES = 288
+
+
+def _chunk_bounds(dim, n, n_trajectories, workers):
+    """Bounds of the pool units: balanced chunks of about _CHUNK_BYTES of
+    variates and table each, at least one per worker. The count is rounded,
+    as a short last chunk would take as many iterations as a full one."""
+    rows = max(1, _CHUNK_BYTES // ((24 + 8 * dim) * _RNG_BLOCK + (16 * dim + 24) * n))
+    count = max(1, round(n_trajectories / rows), min(workers, n_trajectories))
+    return (np.arange(count + 1) * n_trajectories) // count
+
+
+def _cells_per_axis(torus, potential, n):
+    """Cells per axis of the lockstep table for about n particles per row:
+    at least phi's support wide, with about _STENCIL_PARTICLES in the 3^d
+    cells around a point. Below 5 cells the stencil covers most of the torus
+    and never paid in the measurements, so one cell is used."""
+    if potential.is_zero:
+        return 1
+    # the margin keeps a point whose cell index rounds across a boundary
+    # inside the neighbour cells of every point within the support
+    m = min(int(torus.side / (potential.support_radius * (1.0 + 1e-9))),
+            int((n * 3 ** torus.dim / _STENCIL_PARTICLES) ** (1.0 / torus.dim)))
+    return m if m >= 5 else 1
+
+
+def _grown(cap):
+    return cap + cap // 4 + 4
+
+
+class _CellTable:
+    """Positions of a chunk of configurations, binned per row into m^d cells
+    at least phi's support wide, so the 3^d cells around a point hold every
+    particle within the support.
+
+    tab[r, k] holds coordinate k of row r's particles: cell c owns slots
+    c * cap ... c * cap + fill[r, c] - 1, and every other slot holds NaN,
+    which compares false against any cutoff. slot[r, i] is where particle i
+    sits and who[r, s] the particle in slot s; with one cell both are the
+    identity. A row's slot order follows its own moves only, never cap or
+    the other rows.
+    """
+
+    def __init__(self, torus, potential, m, starts):
+        d = torus.dim
+        self.side, self.m, self.inv_width = torus.side, m, m / torus.side
+        self.potential = potential
+        self.cut = potential.support_radius * potential.support_radius
+        self.strides = m ** np.arange(d - 1, -1, -1)
+        rows, n_cells = len(starts), m ** d
+        cells = [self.cell(p) for p in starts]
+        self.fill = np.array([np.bincount(c, minlength=n_cells) for c in cells],
+                             dtype=np.int64).reshape(rows, n_cells)
+        cap = int(self.fill.max(initial=0))
+        if m > 1:
+            cap = _grown(cap)
+            offsets = np.indices((3,) * d).reshape(d, -1).T - 1
+            index = np.indices((m,) * d).reshape(d, -1).T
+            near = index[:, None, :] + offsets
+            self.neighbours = (near % m) @ self.strides
+            # from 5 cells per axis on, a neighbour's points lie within 2L/5
+            # of the target, or beyond 3L/5 across the boundary, so
+            # round(diff / L) is fixed by the cells: -floor(near / m)
+            self.images = (-(near // m)).transpose(0, 2, 1).astype(np.int8)
+            self.coords = np.arange(d)[None, :, None]
+        self.cap = cap
+        self.tab = np.full((rows, d, n_cells * cap), np.nan)
+        self.who = np.full((rows, n_cells * cap), -1)
+        self.slot = np.zeros((rows, max((c.size for c in cells), default=0)),
+                             dtype=np.int64)
+        for r, (p, c) in enumerate(zip(starts, cells)):
+            order = np.argsort(c, kind="stable")
+            first = np.cumsum(self.fill[r]) - self.fill[r]
+            slot = np.empty_like(c)
+            slot[order] = c[order] * cap + np.arange(c.size) - first[c[order]]
+            self.tab[r][:, slot] = p.T
+            self.who[r, slot] = np.arange(c.size)
+            self.slot[r, :c.size] = slot
+        self.rows = np.arange(rows)
+
+    def cell(self, x):
+        """Flat cell index of each point of x, shape (..., d)."""
+        index = np.minimum((x * self.inv_width).astype(np.int64), self.m - 1)
+        return index @ self.strides
+
+    def at(self, mover):
+        """Position of particle mover[r] of every row r, shape (rows, d)."""
+        return self.tab[self.rows, :, self.slot[self.rows, mover]]
+
+    def positions(self, r, n):
+        """The n positions of row r, in particle order."""
+        return self.tab[r][:, self.slot[r, :n]].T
+
+    def keep(self, rows):
+        self.tab, self.who = self.tab[rows], self.who[rows]
+        self.slot, self.fill = self.slot[rows], self.fill[rows]
+        self.rows = np.arange(self.tab.shape[0])
+
+    def energies(self, y, cells, old=None):
+        """E(y_r, gamma_r) for every row r, y_r in cell cells[r], with the
+        arithmetic of `interaction_energy`: the term of the particle at old[r]
+        is subtracted when `old` is given. Terms are summed one after another
+        in table order, so the zeros of empty slots leave the sum unchanged
+        and top-hat energies are the same counts."""
+        if self.m == 1:
+            r2 = _norm2((self.tab - y[:, :, None]).transpose(1, 0, 2), self.side)
         else:
-            phi = np.exp(-potential.rate * np.sqrt(r2))
-        phi = np.where(inside, phi, 0.0)
-        energy = potential.height * phi.sum(axis=1)
-    if mover is not None:
-        energy -= potential.height * phi[np.arange(len(mover)), mover]
-    return energy
+            rows, d, _ = self.tab.shape
+            near = self.neighbours[cells][:, None, :]
+            diff = self.tab.reshape(rows, d, -1, self.cap)[self.rows[:, None, None],
+                                                           self.coords, near]
+            diff -= y[:, :, None, None]
+            image = self.side * self.images[cells].transpose(1, 0, 2)[..., None]
+            r2 = _norm2(diff.transpose(1, 0, 2, 3), self.side, image).reshape(rows, -1)
+        energy = self.potential.height * np.cumsum(self._phi(r2), axis=1)[:, -1]
+        if old is not None:
+            energy -= self.potential.height * self._phi(_norm2((old - y).T, self.side))
+        return energy
+
+    def _phi(self, r2):
+        """phi / height at squared distances r2, cut off at the support: a
+        boolean for the top-hat."""
+        if self.potential.family == "top_hat":
+            return r2 <= self.cut
+        return np.where(r2 <= self.cut, _profile(self.potential, r2), 0.0)
+
+    def move(self, hit, mover, y, cells):
+        """Put the particle mover[r] of each row r in hit at y[r], which lies
+        in cell cells[r]. A particle that changes cell swaps with the last one
+        of its old cell and is appended to the new one, which grows the table
+        when that cell is full."""
+        mover, y = mover[hit], y[hit]
+        src = self.slot[hit, mover]
+        if self.m > 1:
+            new = cells[hit]
+            leave = src // self.cap != new
+            if leave.any():
+                stay = ~leave
+                self.tab[hit[stay], :, src[stay]] = y[stay]
+                hit, mover, src, new, y = (hit[leave], mover[leave], src[leave],
+                                           new[leave], y[leave])
+                old = src // self.cap
+                self.fill[hit, old] -= 1
+                last = old * self.cap + self.fill[hit, old]
+                moved = self.who[hit, last]
+                self.tab[hit, :, src] = self.tab[hit, :, last]
+                self.who[hit, src] = moved
+                self.slot[hit, moved] = src
+                self.tab[hit, :, last] = np.nan
+                self.who[hit, last] = -1
+                if (self.fill[hit, new] == self.cap).any():
+                    self._grow()
+                src = new * self.cap + self.fill[hit, new]
+                self.fill[hit, new] += 1
+                self.who[hit, src] = mover
+                self.slot[hit, mover] = src
+        self.tab[hit, :, src] = y
+
+    def _grow(self):
+        """Rebuild with a larger cap, keeping every row's slot order."""
+        rows, d, _ = self.tab.shape
+        n_cells, cap = self.fill.shape[1], self.cap
+        new = _grown(cap)
+        tab = np.pad(self.tab.reshape(rows, d, n_cells, cap),
+                     [(0, 0)] * 3 + [(0, new - cap)], constant_values=np.nan)
+        who = np.pad(self.who.reshape(rows, n_cells, cap),
+                     [(0, 0)] * 2 + [(0, new - cap)], constant_values=-1)
+        self.tab, self.who = tab.reshape(rows, d, -1), who.reshape(rows, -1)
+        self.slot = self.slot // cap * new + self.slot % cap
+        self.cap = new
 
 
-def _simulate_lockstep(params: SimulationParams, base_seed, indices, initials=None):
-    """Run trajectories `indices` of an ensemble together; return them in order.
+def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
+    """Run one trajectory per seed, in lockstep; return them in order.
 
     Every active trajectory uses exactly one (waiting time, mover,
     displacement, acceptance) slot of its own stream per iteration, including
     the step that crosses a snapshot or t_end boundary, so the block index is
     shared and each stream draws and consumes its variates exactly as
-    `simulate` does. `initials`, when given, is aligned with `indices`.
+    `Simulation` does. `initials`, when given, is aligned with `seeds`; the
+    cell table is sized for `n_planned` particles per row.
     """
     torus, kernel, pot = params.torus, params.kernel, params.potential
     d, side = torus.dim, torus.side
     rngs, starts = [], []
-    for r, i in enumerate(indices):
-        rng = np.random.default_rng(_stream_seed(base_seed, i))
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
         if initials is None:
             pos = sample_poisson_positions(torus, params.rho0, rng)
         else:
-            pos = np.asarray(initials[r], dtype=float)
+            pos = initials[r]
         rngs.append(rng)
         starts.append(Configuration(torus, pos).positions)
     counts = [p.shape[0] for p in starts]
@@ -623,102 +625,97 @@ def _simulate_lockstep(params: SimulationParams, base_seed, indices, initials=No
     log = []
 
     streams = np.flatnonzero(counts)  # block row -> stream; empty ones never step
-    n_of = np.asarray(counts, dtype=np.int64)[streams]
-    n_max = int(n_of.max(initial=0))
-    pos = np.zeros((streams.size, n_max, d))
-    for r, j in enumerate(streams):
-        pos[r, :counts[j]] = starts[j]
-    valid = np.arange(n_max) < n_of[:, None]
-    inv_rate = 1.0 / (alpha(kernel) * n_of)
+    table = _CellTable(torus, pot, _cells_per_axis(torus, pot, n_planned),
+                       [starts[j] for j in streams])
+    inv_rate = 1.0 / (alpha(kernel) * np.asarray(counts, dtype=np.int64)[streams])
     t = np.zeros(streams.size)
     target = np.zeros(streams.size, dtype=np.int64)
-    events = np.zeros(streams.size, dtype=np.int64)
     accepts = np.zeros(streams.size, dtype=np.int64)
     rows = np.arange(streams.size)  # active row -> block row
-    here = rows.copy()
+    sel = slice(None)  # rows, as a view while every row is active
+    active = streams  # active row -> stream
+    limit = np.full(streams.size, limits[0])
 
     interacting = not pot.is_zero
     eps = float(params.epsilon)
     block = _RNG_BLOCK
-    exps = np.empty((streams.size, block))
+    gaps = np.empty((streams.size, block))
     movs = np.empty((streams.size, block), dtype=np.int32)
     disps = np.empty((streams.size, block, d))
     accs = np.empty((streams.size, block)) if interacting else None
     k = block
+    steps = 0
     while rows.size:
         if k == block:
             # the same draws, in the same order, as Simulation._refill
             for r in rows:
                 j = streams[r]
                 rng = rngs[j]
-                exps[r] = rng.standard_exponential(block)
+                gaps[r] = rng.standard_exponential(block) * inv_rate[r]
                 movs[r] = rng.integers(0, counts[j], size=block)
                 disps[r] = sample_displacement(kernel, rng, size=block)
                 if interacting:
                     accs[r] = rng.random(block)
             k = 0
-        t_next = t + exps[rows, k] * inv_rate
-        limit = limits[target]
+        t_next = t + gaps[sel, k]
         cross = t_next > limit
         move = ~cross
-        mover = movs[rows, k]
-        old = pos[here, mover]
-        y = np.mod(old + disps[rows, k], side)
+        mover = movs[sel, k]
+        old = table.at(mover)
+        y = np.mod(old + disps[sel, k], side)
         y[y >= side] = 0.0
+        cells = table.cell(y) if table.m > 1 else None
         accept = move
         if interacting:
-            energy = _batch_energy(pos, valid, y, side, pot,
-                                   mover if params.exclude_mover else None)
-            # math.exp, as in Simulation.step, so the decisions match bit for bit
-            test = np.flatnonzero(move & (energy > 0.0))
-            if test.size:
-                accept = move.copy()
-                bound = [math.exp(-eps * e) for e in energy[test].tolist()]
-                accept[test] = accs[rows[test], k] < bound
-        t = np.where(cross, limit, t_next)
-        hit = np.flatnonzero(accept)
-        pos[hit, mover[hit]] = y[hit]
-        events += move
+            energy = table.energies(y, cells, old if params.exclude_mover else None)
+            # math.exp, as in Simulation.step, so the decisions match bit for
+            # bit; an energy <= 0 gives a bound >= 1, which always accepts
+            accept = move & (accs[sel, k] < [math.exp(-eps * e)
+                                              for e in energy.tolist()])
+        hit = accept.nonzero()[0]
+        if hit.size:
+            table.move(hit, mover, y, cells)
         accepts += accept
         if params.record_events:
-            # one row set per iteration, split by stream once at the end
-            m = np.flatnonzero(move)
-            log.append((streams[rows[m]], t_next[m], mover[m], old[m], y[m],
-                        accept[m]))
+            # whole rows per iteration; the moves are picked out once at the end
+            log.append((active, t_next, mover.copy(), old, y, accept, move))
         k += 1
+        steps += 1
         if not cross.any():
+            t = t_next
             continue
-        for r in np.flatnonzero(cross):
+        t = np.where(cross, limit, t_next)
+        for r in cross.nonzero()[0]:
             if target[r] < len(sts):
-                j = streams[rows[r]]
-                snapshots[j].append(pos[r, :counts[j]].copy())
+                j = active[r]
+                snapshots[j].append(table.positions(r, counts[j]))
         target += cross
         done = target == len(limits)
         if done.any():
-            for r in np.flatnonzero(done):
-                j = streams[rows[r]]
-                n_events[j], n_accepted[j] = int(events[r]), int(accepts[r])
+            for r in done.nonzero()[0]:
+                j = active[r]
+                # every step of a row is an event except its boundary crossings
+                n_events[j], n_accepted[j] = steps - len(limits), int(accepts[r])
             keep = ~done
-            rows, t, target, events, accepts = (
-                rows[keep], t[keep], target[keep], events[keep], accepts[keep])
-            inv_rate, n_of = inv_rate[keep], n_of[keep]
-            n_max = int(n_of.max(initial=0))
-            pos, valid = pos[keep, :n_max], valid[keep, :n_max]
-            here = np.arange(rows.size)
+            rows, active, t, target, accepts = (
+                rows[keep], active[keep], t[keep], target[keep], accepts[keep])
+            sel = rows
+            table.keep(keep)
+        limit = limits[target]
 
     if log:
         cols = [np.concatenate(c) for c in zip(*log)]
+        cols = [c[cols[-1]] for c in cols[:-1]]
         order = np.argsort(cols[0], kind="stable")
         cols = [c[order] for c in cols]
         bounds = np.searchsorted(cols[0], np.arange(len(starts) + 1))
     out = []
-    for j, i in enumerate(indices):
+    for j, seed in enumerate(seeds):
         rec = ()
         if log:
             rec = [c[bounds[j]:bounds[j + 1]] for c in cols[1:]]
-        out.append(_trajectory(params, _stream_seed(base_seed, i), counts[j], sts,
-                               snapshots[j], *rec, n_events=n_events[j],
-                               n_accepted=n_accepted[j]))
+        out.append(_trajectory(params, seed, counts[j], sts, snapshots[j], *rec,
+                               n_events=n_events[j], n_accepted=n_accepted[j]))
     return out
 
 
@@ -727,26 +724,28 @@ def simulate_ensemble(params: SimulationParams, n_trajectories: int,
     """Run n independent trajectories; trajectory i is a pure function of
     (params, base_seed, i), so parallel and serial execution agree exactly.
 
-    Ensembles of at most LOCKSTEP_MAX_PARTICLES expected particles per
-    trajectory run in lockstep chunks; larger ones run one `simulate` per
-    trajectory. With n_jobs > 1 the chunk or the trajectory is the unit handed
-    to the process pool, whose size is clamped to the CPU and unit counts.
+    The trajectories run in lockstep chunks. With n_jobs > 1 each chunk is a
+    unit handed to the process pool; there are at least as many chunks as
+    workers, and the pool is clamped to the CPU and unit counts. `initials`,
+    when given, holds one initial configuration per trajectory.
     """
     if n_trajectories < 1:
         raise ConfigError("need at least one trajectory")
     params.validate()
-    if _expected_particles(params, n_trajectories, initials) <= LOCKSTEP_MAX_PARTICLES:
-        run, size = _simulate_lockstep, _lockstep_chunk_size(params.torus.dim)
-    else:
-        run, size = _simulate_each, 1
-    units = [(params, base_seed, range(lo, min(lo + size, n_trajectories)),
-              None if initials is None else initials[lo:lo + size])
-             for lo in range(0, n_trajectories, size)]
-    workers = min(n_jobs, os.cpu_count() or 1, len(units))
+    if initials is not None and len(initials) != n_trajectories:
+        raise ConfigError(f"{len(initials)} initial configurations for "
+                          f"{n_trajectories} trajectories")
+    n = _planned_particles(params, initials)
+    workers = max(1, min(n_jobs, os.cpu_count() or 1))
+    bounds = _chunk_bounds(params.torus.dim, n, n_trajectories, workers)
+    units = [(params, [_stream_seed(base_seed, i) for i in range(lo, hi)],
+              None if initials is None else initials[lo:hi], n)
+             for lo, hi in zip(bounds[:-1], bounds[1:])]
+    workers = min(workers, len(units))
     if workers <= 1:
-        chunks = [run(*unit) for unit in units]
+        chunks = [_simulate_rows(*unit) for unit in units]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run, *zip(*units),
+            chunks = list(pool.map(_simulate_rows, *zip(*units),
                                    chunksize=max(1, len(units) // (4 * workers))))
     return [traj for chunk in chunks for traj in chunk]

@@ -46,7 +46,7 @@ def test_criterion_01_conservation():
         while n == 0:
             n = int(rng.poisson(10.0))
         pos = rng.random((n, 1)) * 20.0
-        config = Configuration(TORUS20, pos, interaction_radius=pot.support_radius)
+        config = Configuration(TORUS20, pos)
         sim = Simulation(config, TOP_HAT_A, pot, 1.0, rng)
         for k in range(1000):
             sim.step()
@@ -54,8 +54,6 @@ def test_criterion_01_conservation():
                 ok = False
         ok = ok and config.n == n
         ok = ok and np.all((config.positions >= 0.0) & (config.positions < 20.0))
-        if i % 100 == 0:
-            ok = ok and config.consistency_check()
     report(1, "particle count conserved over 10^3 trajectories x 10^3 events",
            ok, "exact equality in every trajectory",
            time.perf_counter() - t0, 30.0)
@@ -70,7 +68,7 @@ def test_criterion_02_detailed_balance():
         n = int(rng.integers(2, 51))
         pos = rng.random((n, 1)) * 20.0
         pot = TOP_HAT_PHI if trial % 2 == 0 else gauss
-        config = Configuration(TORUS20, pos, interaction_radius=pot.support_radius)
+        config = Configuration(TORUS20, pos)
         i = int(rng.integers(0, n))
         y = rng.random(1) * 20.0
         worst = max(worst, abs(detailed_balance_residual(config, i, y, pot)))

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from kawasaki import (Configuration, GeometryError, InvalidSpecError, KernelSpec,
-                      NoDynamicsError, NumericError, PotentialSpec,
+from kawasaki import (ConfigError, Configuration, GeometryError, InvalidSpecError,
+                      KernelSpec, NoDynamicsError, NumericError, PotentialSpec,
                       SimulationParams, Torus, detailed_balance_residual,
                       interaction_energy, sample_displacement,
-                      sample_poisson_initial, sample_poisson_positions, simulate,
-                      simulate_ensemble, total_pair_energy)
+                      sample_poisson_positions, simulate, simulate_ensemble,
+                      total_pair_energy)
 from kawasaki import simulator
 from kawasaki.fields import DensityField
-from kawasaki.simulator import Simulation
+from kawasaki.simulator import Simulation, Trajectory
 
 TORUS = Torus(1, 20.0)
 KERNEL = KernelSpec.top_hat(1.0, 1.0, dim=1)  # alpha = 2
@@ -37,8 +37,7 @@ def brute_energy(y, positions, torus, potential, exclude=None):
 
 def test_energy_two_points_within_range():
     p = PotentialSpec.top_hat(1.0, 1.0, dim=1)
-    config = Configuration(TORUS, np.array([[0.0], [0.5], [3.0]]),
-                           interaction_radius=1.0)
+    config = Configuration(TORUS, np.array([[0.0], [0.5], [3.0]]))
     assert interaction_energy([0.2], config, p) == pytest.approx(2.0, abs=1e-14)
 
 
@@ -50,7 +49,7 @@ def test_energy_empty_configuration():
 def test_energy_matches_brute_force_oracle():
     rng = np.random.default_rng(5)
     pos = rng.random((50, 1)) * 20.0
-    config = Configuration(TORUS, pos, interaction_radius=1.0)
+    config = Configuration(TORUS, pos)
     for _ in range(20):
         y = rng.random(1) * 20.0
         assert interaction_energy(y, config, POT) == pytest.approx(
@@ -64,7 +63,7 @@ def test_energy_cell_list_equals_brute_force_on_random_configurations():
         n = int(rng.integers(1, 40))
         pos = rng.random((n, 1)) * 20.0
         pot = POT if trial % 2 == 0 else gauss
-        config = Configuration(TORUS, pos, interaction_radius=pot.support_radius)
+        config = Configuration(TORUS, pos)
         y = rng.random(1) * 20.0
         assert interaction_energy(y, config, pot) == pytest.approx(
             brute_energy(y, pos, TORUS, pot), abs=1e-12)
@@ -72,7 +71,7 @@ def test_energy_cell_list_equals_brute_force_on_random_configurations():
 
 def test_energy_exclude_index():
     pos = np.array([[0.0], [0.4], [0.8]])
-    config = Configuration(TORUS, pos, interaction_radius=1.0)
+    config = Configuration(TORUS, pos)
     p = PotentialSpec.top_hat(1.0, 1.0, dim=1)
     assert interaction_energy([0.1], config, p, exclude=0) == pytest.approx(2.0)
     assert interaction_energy([0.1], config, p) == pytest.approx(3.0)
@@ -81,7 +80,7 @@ def test_energy_exclude_index():
 def test_energy_two_dimensional():
     torus = Torus(2, 12.0)
     pos = np.array([[0.0, 0.0], [0.5, 0.0], [6.0, 6.0]])
-    config = Configuration(torus, pos, interaction_radius=1.0)
+    config = Configuration(torus, pos)
     p = PotentialSpec.top_hat(1.0, 2.0, dim=2)
     assert interaction_energy([0.0, 0.3], config, p) == pytest.approx(4.0)
 
@@ -120,7 +119,7 @@ def test_jump_rate_beyond_kernel_support_is_zero():
 def test_jump_rate_matches_direct_formula():
     rng = np.random.default_rng(8)
     pos = rng.random((20, 1)) * 20.0
-    config = Configuration(TORUS, pos, interaction_radius=1.0)
+    config = Configuration(TORUS, pos)
     for _ in range(50):
         i = int(rng.integers(0, 20))
         y = (pos[i] + rng.uniform(-1.5, 1.5, size=1)) % 20.0
@@ -145,7 +144,7 @@ def test_detailed_balance_two_particles_hand_expansion():
     # phi(x - z) + phi(y - x) + phi(y - z), so the residual vanishes
     x, z, y = 1.0, 1.6, 2.1
     p = PotentialSpec.gaussian(0.8, 1.3, dim=1)
-    config = Configuration(TORUS, np.array([[x], [z]]), interaction_radius=p.support_radius)
+    config = Configuration(TORUS, np.array([[x], [z]]))
     lhs = total_pair_energy([[x], [z]], TORUS, p) + brute_energy([y], [[x], [z]], TORUS, p)
     rhs = total_pair_energy([[y], [z]], TORUS, p) + brute_energy([x], [[y], [z]], TORUS, p)
     assert lhs - rhs == pytest.approx(0.0, abs=1e-12)
@@ -159,7 +158,7 @@ def test_detailed_balance_randomized_sweep():
         n = int(rng.integers(2, 51))
         pos = rng.random((n, 1)) * 20.0
         pot = POT if trial % 2 == 0 else PotentialSpec.gaussian(0.6, 0.8, dim=1)
-        config = Configuration(TORUS, pos, interaction_radius=pot.support_radius)
+        config = Configuration(TORUS, pos)
         i = int(rng.integers(0, n))
         y = rng.random(1) * 20.0
         worst = max(worst, abs(detailed_balance_residual(config, i, y, pot)))
@@ -204,10 +203,21 @@ def test_poisson_gridded_cell_weights():
 
 
 def test_poisson_initial_returns_configuration():
-    config = sample_poisson_initial(TORUS, 0.5, np.random.default_rng(1),
-                                    interaction_radius=1.0)
-    assert config.n >= 0
-    assert config.consistency_check()
+    config = Configuration(TORUS, sample_poisson_positions(TORUS, 0.5,
+                                                           np.random.default_rng(1)))
+    assert config.n > 0
+    assert np.all((config.positions >= 0.0) & (config.positions < 20.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_configuration_rejects_non_finite_positions(bad):
+    with pytest.raises(ConfigError, match="finite"):
+        Configuration(TORUS, np.array([[1.0], [bad]]))
+    initials = [np.array([[1.0]]), np.array([[2.0], [bad]])]
+    with pytest.raises(ConfigError, match="finite"):
+        simulate_ensemble(params(), 2, base_seed=1, initials=initials)
+    with pytest.raises(ConfigError, match="finite"):
+        simulate(params(), 1, initial_positions=initials[1])
 
 
 # -- single steps -------------------------------------------------------------------
@@ -242,7 +252,7 @@ def test_gillespie_single_particle_self_interaction():
     rng = np.random.default_rng(33)
     hits = trials = 0
     for _ in range(4000):
-        config = Configuration(TORUS, np.array([[5.0]]), interaction_radius=p.support_radius)
+        config = Configuration(TORUS, np.array([[5.0]]))
         hits += Simulation(config, KERNEL, p, 1.0, rng, block=1).step().accepted
         trials += 1
     assert within(hits, trials)
@@ -255,7 +265,7 @@ def test_gillespie_exclude_mover_variant():
     p = PotentialSpec.top_hat(2.0, 0.8, dim=1)
     rng = np.random.default_rng(34)
     for _ in range(100):
-        config = Configuration(TORUS, np.array([[5.0]]), interaction_radius=p.support_radius)
+        config = Configuration(TORUS, np.array([[5.0]]))
         sim = Simulation(config, KERNEL, p, 1.0, rng, exclude_mover=True, block=1)
         assert sim.step().accepted  # lone particle sees no one else
     ens = simulate_ensemble(params(potential=p, exclude_mover=True, t_end=5.0),
@@ -277,7 +287,7 @@ def test_accepted_rate_matches_direct_omega_oracle():
     p = PotentialSpec.top_hat(1.0, 0.2, dim=1)
     rng = np.random.default_rng(123)
     pos = rng.random((100, 1)) * 20.0
-    config = Configuration(TORUS, pos, interaction_radius=1.0)
+    config = Configuration(TORUS, pos)
     m = 30_000
     movers = rng.integers(0, 100, size=m)
     disps = sample_displacement(KERNEL, rng, size=m)
@@ -291,7 +301,7 @@ def test_accepted_rate_matches_direct_omega_oracle():
     k = 15_000
     hits = 0
     for j in range(k):
-        cfg = Configuration(TORUS, pos.copy(), interaction_radius=1.0)
+        cfg = Configuration(TORUS, pos.copy())
         sim = Simulation(cfg, KERNEL, p, 1.0, np.random.default_rng([77, j]), block=4)
         hits += sim.step().accepted
     frac = hits / k
@@ -305,7 +315,7 @@ def test_waiting_times_are_exponential_at_envelope_rate():
     rng = np.random.default_rng(71)
     n = 25
     pos = rng.random((n, 1)) * 20.0
-    config = Configuration(TORUS, pos, interaction_radius=1.0)
+    config = Configuration(TORUS, pos)
     sim = Simulation(config, KERNEL, POT, 1.0, rng)
     times = np.array([sim.step().time for _ in range(20_000)])
     gaps = np.diff(times, prepend=0.0)
@@ -333,7 +343,7 @@ def test_two_dimensional_dynamics_end_to_end():
 def test_envelope_ratio_in_unit_interval():
     rng = np.random.default_rng(50)
     pos = rng.random((50, 1)) * 20.0
-    config = Configuration(TORUS, pos, interaction_radius=1.0)
+    config = Configuration(TORUS, pos)
     sim = Simulation(config, KERNEL, POT, 1.0, rng, check_envelope=True)
     for _ in range(500):
         sim.step()  # check_envelope raises unless exp(-eps E) is in (0, 1]
@@ -343,7 +353,7 @@ def test_envelope_check_raises_numeric_error(monkeypatch):
     # a negative energy gives an acceptance ratio above 1, which thinning
     # against the envelope alpha * n cannot realize
     monkeypatch.setattr(simulator, "interaction_energy", lambda *a, **k: -1.0)
-    config = Configuration(TORUS, np.array([[1.0], [1.5]]), interaction_radius=1.0)
+    config = Configuration(TORUS, np.array([[1.0], [1.5]]))
     sim = Simulation(config, KERNEL, POT, 1.0, np.random.default_rng(0),
                      check_envelope=True)
     with pytest.raises(NumericError, match="outside"):
@@ -406,14 +416,63 @@ def test_empty_initial_gives_empty_snapshots():
     assert all(s.shape == (0, 1) for s in traj.snapshots)
 
 
-def test_cell_index_consistent_after_dynamics():
+def check_table(table, positions):
+    """Every invariant of a cell table, row by row, against the positions it
+    should hold."""
+    n_slots = table.tab.shape[2]
+    for r, pos in enumerate(positions):
+        n = pos.shape[0]
+        slots = table.slot[r, :n]
+        cells = table.cell(pos)
+        assert np.array_equal(table.tab[r][:, slots].T, pos)
+        assert np.array_equal(table.positions(r, n), pos)
+        assert np.array_equal(table.who[r, slots], np.arange(n))
+        assert np.array_equal(slots // table.cap, cells)
+        assert np.array_equal(table.fill[r],
+                              np.bincount(cells, minlength=table.fill.shape[1]))
+        assert np.all(slots % table.cap < table.fill[r, cells])
+        empty = np.ones(n_slots, dtype=bool)
+        empty[slots] = False
+        assert np.isnan(table.tab[r][:, empty]).all()
+        assert np.all(table.who[r, empty] == -1)
+
+
+def count_grows(monkeypatch):
+    """Record the cap of every cell-table rebuild."""
+    caps = []
+    grow = simulator._CellTable._grow
+
+    def counted(self):
+        caps.append(self.cap)
+        grow(self)
+
+    monkeypatch.setattr(simulator._CellTable, "_grow", counted)
+    return caps
+
+
+def test_cell_index_consistent_after_dynamics(monkeypatch):
+    # random hops in a 2-d table that starts with one spare slot per cell, so
+    # moves cross cells, swap with last slots and force rebuilds
+    monkeypatch.setattr(simulator, "_grown", lambda cap: cap + 1)
+    grows = count_grows(monkeypatch)
     rng = np.random.default_rng(60)
-    pos = rng.random((40, 1)) * 20.0
-    config = Configuration(TORUS, pos, interaction_radius=1.0)
-    sim = Simulation(config, KERNEL, POT, 1.0, rng)
-    for _ in range(2000):
-        sim.step()
-    assert config.consistency_check()
+    pos = [rng.random((n, 2)) * 12.0 for n in (30, 45, 1, 60)]
+    table = simulator._CellTable(TORUS2, POT2, 5, pos)
+    check_table(table, pos)
+    for step in range(3000):
+        if step == 1500:
+            table.keep(np.array([True, False, True, True]))
+            pos = [pos[0], pos[2], pos[3]]
+        hit = np.flatnonzero(rng.random(len(pos)) < 0.7)
+        mover = np.array([int(rng.integers(0, len(p))) for p in pos])
+        y = np.array([p[i] for p, i in zip(pos, mover)])
+        y = np.mod(y + rng.normal(0.0, 1.5, size=y.shape), 12.0)
+        y[y >= 12.0] = 0.0
+        table.move(hit, mover, y, table.cell(y))
+        for r in hit:
+            pos[r][mover[r]] = y[r]
+    check_table(table, pos)
+    assert len(grows) > 0
 
 
 def test_torus_too_small_rejected():
@@ -434,9 +493,47 @@ KERNEL2 = KernelSpec.top_hat(1.0, 1.0, dim=2)
 POT2 = PotentialSpec.top_hat(1.0, 0.5, dim=2)
 
 
+def scalar_trajectory(p, seed, initial=None):
+    """Reference trajectory: `Simulation` stepped up to each snapshot time in
+    turn. Stopping the clock at a boundary and redrawing the waiting time is
+    exact because the holding times are memoryless."""
+    rng = np.random.default_rng(seed)
+    if initial is None:
+        initial = sample_poisson_positions(p.torus, p.rho0, rng)
+    config = Configuration(p.torus, initial)
+    d = p.torus.dim
+    sts = tuple(sorted(p.snapshot_times))
+    targets = list(sts)
+    if not targets or targets[-1] < p.t_end:
+        targets.append(p.t_end)
+    events, snapshots = [], []
+    if config.n == 0:
+        snapshots = [np.zeros((0, d)) for _ in sts]
+    else:
+        sim = Simulation(config, p.kernel, p.potential, p.epsilon, rng,
+                         exclude_mover=p.exclude_mover)
+        for i_t, target in enumerate(targets):
+            while (ev := sim.step(t_limit=target)) is not None:
+                events.append(ev)
+            if i_t < len(sts):
+                snapshots.append(config.copy_positions())
+    logged = events if p.record_events else []
+    return Trajectory(
+        seed_key=tuple(seed), torus=p.torus, n_particles=config.n, t_end=p.t_end,
+        snapshot_times=sts, snapshots=snapshots,
+        times=np.array([e.time for e in logged], dtype=float),
+        movers=np.array([e.mover for e in logged], dtype=int),
+        old_positions=np.array([e.old_position for e in logged],
+                               dtype=float).reshape(-1, d),
+        new_positions=np.array([e.new_position for e in logged],
+                               dtype=float).reshape(-1, d),
+        accepted=np.array([e.accepted for e in logged], dtype=bool),
+        n_events=len(events), n_accepted=sum(e.accepted for e in events))
+
+
 def scalar_ensemble(p, n_traj, base_seed, initials=None):
-    return [simulate(p, [base_seed, i],
-                     initial_positions=None if initials is None else initials[i])
+    return [scalar_trajectory(p, [base_seed, i],
+                              None if initials is None else initials[i])
             for i in range(n_traj)]
 
 
@@ -468,6 +565,69 @@ def test_lockstep_top_hat_bit_identical_to_simulate(dim):
     assert sum(t.n_events for t in ens) > 1000
     assert 0 < sum(t.n_accepted for t in ens) < sum(t.n_events for t in ens)
     assert_same_trajectories(ens, scalar_ensemble(p, 40, 19))
+    assert_same_trajectories([simulate(p, [19, i]) for i in range(3)], ens[:3])
+
+
+# one case per table layout: (dim, rho0, t_end, trajectories, cells per axis)
+TABLE_CASES = {
+    "1d-one-cell": (1, 1.5, 1.0, 20, 1),
+    "1d-refills": (1, 1.5, 60.0, 3, 1),  # about 3600 events per trajectory
+    "1d-5-cells": (1, 25.0, 0.1, 8, 5),
+    "2d-one-cell": (2, 0.4, 0.5, 20, 1),
+    "2d-5-cells": (2, 6.0, 0.1, 6, 5),
+}
+
+
+def table_params(dim, rho0, t_end, **kw):
+    # epsilon = 1 / rho0 keeps the acceptance rate away from 0 at every density
+    kw.update(epsilon=1.0 / rho0, rho0=rho0, t_end=t_end,
+              snapshot_times=(0.0, t_end / 2, t_end), record_events=True)
+    if dim == 1:
+        return params(**kw)
+    if dim == 2:
+        torus, kernel, pot = TORUS2, KERNEL2, POT2
+    else:
+        torus, kernel = Torus(3, 8.0), KernelSpec.top_hat(1.0, 1.0, dim=3)
+        pot = PotentialSpec.top_hat(1.0, 0.5, dim=3)
+    return params(torus=torus, kernel=kernel, potential=pot, **kw)
+
+
+@pytest.mark.parametrize("exclude", [False, True])
+@pytest.mark.parametrize("case", list(TABLE_CASES))
+def test_cell_table_top_hat_bit_identical_to_simulation(case, exclude):
+    dim, rho0, t_end, n_traj, cells = TABLE_CASES[case]
+    p = table_params(dim, rho0, t_end, exclude_mover=exclude)
+    assert simulator._cells_per_axis(p.torus, p.potential, rho0 * p.torus.volume) == cells
+    ens = simulate_ensemble(p, n_traj, base_seed=23)
+    assert 0 < sum(t.n_accepted for t in ens) < sum(t.n_events for t in ens)
+    assert_same_trajectories(ens, scalar_ensemble(p, n_traj, 23))
+
+
+def test_cell_table_three_dimensional_bit_identical_to_simulation():
+    p = table_params(3, 3.0, 0.04)
+    assert simulator._cells_per_axis(p.torus, p.potential, 3.0 * 512.0) == 5
+    ens = simulate_ensemble(p, 3, base_seed=29)
+    assert sum(t.n_events for t in ens) > 500
+    assert 0 < sum(t.n_accepted for t in ens) < sum(t.n_events for t in ens)
+    assert_same_trajectories(ens, scalar_ensemble(p, 3, 29))
+
+
+def test_cell_table_overflow_rebuild_bit_identical(monkeypatch):
+    # 11 x 11 cells with 4 particles each and one spare slot: a cell that
+    # gains two particles rebuilds the table
+    monkeypatch.setattr(simulator, "_STENCIL_PARTICLES", 4 * 9)
+    monkeypatch.setattr(simulator, "_grown", lambda cap: cap + 1)
+    grows = count_grows(monkeypatch)
+    p = table_params(2, 4 * 121 / 144.0, 0.2, exclude_mover=True)
+    lattice = (np.arange(22) + 0.5) * 12.0 / 22
+    start = np.stack(np.meshgrid(lattice, lattice), axis=-1).reshape(-1, 2)
+    rng = np.random.default_rng(31)
+    initials = [np.mod(start + rng.normal(0.0, 0.05, start.shape), 12.0)
+                for _ in range(3)]
+    assert simulator._cells_per_axis(p.torus, p.potential, len(start)) == 11
+    ens = simulate_ensemble(p, 3, base_seed=31, initials=initials)
+    assert len(grows) > 0
+    assert_same_trajectories(ens, scalar_ensemble(p, 3, 31, initials))
 
 
 @pytest.mark.parametrize("exclude", [False, True])
@@ -505,19 +665,23 @@ def test_lockstep_smooth_energies_match_interaction_energy(family, exclude):
     rows, n_max = 12, 30
     counts = rng.integers(0, n_max + 1, size=rows)
     counts[0] = 0
-    pos = rng.random((rows, n_max, 2)) * 30.0  # padding holds junk on purpose
-    valid = np.arange(n_max) < counts[:, None]
+    starts = [rng.random((c, 2)) * 30.0 for c in counts]
     y = rng.random((rows, 2)) * 30.0
     mover = np.array([int(rng.integers(0, max(c, 1))) for c in counts])
-    got = simulator._batch_energy(pos, valid, y, 30.0, pot, mover if exclude else None)
-    for r in range(rows):
-        config = Configuration(torus, pos[r, :counts[r]],
-                               interaction_radius=pot.support_radius)
-        if exclude and counts[r] == 0:
-            continue
-        want = interaction_energy(y[r], config, pot,
-                                  exclude=int(mover[r]) if exclude else None)
-        assert got[r] == pytest.approx(want, rel=1e-12, abs=1e-300)
+    wide = Torus(2, 40.0)  # room for 5 cells of the exponential's support
+    for space, cells in ((torus, 1), (wide, simulator._cells_per_axis(wide, pot, 1e9))):
+        scale = space.side / torus.side
+        table = simulator._CellTable(space, pot, cells, [x * scale for x in starts])
+        got = table.energies(y * scale, table.cell(y * scale),
+                             table.at(mover) if exclude else None)
+        table._grow()  # more empty slots change no bit of the sums
+        assert np.array_equal(got, table.energies(y * scale, table.cell(y * scale),
+                                                  table.at(mover) if exclude else None))
+        for r in range(rows):
+            want = interaction_energy(y[r] * scale, Configuration(space, starts[r] * scale),
+                                      pot, exclude=int(mover[r]) if exclude else None)
+            assert got[r] == pytest.approx(want, rel=1e-12, abs=1e-300)
+    assert cells >= 5
     p = SimulationParams(torus=torus, kernel=KERNEL2, potential=pot, rho0=0.15,
                          t_end=0.5, snapshot_times=(0.0, 0.5), record_events=True,
                          exclude_mover=exclude)
@@ -525,45 +689,83 @@ def test_lockstep_smooth_energies_match_interaction_energy(family, exclude):
                              scalar_ensemble(p, 10, 5))
 
 
+def test_cell_table_finds_pairs_at_the_support_edge():
+    # L / r just below 10: nine cells, so pairs 2.0005 apart that straddle
+    # two cell boundaries still share a neighbourhood
+    torus = Torus(1, 20.0)
+    pot = PotentialSpec.top_hat(2.001, 1.0, dim=1)
+    cells = simulator._cells_per_axis(torus, pot, 1e9)
+    assert cells == 9
+    y = np.array([[1.9999], [19.9999], [8.0], [13.5]])
+    starts = [np.mod(y[r] + np.array([[2.0005], [-2.0005], [2.0015], [0.3]]), 20.0)
+              for r in range(len(y))]
+    table = simulator._CellTable(torus, pot, cells, starts)
+    got = table.energies(y, table.cell(y))
+    want = [interaction_energy(y[r], Configuration(torus, starts[r]), pot)
+            for r in range(len(y))]
+    assert np.array_equal(got, want) and np.all(got == 3.0)
+
+
+def test_cell_table_energies_do_not_depend_on_other_rows():
+    # a row's smooth energies are summed in its own slot order, so neither a
+    # larger cap nor the rows it shares a chunk with change a bit of them
+    torus = Torus(2, 20.0)
+    pot = PotentialSpec.gaussian(0.5, 1.0, dim=2)
+    rng = np.random.default_rng(41)
+    row = rng.random((500, 2)) * 20.0
+    crowd = rng.random((900, 2)) * 20.0
+    y = rng.random((1, 2)) * 20.0
+    for cells in (1, simulator._cells_per_axis(torus, pot, 1e9)):
+        alone = simulator._CellTable(torus, pot, cells, [row])
+        shared = simulator._CellTable(torus, pot, cells, [row, crowd])
+        assert shared.cap > alone.cap
+        want = alone.energies(y, alone.cell(y))
+        pair = np.vstack([y, y])
+        assert np.array_equal(shared.energies(pair, shared.cell(pair))[:1], want)
+        alone._grow()
+        assert np.array_equal(alone.energies(y, alone.cell(y)), want)
+
+
 def test_lockstep_serial_and_parallel_identical_across_chunks():
-    n_traj = simulator._lockstep_chunk_size(1) + 13
-    p = params(t_end=0.5, snapshot_times=(0.25, 0.5), record_events=True)
-    serial = simulate_ensemble(p, n_traj, base_seed=5, n_jobs=1)
-    parallel = simulate_ensemble(p, n_traj, base_seed=5, n_jobs=2)
-    assert_same_trajectories(parallel, serial)
+    n_traj = 45  # one chunk serially, two with two workers
+    assert [len(simulator._chunk_bounds(1, 10.0, n_traj, w)) for w in (1, 2)] == [2, 3]
+    gauss = PotentialSpec.gaussian(0.3, 1.0, dim=1)
+    for pot in (POT, gauss):
+        p = params(potential=pot, t_end=0.5, snapshot_times=(0.25, 0.5),
+                   record_events=True)
+        serial = simulate_ensemble(p, n_traj, base_seed=5, n_jobs=1)
+        parallel = simulate_ensemble(p, n_traj, base_seed=5, n_jobs=2)
+        assert_same_trajectories(parallel, serial)
 
 
-def test_lockstep_routing_rule(monkeypatch):
-    cap = simulator.LOCKSTEP_MAX_PARTICLES
-    at_cap = params(rho0=cap / TORUS.volume)
-    above = params(rho0=2.0 * cap / TORUS.volume)
-    field = DensityField(TORUS, np.full(16, cap / TORUS.volume))
-    assert simulator._expected_particles(at_cap, 3, None) == pytest.approx(cap)
-    assert simulator._expected_particles(params(rho0=field), 3, None) == pytest.approx(cap)
-    initials = [np.zeros((0, 1)), np.zeros((cap + 1, 1)), np.zeros((4, 1))]
-    assert simulator._expected_particles(above, 3, initials) == cap + 1
-    assert simulator._expected_particles(above, 1, initials) == 0
+@pytest.mark.parametrize("bad", [
+    dict(epsilon=math.nan), dict(epsilon=math.inf), dict(t_end=math.nan),
+    dict(t_end=math.inf), dict(snapshot_times=(math.nan,)),
+    dict(snapshot_times=(0.5, math.inf)),
+])
+def test_params_reject_non_finite_values(bad):
+    p = params(**bad)
+    with pytest.raises(ConfigError):
+        p.validate()
+    with pytest.raises(ConfigError):
+        simulate_ensemble(p, 2, base_seed=1)
+    with pytest.raises(ConfigError):
+        simulate(p, 1)
 
-    def boom(*args, **kwargs):
-        raise AssertionError("wrong route")
 
-    # at the cap the ensemble goes lockstep, just above it the scalar route
-    small = params(rho0=0.5, t_end=0.2, snapshot_times=(0.2,))
-    monkeypatch.setattr(simulator, "LOCKSTEP_MAX_PARTICLES",
-                        simulator._expected_particles(small, 3, None))
-    monkeypatch.setattr(simulator, "simulate", boom)
-    simulate_ensemble(small, 3, base_seed=1)
-    monkeypatch.undo()
-    monkeypatch.setattr(simulator, "LOCKSTEP_MAX_PARTICLES",
-                        np.nextafter(simulator._expected_particles(small, 3, None), 0))
-    monkeypatch.setattr(simulator, "_simulate_lockstep", boom)
-    simulate_ensemble(small, 3, base_seed=1)
+def test_ensemble_rejects_wrong_number_of_initials():
+    p = params()
+    for n in (1, 3):
+        with pytest.raises(ConfigError, match="initial configurations"):
+            simulate_ensemble(p, 2, base_seed=1, initials=lone_particles(n))
 
 
 class RecordingPool:
-    """Stand-in for ProcessPoolExecutor that records its size and runs inline."""
+    """Stand-in for ProcessPoolExecutor that records its size and the number
+    of units it is given, and runs them inline."""
 
     sizes = []
+    units = []
 
     def __init__(self, max_workers):
         RecordingPool.sizes.append(max_workers)
@@ -575,20 +777,35 @@ class RecordingPool:
         return False
 
     def map(self, fn, *iterables, chunksize=1):
+        RecordingPool.units.append(len(iterables[0]))
         return map(fn, *iterables)
+
+
+def test_pool_units_split_trajectories_across_workers(monkeypatch):
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 2)
+    RecordingPool.sizes, RecordingPool.units = [], []
+    p = params(t_end=0.2, snapshot_times=(0.2,))
+    ens = simulate_ensemble(p, 2, base_seed=3, n_jobs=2)
+    assert (RecordingPool.sizes, RecordingPool.units) == ([2], [2])
+    assert_same_trajectories(ens, simulate_ensemble(p, 2, base_seed=3))
+    # a budget of two rows' variates and tables splits further than the
+    # workers; at four rows a ninth trajectory joins a chunk, not a new one
+    row = 32 * 2048 + 40 * 10
+    monkeypatch.setattr(simulator, "_CHUNK_BYTES", 2 * row)
+    simulate_ensemble(p, 10, base_seed=3, n_jobs=2)
+    monkeypatch.setattr(simulator, "_CHUNK_BYTES", 4 * row)
+    simulate_ensemble(p, 9, base_seed=3, n_jobs=2)
+    assert RecordingPool.units == [2, 5, 2]
 
 
 def test_pool_workers_clamped_to_cpus_and_units(monkeypatch):
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
-    RecordingPool.sizes = []
-    chunk = simulator._lockstep_chunk_size(1)
+    RecordingPool.sizes, RecordingPool.units = [], []
     p = params(t_end=0.2, snapshot_times=(0.2,))
-    two_chunks = simulate_ensemble(p, chunk + 1, base_seed=3, n_jobs=64)
-    simulate_ensemble(p, chunk, base_seed=3, n_jobs=64)  # one unit: no pool
-    assert RecordingPool.sizes == [2]
-    assert_same_trajectories(two_chunks, simulate_ensemble(p, chunk + 1, base_seed=3))
-    monkeypatch.setattr(simulator, "LOCKSTEP_MAX_PARTICLES", 0)
-    simulate_ensemble(p, 5, base_seed=3, n_jobs=64)
+    five = simulate_ensemble(p, 5, base_seed=3, n_jobs=64)
     simulate_ensemble(p, 2, base_seed=3, n_jobs=64)
-    assert RecordingPool.sizes == [2, 3, 2]
+    simulate_ensemble(p, 1, base_seed=3, n_jobs=64)  # one unit: no pool
+    assert RecordingPool.sizes == [3, 2]
+    assert_same_trajectories(five, simulate_ensemble(p, 5, base_seed=3))
