@@ -510,6 +510,8 @@ class _CellTable:
 
     def at(self, mover):
         """Position of particle mover[r] of every row r, shape (rows, d)."""
+        if self.m == 1:
+            return self.tab[self.rows, :, mover]
         return self.tab[self.rows, :, self.slot[self.rows, mover]]
 
     def positions(self, r, n):
@@ -555,30 +557,32 @@ class _CellTable:
         of its old cell and is appended to the new one, which grows the table
         when that cell is full."""
         mover, y = mover[hit], y[hit]
+        if self.m == 1:
+            self.tab[hit, :, mover] = y
+            return
         src = self.slot[hit, mover]
-        if self.m > 1:
-            new = cells[hit]
-            leave = src // self.cap != new
-            if leave.any():
-                stay = ~leave
-                self.tab[hit[stay], :, src[stay]] = y[stay]
-                hit, mover, src, new, y = (hit[leave], mover[leave], src[leave],
-                                           new[leave], y[leave])
-                old = src // self.cap
-                self.fill[hit, old] -= 1
-                last = old * self.cap + self.fill[hit, old]
-                moved = self.who[hit, last]
-                self.tab[hit, :, src] = self.tab[hit, :, last]
-                self.who[hit, src] = moved
-                self.slot[hit, moved] = src
-                self.tab[hit, :, last] = np.nan
-                self.who[hit, last] = -1
-                if (self.fill[hit, new] == self.cap).any():
-                    self._grow()
-                src = new * self.cap + self.fill[hit, new]
-                self.fill[hit, new] += 1
-                self.who[hit, src] = mover
-                self.slot[hit, mover] = src
+        new = cells[hit]
+        leave = src // self.cap != new
+        if leave.any():
+            stay = ~leave
+            self.tab[hit[stay], :, src[stay]] = y[stay]
+            hit, mover, src, new, y = (hit[leave], mover[leave], src[leave],
+                                       new[leave], y[leave])
+            old = src // self.cap
+            self.fill[hit, old] -= 1
+            last = old * self.cap + self.fill[hit, old]
+            moved = self.who[hit, last]
+            self.tab[hit, :, src] = self.tab[hit, :, last]
+            self.who[hit, src] = moved
+            self.slot[hit, moved] = src
+            self.tab[hit, :, last] = np.nan
+            self.who[hit, last] = -1
+            if (self.fill[hit, new] == self.cap).any():
+                self._grow()
+            src = new * self.cap + self.fill[hit, new]
+            self.fill[hit, new] += 1
+            self.who[hit, src] = mover
+            self.slot[hit, mover] = src
         self.tab[hit, :, src] = y
 
     def _grow(self):
