@@ -35,6 +35,7 @@ from .fields import DensityField
 from .torus import Torus
 
 _PAIR_SLICE = 1 << 16  # candidate pairs binned at a time
+_DENSITY_BINS = 1 << 20  # snapshot-by-cell histogram bins binned at a time
 
 
 def shell_measure(dim: int, r_edges) -> np.ndarray:
@@ -146,13 +147,21 @@ def estimate_density(ensemble, time, n_cells, torus=None) -> CorrelationEstimate
     vol = (torus.side / n_cells) ** d
     total = np.zeros((n_cells,) * d)
     total_sq = np.zeros_like(total)
-    counts = 0.0
-    for pos in snaps:
-        hist, _ = np.histogramdd(pos.reshape(-1, d), bins=edges)
+    counts = float(sum(pos.shape[0] for pos in snaps))
+    # one histogram per group of snapshots, with a snapshot axis in front;
+    # the sums run snapshot by snapshot, as with one histogram each
+    per = max(1, _DENSITY_BINS // n_cells ** d)
+    for a in range(0, len(snaps), per):
+        group = [pos.reshape(-1, d) for pos in snaps[a:a + per]]
+        owner = np.repeat(np.arange(len(group)), [p.shape[0] for p in group])
+        hist, _ = np.histogramdd(np.column_stack([owner, np.concatenate(group)]),
+                                 bins=[np.arange(len(group) + 1) - 0.5, *edges])
         v = hist / vol
-        total += v
-        total_sq += v * v
-        counts += pos.shape[0]
+        sq = v * v
+        v[0] += total
+        sq[0] += total_sq
+        total = np.add.accumulate(v, axis=0)[-1]
+        total_sq = np.add.accumulate(sq, axis=0)[-1]
     t = len(snaps)
     k1 = total / t
     if t > 1:

@@ -154,8 +154,7 @@ class GibbsSampler:
                 return
             i = int(rng.integers(0, len(pos)))
             x = pos[i]
-            step = rng.standard_normal(dim).tolist()
-            y = tuple(self._wrap(a + self.scale * g) for a, g in zip(x, step))
+            y = tuple(self._wrap(a + self.scale * rng.standard_normal()) for a in x)
             cell = self._cell(y)
             de = self._energy(y, cell, i) - self._energy(x, home[i], i)
             if de <= 0 or rng.random() < math.exp(-self.epsilon * de):
@@ -165,7 +164,7 @@ class GibbsSampler:
                     cells[cell].append(i)
                     home[i] = cell
         elif u < self.p_displace + 0.5 * (1.0 - self.p_displace):
-            y = tuple((rng.random(dim) * self.torus.side).tolist())
+            y = tuple(rng.random() * self.torus.side for _ in range(dim))
             cell = self._cell(y)
             de = self._energy(y, cell)
             acc = self.activity * self.torus.volume * math.exp(-self.epsilon * de) / (len(pos) + 1)

@@ -26,8 +26,14 @@ trajectories in lockstep, one event slot per trajectory per iteration, and
 table whose cells are at least one support radius wide, sized so that the
 3^d cells around a target hold about _STENCIL_PARTICLES particles, and an
 energy query reads only those; where fewer than 5 cells per axis would fit,
-the table has one cell and the query is all-pairs. Each chunk holds about
-2 MB of prefetched variates and tables; every pool worker gets at least one.
+the table has one cell and the query is all-pairs.
+
+Each row draws its variates a block at a time, as `Simulation` does, and
+keeps only the prefix of the block it will use: the waiting times never
+depend on an acceptance, so the slot at which a row passes its last limit is
+known once its block is drawn. Chunks are planned at about 2 MB of variates
+and tables from the slots a row is expected to use, alpha n t_end plus a
+margin, and every pool worker gets at least one chunk.
 
 Reproducibility: trajectory i of an ensemble uses the PCG64 stream seeded by
 the entropy pair (base_seed, i) and consumes it in the same order as the
@@ -415,10 +421,16 @@ def simulate(params: SimulationParams, seed, initial_positions=None) -> Trajecto
 
 # -- the lockstep kernel -----------------------------------------------------
 
-# Bytes per pool unit. A row prefetches (24 + 8 d) bytes of variates per slot
-# (movers are kept as int32 but drawn as int64), and its cell table takes
-# about (16 d + 24) bytes per particle.
+# Bytes per pool unit, planned before sampling. A row keeps (24 + 8 d) bytes
+# of variates per slot it will use (movers are kept as int32 but drawn as
+# int64), planned by _planned_slots, and its cell table takes about
+# (16 d + 24) bytes per particle. The slots a row actually keeps are counted
+# after its block is drawn, so a chunk's arrays are as wide as its longest
+# row and may exceed the plan by the spread of the event counts.
 _CHUNK_BYTES = 1 << 21
+
+# Slots planned per row beyond its expected events and limit crossings.
+_SLOT_MARGIN = 32
 
 # Particles in the 3^d cells an energy query reads: cells hold about
 # _STENCIL_PARTICLES / 3^d each, 32 in 2-d (CHANGES.md has the crossover
@@ -426,11 +438,20 @@ _CHUNK_BYTES = 1 << 21
 _STENCIL_PARTICLES = 288
 
 
-def _chunk_bounds(dim, n, n_trajectories, workers):
+def _planned_slots(params, n):
+    """Slots a row of about n particles is planned to keep: its expected
+    alpha n t_end events, one crossing per limit and _SLOT_MARGIN, at most
+    one block."""
+    events = alpha(params.kernel) * n * params.t_end
+    return min(_RNG_BLOCK, math.ceil(events) + _SLOT_MARGIN + len(_targets(params)[1]))
+
+
+def _chunk_bounds(dim, n, n_trajectories, workers, slots=_RNG_BLOCK):
     """Bounds of the pool units: balanced chunks of about _CHUNK_BYTES of
-    variates and table each, at least one per worker. The count is rounded,
-    as a short last chunk would take as many iterations as a full one."""
-    rows = max(1, _CHUNK_BYTES // ((24 + 8 * dim) * _RNG_BLOCK + (16 * dim + 24) * n))
+    variates and table each, for rows of `slots` slots, at least one per
+    worker. The count is rounded, as a short last chunk would take as many
+    iterations as a full one."""
+    rows = max(1, _CHUNK_BYTES // ((24 + 8 * dim) * slots + (16 * dim + 24) * n))
     count = max(1, round(n_trajectories / rows), min(workers, n_trajectories))
     return (np.arange(count + 1) * n_trajectories) // count
 
@@ -473,9 +494,11 @@ class _CellTable:
         self.cut = potential.support_radius * potential.support_radius
         self.strides = m ** np.arange(d - 1, -1, -1)
         rows, n_cells = len(starts), m ** d
-        cells = [self.cell(p) for p in starts]
-        self.fill = np.array([np.bincount(c, minlength=n_cells) for c in cells],
-                             dtype=np.int64).reshape(rows, n_cells)
+        sizes = np.array([len(p) for p in starts], dtype=np.int64)
+        owner = np.repeat(np.arange(rows), sizes)
+        points = np.concatenate(starts).reshape(-1, d) if rows else np.zeros((0, d))
+        key = owner * n_cells + self.cell(points)  # (row, cell) of each particle
+        self.fill = np.bincount(key, minlength=rows * n_cells).reshape(rows, n_cells)
         cap = int(self.fill.max(initial=0))
         if m > 1:
             cap = _grown(cap)
@@ -491,16 +514,16 @@ class _CellTable:
         self.cap = cap
         self.tab = np.full((rows, d, n_cells * cap), np.nan)
         self.who = np.full((rows, n_cells * cap), -1)
-        self.slot = np.zeros((rows, max((c.size for c in cells), default=0)),
-                             dtype=np.int64)
-        for r, (p, c) in enumerate(zip(starts, cells)):
-            order = np.argsort(c, kind="stable")
-            first = np.cumsum(self.fill[r]) - self.fill[r]
-            slot = np.empty_like(c)
-            slot[order] = c[order] * cap + np.arange(c.size) - first[c[order]]
-            self.tab[r][:, slot] = p.T
-            self.who[r, slot] = np.arange(c.size)
-            self.slot[r, :c.size] = slot
+        # a cell keeps its particles in their order within the row
+        order = np.argsort(key, kind="stable")
+        first = np.cumsum(self.fill.ravel()) - self.fill.ravel()
+        slot = np.empty_like(key)
+        slot[order] = key[order] % n_cells * cap + np.arange(key.size) - first[key[order]]
+        index = np.arange(key.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        self.tab[owner, :, slot] = points
+        self.who[owner, slot] = index
+        self.slot = np.zeros((rows, sizes.max(initial=0)), dtype=np.int64)
+        self.slot[owner, index] = slot
         self.rows = np.arange(rows)
 
     def cell(self, x):
@@ -526,9 +549,17 @@ class _CellTable:
     def energies(self, y, cells, old=None):
         """E(y_r, gamma_r) for every row r, y_r in cell cells[r], with the
         arithmetic of `interaction_energy`: the term of the particle at old[r]
-        is subtracted when `old` is given. Terms are summed one after another
-        in table order, so the zeros of empty slots leave the sum unchanged
-        and top-hat energies are the same counts."""
+        is subtracted when `old` is given."""
+        energy = self.potential.height * self.sums(y, cells)
+        if old is not None:
+            energy -= self.potential.height * self._phi(_norm2((old - y).T, self.side))
+        return energy
+
+    def sums(self, y, cells):
+        """E(y_r, gamma_r) / height for every row r, y_r in cell cells[r].
+        Terms are summed one after another in table order, so the zeros of
+        empty slots leave the sum unchanged; top-hat sums are the integer
+        neighbour counts."""
         if self.m == 1:
             r2 = _norm2((self.tab - y[:, :, None]).transpose(1, 0, 2), self.side)
         else:
@@ -539,10 +570,7 @@ class _CellTable:
             diff -= y[:, :, None, None]
             image = self.side * self.images[cells].transpose(1, 0, 2)[..., None]
             r2 = _norm2(diff.transpose(1, 0, 2, 3), self.side, image).reshape(rows, -1)
-        energy = self.potential.height * np.cumsum(self._phi(r2), axis=1)[:, -1]
-        if old is not None:
-            energy -= self.potential.height * self._phi(_norm2((old - y).T, self.side))
-        return energy
+        return np.cumsum(self._phi(r2), axis=1)[:, -1]
 
     def _phi(self, r2):
         """phi / height at squared distances r2, cut off at the support: a
@@ -599,15 +627,67 @@ class _CellTable:
         self.cap = new
 
 
+def _slots_used(gaps, t, target, limits):
+    """Slots of a row's block of waiting times that the row, at clock t and
+    short of limits[target], uses up to the step that passes its last limit;
+    all of them when it does not get there. The clock is summed as the loop
+    sums it, t + gap one slot after another (np.add.accumulate runs in
+    order), a window of slots at a time, and a crossing sets it to the limit,
+    so the count is exact."""
+    used, width = 0, 128  # the window doubles while the clock falls short
+    while target < len(limits):
+        clock = gaps[used:used + width].copy()
+        if not clock.size:
+            break
+        clock[0] += t
+        np.add.accumulate(clock, out=clock)
+        passed = int(clock.searchsorted(limits[target], side="right"))
+        if passed < clock.size:
+            used += passed + 1
+            t, target = limits[target], target + 1
+        else:
+            used += clock.size
+            t, width = clock[-1], 2 * width
+    return used
+
+
+def _draw_slots(rngs, counts, inv_rate, t, target, limits, kernel, interacting):
+    """The next block of (waiting time, mover, displacement, acceptance)
+    slots of each row, drawn in the order of Simulation._refill, and the
+    number of slots each row keeps. A row's block is trimmed to the slots it
+    will use before the next row draws; the rows are padded with zeros to the
+    longest, and a zero waiting time never passes a limit."""
+    block, kept = _RNG_BLOCK, []
+    stop = np.empty(len(rngs), dtype=np.int64)
+    for r, rng in enumerate(rngs):
+        gaps = rng.standard_exponential(block) * inv_rate[r]
+        movs = rng.integers(0, counts[r], size=block)
+        disps = sample_displacement(kernel, rng, size=block)
+        accs = rng.random(block) if interacting else None
+        stop[r] = used = _slots_used(gaps, t[r], target[r], limits)
+        kept.append([x[:used].copy() for x in (gaps, movs, disps, accs)
+                     if x is not None])
+    rows, width = len(rngs), int(stop.max())
+    gaps = np.zeros((rows, width))
+    movs = np.zeros((rows, width), dtype=np.int32)
+    disps = np.zeros((rows, width, kernel.dim))
+    accs = np.zeros((rows, width)) if interacting else None
+    for r, row in enumerate(kept):
+        for x, part in zip((gaps, movs, disps, accs), row):
+            x[r, :len(part)] = part
+    return gaps, movs, disps, accs, stop
+
+
 def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
     """Run one trajectory per seed, in lockstep; return them in order.
 
     Every active trajectory uses exactly one (waiting time, mover,
     displacement, acceptance) slot of its own stream per iteration, including
-    the step that crosses a snapshot or t_end boundary, so the block index is
+    the step that crosses a snapshot or t_end boundary, so the slot index is
     shared and each stream draws and consumes its variates exactly as
-    `Simulation` does. `initials`, when given, is aligned with `seeds`; the
-    cell table is sized for `n_planned` particles per row.
+    `Simulation` does. A row that outruns the slots kept for it raises
+    NumericError. `initials`, when given, is aligned with `seeds`; the cell
+    table is sized for `n_planned` particles per row.
     """
     torus, kernel, pot = params.torus, params.kernel, params.potential
     d, side = torus.dim, torus.side
@@ -628,38 +708,35 @@ def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
     n_accepted = [0] * len(starts)
     log = []
 
-    streams = np.flatnonzero(counts)  # block row -> stream; empty ones never step
+    active = np.flatnonzero(counts)  # active row -> stream; empty ones never step
     table = _CellTable(torus, pot, _cells_per_axis(torus, pot, n_planned),
-                       [starts[j] for j in streams])
-    inv_rate = 1.0 / (alpha(kernel) * np.asarray(counts, dtype=np.int64)[streams])
-    t = np.zeros(streams.size)
-    target = np.zeros(streams.size, dtype=np.int64)
-    accepts = np.zeros(streams.size, dtype=np.int64)
-    rows = np.arange(streams.size)  # active row -> block row
-    sel = slice(None)  # rows, as a view while every row is active
-    active = streams  # active row -> stream
-    limit = np.full(streams.size, limits[0])
+                       [starts[j] for j in active])
+    inv_rate = 1.0 / (alpha(kernel) * np.asarray(counts, dtype=np.int64)[active])
+    t = np.zeros(active.size)
+    target = np.zeros(active.size, dtype=np.int64)
+    accepts = np.zeros(active.size, dtype=np.int64)
+    stop = np.full(active.size, _RNG_BLOCK)  # slots each row keeps of its block
+    limit = np.full(active.size, limits[0])
 
     interacting = not pot.is_zero
     eps = float(params.epsilon)
-    block = _RNG_BLOCK
-    gaps = np.empty((streams.size, block))
-    movs = np.empty((streams.size, block), dtype=np.int32)
-    disps = np.empty((streams.size, block, d))
-    accs = np.empty((streams.size, block)) if interacting else None
-    k = block
-    steps = 0
-    while rows.size:
-        if k == block:
-            # the same draws, in the same order, as Simulation._refill
-            for r in rows:
-                j = streams[r]
-                rng = rngs[j]
-                gaps[r] = rng.standard_exponential(block) * inv_rate[r]
-                movs[r] = rng.integers(0, counts[j], size=block)
-                disps[r] = sample_displacement(kernel, rng, size=block)
-                if interacting:
-                    accs[r] = rng.random(block)
+    bound_at = None
+    if interacting and pot.family == "top_hat" and not params.exclude_mover:
+        # a top-hat energy is height * count: the acceptance bound that
+        # math.exp gives in Simulation.step, for every count
+        bound_at = np.array([math.exp(-eps * (pot.height * c))
+                             for c in range(max(counts) + 1)])
+    k = width = steps = 0
+    while active.size:
+        if k == width:
+            if (stop < _RNG_BLOCK).any():
+                raise NumericError("a row ran past the slots kept for it")
+            gaps, movs, disps, accs, stop = _draw_slots(
+                [rngs[j] for j in active], [counts[j] for j in active], inv_rate,
+                t, target, limits, kernel, interacting)
+            width = gaps.shape[1]
+            rows = np.arange(active.size)  # active row -> array row
+            sel = slice(None)  # rows, as a view while every row is active
             k = 0
         t_next = t + gaps[sel, k]
         cross = t_next > limit
@@ -670,7 +747,9 @@ def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
         y[y >= side] = 0.0
         cells = table.cell(y) if table.m > 1 else None
         accept = move
-        if interacting:
+        if bound_at is not None:
+            accept = move & (accs[sel, k] < bound_at[table.sums(y, cells)])
+        elif interacting:
             energy = table.energies(y, cells, old if params.exclude_mover else None)
             # math.exp, as in Simulation.step, so the decisions match bit for
             # bit; an energy <= 0 gives a bound >= 1, which always accepts
@@ -701,8 +780,9 @@ def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
                 # every step of a row is an event except its boundary crossings
                 n_events[j], n_accepted[j] = steps - len(limits), int(accepts[r])
             keep = ~done
-            rows, active, t, target, accepts = (
-                rows[keep], active[keep], t[keep], target[keep], accepts[keep])
+            rows, active, t, target, accepts, stop, inv_rate = (
+                rows[keep], active[keep], t[keep], target[keep], accepts[keep],
+                stop[keep], inv_rate[keep])
             sel = rows
             table.keep(keep)
         limit = limits[target]
@@ -741,7 +821,8 @@ def simulate_ensemble(params: SimulationParams, n_trajectories: int,
                           f"{n_trajectories} trajectories")
     n = _planned_particles(params, initials)
     workers = max(1, min(n_jobs, os.cpu_count() or 1))
-    bounds = _chunk_bounds(params.torus.dim, n, n_trajectories, workers)
+    bounds = _chunk_bounds(params.torus.dim, n, n_trajectories, workers,
+                           _planned_slots(params, n))
     units = [(params, [_stream_seed(base_seed, i) for i in range(lo, hi)],
               None if initials is None else initials[lo:hi], n)
              for lo, hi in zip(bounds[:-1], bounds[1:])]

@@ -58,6 +58,41 @@ def test_density_mass_consistency_exact():
     assert est.k1.sum() * (20.0 / 40.0) == pytest.approx(est.mean_count, rel=1e-14)
 
 
+def density_one_histogram_each(snaps, torus, n_cells):
+    """k1, k1_se and mean count from one histogram per snapshot."""
+    d = torus.dim
+    edges = [np.linspace(0.0, torus.side, n_cells + 1)] * d
+    vol = (torus.side / n_cells) ** d
+    total = np.zeros((n_cells,) * d)
+    total_sq = np.zeros_like(total)
+    counts = 0.0
+    for pos in snaps:
+        v = np.histogramdd(pos.reshape(-1, d), bins=edges)[0] / vol
+        total += v
+        total_sq += v * v
+        counts += pos.shape[0]
+    t = len(snaps)
+    k1 = total / t
+    var = (total_sq - t * k1 * k1) / (t - 1)
+    return k1, np.sqrt(np.maximum(var, 0.0) / t), counts / t
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("bins", [1 << 20, 30, 1])
+def test_density_grouped_histogram_bit_identical_to_one_each(monkeypatch, dim, bins):
+    monkeypatch.setattr(estimator, "_DENSITY_BINS", bins)  # groups of 1 up to all
+    torus = Torus(dim, 7.0)
+    rng = np.random.default_rng(dim)
+    snaps = [rng.random((n, dim)) * 7.0 for n in rng.integers(0, 30, size=40)]
+    snaps[0] = snaps[17] = np.zeros((0, dim))
+    edge = np.array([[0.0] * dim, [7.0 - 1e-15] * dim])  # first and last cells
+    snaps[5] = np.vstack([edge, snaps[5]])
+    est = estimate_density(snaps, 0.0, 5, torus=torus)
+    k1, k1_se, mean_count = density_one_histogram_each(snaps, torus, 5)
+    assert np.array_equal(est.k1, k1) and np.array_equal(est.k1_se, k1_se)
+    assert est.mean_count == mean_count
+
+
 def test_density_empty_ensemble_rejected():
     with pytest.raises(ConfigError):
         estimate_density([], 0.0, 10, torus=TORUS)

@@ -789,14 +789,117 @@ def test_pool_units_split_trajectories_across_workers(monkeypatch):
     ens = simulate_ensemble(p, 2, base_seed=3, n_jobs=2)
     assert (RecordingPool.sizes, RecordingPool.units) == ([2], [2])
     assert_same_trajectories(ens, simulate_ensemble(p, 2, base_seed=3))
-    # a budget of two rows' variates and tables splits further than the
-    # workers; at four rows a ninth trajectory joins a chunk, not a new one
-    row = 32 * 2048 + 40 * 10
+    # a budget of two rows' planned variates and tables splits further than
+    # the workers; at four rows a ninth trajectory joins a chunk, not a new one
+    row = 32 * simulator._planned_slots(p, 10.0) + 40 * 10
     monkeypatch.setattr(simulator, "_CHUNK_BYTES", 2 * row)
     simulate_ensemble(p, 10, base_seed=3, n_jobs=2)
     monkeypatch.setattr(simulator, "_CHUNK_BYTES", 4 * row)
     simulate_ensemble(p, 9, base_seed=3, n_jobs=2)
     assert RecordingPool.units == [2, 5, 2]
+
+
+# -- kept slots ------------------------------------------------------------------
+
+
+def reference_slots(gaps, t, target, limits):
+    """The lockstep loop's clock, one slot at a time in plain floats."""
+    for k, gap in enumerate(gaps.tolist()):
+        if t + gap > limits[target]:
+            t, target = limits[target], target + 1
+            if target == len(limits):
+                return k + 1
+        else:
+            t += gap
+    return len(gaps)
+
+
+def test_slots_used_matches_the_loop_clock():
+    rng = np.random.default_rng(17)
+    for trial in range(300):
+        gaps = rng.standard_exponential(int(rng.integers(1, 700))) * rng.uniform(0.01, 1)
+        limits = np.sort(rng.uniform(0, gaps.sum() * rng.uniform(0.1, 1.5),
+                                     int(rng.integers(1, 30))))
+        if trial % 3 == 0:
+            limits = np.repeat(limits, 2)  # duplicated limits
+        target = int(rng.integers(0, len(limits)))
+        t = float(limits[target - 1]) if target else 0.0
+        assert simulator._slots_used(gaps, t, target, limits) == reference_slots(
+            gaps, t, target, limits)
+
+
+def spy_slots(monkeypatch, shift=0):
+    """Record each row's kept slots; report them `shift` slots off."""
+    calls = []
+    real = simulator._slots_used
+
+    def spy(*args):
+        calls.append(real(*args))
+        return calls[-1] + shift
+
+    monkeypatch.setattr(simulator, "_slots_used", spy)
+    return calls
+
+
+@pytest.mark.parametrize("t_end, snaps", [
+    (1.0, (0.0, 0.25, 0.5, 0.5, 0.75, 1.0)),
+    (1.5, (0.3,)),
+    (0.0, (0.0,)),
+    (0.0, ()),
+])
+def test_kept_slots_equal_the_steps_each_row_takes(monkeypatch, t_end, snaps):
+    p = params(t_end=t_end, snapshot_times=snaps)
+    limits = len(simulator._targets(p)[1])
+    rng = np.random.default_rng(2)
+    initials = [rng.random((n, 1)) * 20.0 for n in (12, 0, 30, 1, 0, 20)]
+    calls = spy_slots(monkeypatch)
+    given = simulate_ensemble(p, len(initials), base_seed=4, initials=initials)
+    poisson = simulate_ensemble(p, 8, base_seed=4)
+    assert calls == [tr.n_events + limits for tr in given + poisson if tr.n_particles]
+    assert [tr.n_particles for tr in given] == [12, 0, 30, 1, 0, 20]
+
+
+def test_empty_rows_draw_no_slots(monkeypatch):
+    calls = spy_slots(monkeypatch)
+    ens = simulate_ensemble(params(), 3, base_seed=1, initials=[np.zeros((0, 1))] * 3)
+    assert calls == [] and all(tr.n_events == 0 for tr in ens)
+
+
+def test_kept_slots_span_a_refill(monkeypatch):
+    start = np.random.default_rng(8).random((100, 1)) * 20.0  # ~3600 events
+    calls = spy_slots(monkeypatch)
+    traj = simulate(params(t_end=18.0, snapshot_times=(9.0, 18.0)), 6,
+                    initial_positions=start)
+    assert traj.n_events > simulator._RNG_BLOCK
+    assert calls[0] == simulator._RNG_BLOCK and len(calls) == 2
+    assert sum(calls) == traj.n_events + 2
+
+
+@pytest.mark.parametrize("n", [10, 100])
+def test_a_row_past_its_kept_slots_raises(monkeypatch, n):
+    start = np.random.default_rng(8).random((n, 1)) * 20.0
+    spy_slots(monkeypatch, shift=-1)
+    with pytest.raises(NumericError):
+        simulate(params(t_end=18.0, snapshot_times=(9.0, 18.0)), 6,
+                 initial_positions=start)
+
+
+def test_sweep_sized_ensemble_is_one_chunk_within_budget(monkeypatch):
+    p = params(kernel=KernelSpec.top_hat(2.0, 1.0, dim=1), rho0=0.7, t_end=1.0,
+               snapshot_times=(1.0,), record_events=False)  # alpha n = 4 * 14
+    n = simulator._planned_particles(p, None)
+    assert len(simulator._chunk_bounds(1, n, 250, 1, simulator._planned_slots(p, n))) == 2
+    held = []
+    real = simulator._draw_slots
+
+    def spy(*args):
+        out = real(*args)
+        held.append(sum(x.nbytes for x in out[:4]))
+        return out
+
+    monkeypatch.setattr(simulator, "_draw_slots", spy)
+    simulate_ensemble(p, 250, base_seed=9)
+    assert len(held) == 1 and held[0] < simulator._CHUNK_BYTES
 
 
 def test_pool_workers_clamped_to_cpus_and_units(monkeypatch):
