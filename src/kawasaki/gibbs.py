@@ -17,15 +17,23 @@ visits only the 3^d cells around the point, in plain Python floats. Per pair
 it does the arithmetic of the all-particle sum, and smooth energies are summed
 in particle order, so the chain is bit-identical to the brute-force one.
 
+Uniforms and standard normals come from the chain's rng in blocks of _BLOCK,
+kept across `run` calls, so the draws do not depend on how moves are split. An
+index int(u * n), u <= 1 - 2^-53, rounds below n for every n < 2^53 (the exact
+product lies over half an ulp below n); its bias, under n 2^-53, is the
+resolution of every acceptance test.
+
 Plain Python pays per particle in the stencil, so the cell list wins while the
 3^d cells hold a few dozen particles at most (2-vCPU Xeon, CPython 3.11). A
-1-d top-hat chain at n ~ 200, with ~6 particles per stencil, makes a move in
-~9 us, against ~25 us for numpy over all particles. With ~38 particles per
-stencil (2-d Gaussian, sigma = 0.5, L = 20, n ~ 106) a move costs ~100 us,
-against ~56 us.
+1-d top-hat chain at n ~ 60, with ~3 particles per stencil, makes a move in
+~5-6 us (~7-10 us with scalar Generator calls), against ~25 us for numpy over
+all particles at n ~ 200. With ~38 particles per stencil (2-d Gaussian,
+sigma = 0.5, L = 20, n ~ 106) a move costs ~100 us, against ~56 us.
 """
 
+import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -35,9 +43,27 @@ from .simulator import _profile
 from .torus import Torus
 
 
+_BLOCK = 1024  # variates per draw from the chain's rng
+
+
 def _require_positive(name, value):
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"{name} must be positive and finite, got {value}")
+
+
+def _require_count(name, value):
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value >= 0
+                                       and float(value).is_integer()):
+        raise ConfigError(f"{name} must be a whole number >= 0, got {value!r}")
+    return int(value)
+
+
+def _stream(draw):  # the values of draw(_BLOCK), draw(_BLOCK), ... one per call
+    return itertools.chain.from_iterable(iter(lambda: draw(_BLOCK).tolist(), None)).__next__
+
+
+def _index(u, n):
+    return int(u * n)  # < n: see the module docstring
 
 
 class GibbsSampler:
@@ -71,9 +97,9 @@ class GibbsSampler:
             initial_count = activity * torus.volume
         if not (math.isfinite(initial_count) and initial_count >= 0):
             raise ConfigError(f"initial_count must be finite and >= 0, got {initial_count}")
-        n0 = rng.poisson(initial_count)
-        start = rng.random((max(n0, 1), torus.dim)) * torus.side
+        start = rng.random((rng.poisson(initial_count), torus.dim)) * torus.side
         self._pos = [tuple(p) for p in start.tolist()]
+        self._uniform, self._normal = _stream(rng.random), _stream(rng.standard_normal)
 
         # cell list: _cells[c] holds the indices of the particles in cell c,
         # _home[i] the cell of particle i, _near[c] the lists of the 3^d
@@ -117,8 +143,8 @@ class GibbsSampler:
         `skip`: the terms of the all-particle sum that pass the cutoff."""
         if not self._cut:
             return 0.0
-        L, cut, pos = self.torus.side, self._cut, self._pos
-        hits = []
+        L, cut, pos, pot = self.torus.side, self._cut, self._pos, self.potential
+        count, hits = 0, None if pot.family == "top_hat" else []
         for members in self._near[cell]:
             for j in members:
                 if j == skip:
@@ -129,12 +155,13 @@ class GibbsSampler:
                     d -= L * round(d / L)
                     r2 += d * d
                 if r2 <= cut:
-                    hits.append((j, r2))
-        if not hits:
+                    count += 1
+                    if hits is not None:
+                        hits.append((j, r2))
+        if not count:
             return 0.0
-        pot = self.potential
-        if pot.family == "top_hat":
-            return pot.height * len(hits)
+        if hits is None:
+            return pot.height * count
         hits.sort()
         return pot.height * float(_profile(pot, np.array([r2 for _, r2 in hits])).sum())
 
@@ -146,39 +173,38 @@ class GibbsSampler:
         return 0.0 if a >= L else a
 
     def _attempt(self):
-        rng, pos, home, cells = self.rng, self._pos, self._home, self._cells
-        u = rng.random()
-        dim = self.torus.dim
+        uniform, pos, home, cells = self._uniform, self._pos, self._home, self._cells
+        u = uniform()
         if u < self.p_displace:
             if not pos:
                 return
-            i = int(rng.integers(0, len(pos)))
+            i = _index(uniform(), len(pos))
             x = pos[i]
-            y = tuple(self._wrap(a + self.scale * rng.standard_normal()) for a in x)
+            y = tuple(self._wrap(a + self.scale * self._normal()) for a in x)
             cell = self._cell(y)
             de = self._energy(y, cell, i) - self._energy(x, home[i], i)
-            if de <= 0 or rng.random() < math.exp(-self.epsilon * de):
+            if de <= 0 or uniform() < math.exp(-self.epsilon * de):
                 pos[i] = y
                 if cell != home[i]:
                     cells[home[i]].remove(i)
                     cells[cell].append(i)
                     home[i] = cell
         elif u < self.p_displace + 0.5 * (1.0 - self.p_displace):
-            y = tuple(rng.random() * self.torus.side for _ in range(dim))
+            y = tuple(uniform() * self.torus.side for _ in range(self.torus.dim))
             cell = self._cell(y)
             de = self._energy(y, cell)
             acc = self.activity * self.torus.volume * math.exp(-self.epsilon * de) / (len(pos) + 1)
-            if rng.random() < acc:
+            if uniform() < acc:
                 cells[cell].append(len(pos))
                 pos.append(y)
                 home.append(cell)
         else:
             if not pos:
                 return
-            i = int(rng.integers(0, len(pos)))
+            i = _index(uniform(), len(pos))
             de = self._energy(pos[i], home[i], i)
             acc = len(pos) * math.exp(self.epsilon * de) / (self.activity * self.torus.volume)
-            if rng.random() < acc:
+            if uniform() < acc:
                 # the last particle takes index i
                 cells[home[i]].remove(i)
                 last = len(pos) - 1
@@ -189,14 +215,16 @@ class GibbsSampler:
                     members[members.index(last)] = i
 
     def run(self, n_moves: int):
-        for _ in range(int(n_moves)):
+        for _ in range(_require_count("n_moves", n_moves)):
             self._attempt()
 
     def sample(self, n_samples: int, thin_moves: int, burn_in_moves: int = 0):
         """Decorrelated configuration samples along one chain."""
+        n_samples = _require_count("n_samples", n_samples)
+        _require_count("thin_moves", thin_moves)
         self.run(burn_in_moves)
         out = []
-        for _ in range(int(n_samples)):
+        for _ in range(n_samples):
             self.run(thin_moves)
             out.append(self.positions())
         return out

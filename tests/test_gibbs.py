@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kawasaki import (ConfigError, GeometryError, GibbsSampler, PotentialSpec,
-                      Torus, calibrate_activity)
+                      Torus, calibrate_activity, gibbs)
 from kawasaki.simulator import _norm2, _sum_phi
 
 TORUS = Torus(1, 50.0)
@@ -62,15 +62,16 @@ def test_positions_stay_in_box():
 
 class BruteForceChain:
     """The sampler before it kept a cell list: numpy energies against every
-    particle. Same draws, same acceptance rules; it counts accepted moves of
-    each type."""
+    particle. Same block streams of draws, same acceptance rules; it counts
+    accepted moves of each type."""
 
     def __init__(self, torus, potential, activity, rng, initial_count):
-        self.torus, self.potential, self.activity, self.rng = torus, potential, activity, rng
+        self.torus, self.potential, self.activity = torus, potential, activity
         self.scale = potential.support_radius or torus.side / 10.0
-        n0 = rng.poisson(initial_count)
-        self._pos = rng.random((max(n0, 1), torus.dim)) * torus.side
+        self._pos = rng.random((rng.poisson(initial_count), torus.dim)) * torus.side
         self._n = self._pos.shape[0]
+        self._uniform = gibbs._stream(rng.random)
+        self._normal = gibbs._stream(rng.standard_normal)
         self.accepted = {"displace": 0, "insert": 0, "delete": 0}
 
     def positions(self):
@@ -83,34 +84,35 @@ class BruteForceChain:
         return _sum_phi(self.potential, r2)
 
     def run(self, n_moves):
-        rng, L, volume = self.rng, self.torus.side, self.torus.volume
+        uniform, normal = self._uniform, self._normal
+        d, L, volume = self.torus.dim, self.torus.side, self.torus.volume
         for _ in range(n_moves):
-            u = rng.random()
+            u = uniform()
             if u < 0.5:
                 if self._n == 0:
                     continue
-                i = int(rng.integers(0, self._n))
+                i = gibbs._index(uniform(), self._n)
                 x = self._pos[i]
-                y = self.torus.wrap(x + self.scale * rng.standard_normal(self.torus.dim))
+                y = self.torus.wrap(x + self.scale * np.array([normal() for _ in range(d)]))
                 de = self._energy_with(y, skip=i) - self._energy_with(x, skip=i)
-                if de <= 0 or rng.random() < math.exp(-de):
+                if de <= 0 or uniform() < math.exp(-de):
                     self._pos[i] = y
                     self.accepted["displace"] += 1
             elif u < 0.75:
-                y = rng.random(self.torus.dim) * L
+                y = np.array([uniform() for _ in range(d)]) * L
                 acc = self.activity * volume * math.exp(-self._energy_with(y)) / (self._n + 1)
-                if rng.random() < acc:
+                if uniform() < acc:
                     if self._n == self._pos.shape[0]:
-                        self._pos = np.vstack([self._pos, np.empty_like(self._pos)])
+                        self._pos = np.vstack([self._pos, np.empty((max(self._n, 1), d))])
                     self._pos[self._n] = y
                     self._n += 1
                     self.accepted["insert"] += 1
             else:
                 if self._n == 0:
                     continue
-                i = int(rng.integers(0, self._n))
+                i = gibbs._index(uniform(), self._n)
                 de = self._energy_with(self._pos[i], skip=i)
-                if rng.random() < self._n * math.exp(de) / (self.activity * volume):
+                if uniform() < self._n * math.exp(de) / (self.activity * volume):
                     self._pos[i] = self._pos[self._n - 1]
                     self._n -= 1
                     self.accepted["delete"] += 1
@@ -143,6 +145,41 @@ def test_cell_list_chain_bit_identical_to_brute_force(case):
     for y in probes:
         y = tuple(y.tolist())
         assert chain._energy(y, chain._cell(y)) == ref._energy_with(np.array(y))
+
+
+def test_empty_start_runs_and_inserts():
+    chain = GibbsSampler(TORUS, POT, 1.0, np.random.default_rng(8), initial_count=0)
+    ref = BruteForceChain(TORUS, POT, 1.0, np.random.default_rng(8), 0)
+    assert chain.n == ref._n == 0
+    assert chain.positions().shape == (0, 1)
+    chain.run(400)
+    ref.run(400)
+    assert chain.n > 0
+    assert np.array_equal(chain.positions(), ref.positions())
+
+
+def test_same_seed_gives_same_chain():
+    a = GibbsSampler(TORUS, POT, 2.0, np.random.default_rng(12), initial_count=100)
+    b = GibbsSampler(TORUS, POT, 2.0, np.random.default_rng(12), initial_count=100)
+    a.run(2000)
+    b.run(2000)
+    assert np.array_equal(a.positions(), b.positions())
+
+
+def test_draws_do_not_depend_on_how_moves_are_split():
+    whole = GibbsSampler(TORUS, POT, 2.0, np.random.default_rng(13), initial_count=100)
+    split = GibbsSampler(TORUS, POT, 2.0, np.random.default_rng(13), initial_count=100)
+    whole.run(600)
+    split.run(250)
+    split.run(350)
+    assert np.array_equal(whole.positions(), split.positions())
+    assert whole._uniform() == split._uniform() and whole._normal() == split._normal()
+
+
+def test_largest_uniform_draws_the_last_index():
+    sizes = list(range(1, 5000)) + [2 ** k + s for k in range(12, 53) for s in (-1, 0, 1)]
+    for n in sizes + [2 ** 53 - 1]:
+        assert gibbs._index(1.0 - 2.0 ** -53, n) == n - 1, n
 
 
 @pytest.mark.parametrize("torus, pot", [
@@ -192,6 +229,40 @@ def test_sampler_validates_inputs(kwargs, error):
             "rng": np.random.default_rng(0), **kwargs}
     with pytest.raises(error):
         GibbsSampler(**args)
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: c.run(-5),
+    lambda c: c.run(2.7),
+    lambda c: c.run(True),
+    lambda c: c.run(float("nan")),
+    lambda c: c.run("10"),
+    lambda c: c.sample(-1, 10),
+    lambda c: c.sample(2.5, 10),
+    lambda c: c.sample(False, 10),
+    lambda c: c.sample(3, -10),
+    lambda c: c.sample(3, 10.5),
+    lambda c: c.sample(3, True),
+    lambda c: c.sample(3, 10, burn_in_moves=-1),
+    lambda c: c.sample(3, 10, burn_in_moves=0.5),
+    lambda c: c.sample(3, 10, burn_in_moves=True),
+], ids=["run negative", "run fractional", "run bool", "run nan", "run str",
+        "samples negative", "samples fractional", "samples bool",
+        "thin negative", "thin fractional", "thin bool",
+        "burn-in negative", "burn-in fractional", "burn-in bool"])
+def test_move_counts_are_not_coerced(call):
+    chain = GibbsSampler(TORUS, POT, 1.0, np.random.default_rng(0), initial_count=20)
+    before = chain.positions()
+    with pytest.raises(ConfigError):
+        call(chain)
+    assert np.array_equal(chain.positions(), before)  # no move was made
+
+
+def test_whole_move_counts_of_any_number_type_run():
+    chain = GibbsSampler(TORUS, POT, 1.0, np.random.default_rng(0), initial_count=20)
+    chain.run(3.0)
+    chain.run(np.int64(3))
+    assert len(chain.sample(np.int64(2), 2.0, burn_in_moves=0)) == 2
 
 
 @pytest.mark.parametrize("kwargs", [
