@@ -8,15 +8,14 @@ scaling harness that verifies the mean-field limit empirically.
 
 from .errors import (BoundViolation, BudgetError, ConfigError, GeometryError,
                      HorizonError, InvalidSpecError, KawasakiError,
-                     NoDynamicsError, NumericError, StepSizeError)
+                     NumericError, StepSizeError)
 from .fields import DensityField
 from .kernels import (KernelSpec, PotentialSpec, alpha, c_phi, mean_phi,
                       sample_displacement)
 from .torus import Torus
-from .simulator import (Configuration, SimulationParams, Simulation, Trajectory,
-                        detailed_balance_residual, interaction_energy,
-                        sample_poisson_positions, simulate, simulate_ensemble,
-                        total_pair_energy)
+from .simulator import (Configuration, SimulationParams, Trajectory,
+                        interaction_energy, sample_poisson_positions, simulate,
+                        simulate_ensemble)
 from .estimator import (CorrelationEstimate, SubPoissonReport,
                         estimate_correlations, estimate_density,
                         estimate_pair_correlation, radial_product_profile,

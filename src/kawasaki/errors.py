@@ -37,10 +37,6 @@ class HorizonError(NumericError):
     """Requested window violates an analytic certificate (e.g. q(T) >= 1)."""
 
 
-class NoDynamicsError(NumericError):
-    """Jump dynamics requested on an empty configuration."""
-
-
 class BoundViolation(NumericError):
     """A monitored a-priori bound failed along a solver trajectory."""
 

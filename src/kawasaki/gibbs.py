@@ -241,12 +241,15 @@ def calibrate_activity(torus: Torus, potential: PotentialSpec, target_count: flo
     equilibrium tests need.
     """
     _require_positive("target_count", target_count)
+    rounds = _require_count("rounds", rounds)
     if rounds < 1:
         raise ConfigError(f"rounds must be at least 1, got {rounds}")
     if moves_per_round is None:
         moves_per_round = int(60 * target_count)
-    elif moves_per_round < 1:
-        raise ConfigError(f"moves_per_round must be at least 1, got {moves_per_round}")
+    else:
+        moves_per_round = _require_count("moves_per_round", moves_per_round)
+        if moves_per_round < 1:
+            raise ConfigError(f"moves_per_round must be at least 1, got {moves_per_round}")
     z = target_count / torus.volume  # ideal-gas guess
     chain = GibbsSampler(torus, potential, z, rng, epsilon=epsilon,
                          initial_count=target_count)

@@ -102,19 +102,12 @@ def theta_of_t(theta0: float, alpha: float, c_phi: float, t: float):
     return 0.5 * (lo + hi)
 
 
-_VARIANTS = ("delta", "renormalized", "vlasov")
-
-
-def op_norm_bound(theta_pp: float, theta_p: float, alpha: float, c: float,
-                  variant: str = "delta") -> float:
+def op_norm_bound(theta_pp: float, theta_p: float, alpha: float, c: float) -> float:
     """Two-space norm bound 2 alpha / (e (theta'' - theta')) * exp(c e^{-theta''}).
 
-    `c` is c_phi for the bare-generator ("delta") variant and <phi> for the
-    scaling-uniform ("renormalized") and limiting ("vlasov") variants, which
-    share the same closed form.
+    `c` is c_phi for the bare generator and <phi> for the scaling-uniform and
+    limiting generators, which share the same closed form.
     """
-    if variant not in _VARIANTS:
-        raise ConfigError(f"variant must be one of {_VARIANTS}, got {variant!r}")
     if not theta_pp > theta_p:
         raise ConfigError(f"need theta'' > theta', got {theta_pp} <= {theta_p}")
     if alpha <= 0 or c < 0:
@@ -208,7 +201,7 @@ def horizon_report(theta0, alpha, c_phi, mean_phi=None, theta=None, times=(),
         rep.T_of_theta = existence_horizon(theta0, theta, alpha, c_phi)
     for t in times:
         rep.theta_of_t[t] = theta_of_t(theta0, alpha, c_phi, t)
-    rep.norm_bound = op_norm_bound(theta0, theta0 - 1.0, alpha, c_phi, "delta")
+    rep.norm_bound = op_norm_bound(theta0, theta0 - 1.0, alpha, c_phi)
     if mean_phi is not None:
         for T in windows:
             rep.q_of_T[T] = contraction_factor(u0, alpha, mean_phi, T)

@@ -34,9 +34,6 @@ from scipy.integrate import quad
 
 from .errors import InvalidSpecError, NumericError
 
-FAMILIES = ("top_hat", "gaussian", "exponential")
-POTENTIAL_FAMILIES = FAMILIES + ("local",)
-
 # Radial value below height * SUPPORT_CUTOFF is treated as zero; this sets the
 # support radius, and so the simulator's cell width, of the unbounded families.
 SUPPORT_CUTOFF = 1e-12

@@ -92,27 +92,25 @@ class TabulatedKernel:
         self.values = tab
         self.is_pow2 = self.n & (self.n - 1) == 0  # bench/tracing.py names its leaf by it
         self.fft = _rfft(tab, d)
-        nz = np.nonzero(tab)
-        self._nz_shifts = np.column_stack(nz)
-        self._nz_values = tab[nz]
 
-    def convolve(self, values, method="fft"):
-        """Circular convolution (kernel * values) * cell_volume.
+    def convolve(self, values):
+        """Circular convolution (kernel * values) * cell_volume, by FFT.
 
         `values` may carry extra leading axes (e.g. a time stack); the
-        convolution acts on the trailing spatial axes. "direct" is explicit
-        minimal-image summation, kept as an independent cross-check.
+        convolution acts on the trailing spatial axes.
         """
         d = self.torus.dim
-        if method == "fft":
-            return _irfft(_rfft(values, d) * self.fft, self.n, d) * self.cell_volume
-        if method != "direct":
-            raise ConfigError(f"unknown convolution method {method!r}")
-        axes = tuple(range(values.ndim - d, values.ndim))
-        out = np.zeros_like(values, dtype=float)
-        for shift, val in zip(self._nz_shifts, self._nz_values):
-            out += val * np.roll(values, shift=tuple(shift), axis=axes)
-        return out * self.cell_volume
+        return _irfft(_rfft(values, d) * self.fft, self.n, d) * self.cell_volume
+
+
+def _convolve_direct(tab: TabulatedKernel, values):
+    """`tab.convolve(values)` by explicit minimal-image summation over the
+    nonzero kernel entries: the independent route of `vlasov_first_order`."""
+    axes = tuple(range(values.ndim - tab.torus.dim, values.ndim))
+    out = np.zeros_like(values, dtype=float)
+    for shift in zip(*np.nonzero(tab.values)):
+        out += tab.values[shift] * np.roll(values, shift=shift, axis=axes)
+    return out * tab.cell_volume
 
 
 @functools.lru_cache(maxsize=64)
@@ -120,10 +118,9 @@ def tabulate(spec, torus: Torus, n_cells: int) -> TabulatedKernel:
     return TabulatedKernel(spec, torus, n_cells)
 
 
-def convolve(rho: DensityField, spec, method="fft") -> np.ndarray:
+def convolve(rho: DensityField, spec) -> np.ndarray:
     """Periodic convolution of a density field with a kernel/potential spec."""
-    tab = tabulate(spec, rho.torus, rho.n_cells)
-    return tab.convolve(rho.values, method=method)
+    return tabulate(spec, rho.torus, rho.n_cells).convolve(rho.values)
 
 
 # -- right-hand side ---------------------------------------------------------
@@ -175,10 +172,10 @@ def vlasov_first_order(rho: DensityField, kernel: KernelSpec,
     if potential.family == "local":
         w = potential.kappa * vals
     else:
-        w = tabulate(potential, rho.torus, rho.n_cells).convolve(vals, method="direct")
+        w = _convolve_direct(tabulate(potential, rho.torus, rho.n_cells), vals)
     escape = np.exp(-w)
-    gain = tab_a.convolve(vals, method="direct") * escape
-    loss = vals * tab_a.convolve(escape, method="direct")
+    gain = _convolve_direct(tab_a, vals) * escape
+    loss = vals * _convolve_direct(tab_a, escape)
     return gain - loss
 
 
@@ -385,9 +382,6 @@ class PicardResult:
     @property
     def final(self) -> DensityField:
         return DensityField(self.torus, self.fields[-1])
-
-    def field_at(self, k: int) -> DensityField:
-        return DensityField(self.torus, self.fields[k])
 
 
 def picard_solve(rho0: DensityField, T: float, kernel: KernelSpec,

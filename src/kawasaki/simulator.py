@@ -28,30 +28,31 @@ table whose cells are at least one support radius wide, sized so that the
 energy query reads only those; where fewer than 5 cells per axis would fit,
 the table has one cell and the query is all-pairs.
 
-Each row draws its variates a block at a time, as `Simulation` does, and
-keeps only the prefix of the block it will use: the waiting times never
-depend on an acceptance, so the slot at which a row passes its last limit is
-known once its block is drawn. Chunks are planned at about 2 MB of variates
-and tables from the slots a row is expected to use, alpha n t_end plus a
-margin, and every pool worker gets at least one chunk.
+Each row draws its variates a block of _RNG_BLOCK slots at a time, in the
+order that `_draw_slots` defines, and keeps only the prefix of the block it
+will use: the waiting times never depend on an acceptance, so the slot at
+which a row passes its last limit is known once its block is drawn. Chunks
+are planned at about 2 MB of variates and tables from the slots a row is
+expected to use, alpha n t_end plus a margin, and every pool worker gets at
+least one chunk.
 
 Reproducibility: trajectory i of an ensemble uses the PCG64 stream seeded by
-the entropy pair (base_seed, i) and consumes it in the same order as the
-scalar `Simulation`, so ensembles are bit-identical across runs and across
-serial/parallel execution. Top-hat trajectories are bit-identical to
-`Simulation`; smooth potentials sum their energies in table order, so they
-match it up to that summation order.
+the entropy pair (base_seed, i) and consumes it slot by slot, whatever rows
+it shares a chunk with, so ensembles are bit-identical across runs and across
+serial/parallel execution. Top-hat trajectories are bit-identical to a
+stepper that makes one proposal at a time from the same blocks; smooth
+potentials sum their energies in table order, so they match one up to that
+summation order.
 """
 
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, InvalidSpecError, NoDynamicsError, NumericError
+from .errors import ConfigError, InvalidSpecError, NumericError
 from .fields import DensityField
 from .kernels import KernelSpec, PotentialSpec, alpha, sample_displacement
 from .torus import Torus
@@ -88,12 +89,6 @@ class Configuration:
     def positions(self) -> np.ndarray:
         """Live view of the position array; treat as read-only."""
         return self._pos
-
-    def copy_positions(self) -> np.ndarray:
-        return self._pos.copy()
-
-    def move(self, i: int, y):
-        self._pos[i] = y
 
 
 def _sum_phi(potential, r2):
@@ -161,41 +156,6 @@ def interaction_energy(y, config: Configuration, potential: PotentialSpec,
     return float(total)
 
 
-def total_pair_energy(positions, torus: Torus, potential: PotentialSpec) -> float:
-    """Sum of phi over unordered pairs (minimal image, support cutoff)."""
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim == 1:
-        pos = pos[:, None]
-    n = pos.shape[0]
-    if n < 2 or potential.is_zero:
-        return 0.0
-    diff = pos[:, None, :] - pos[None, :, :]
-    diff -= torus.side * np.round(diff / torus.side)
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    iu = np.triu_indices(n, k=1)
-    return float(_sum_phi(potential, r2[iu]))
-
-
-def detailed_balance_residual(config: Configuration, x_index: int, y,
-                              potential: PotentialSpec) -> float:
-    """[E(gamma) + E(y, gamma)] - [E(gamma') + E(x, gamma')] for the move x -> y.
-
-    gamma' is the post-move configuration. The quantity vanishes identically
-    (this is the algebra behind Gibbs reversibility); the function exists so
-    tests can assert it numerically.
-    """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    pos = config.copy_positions()
-    e_before = total_pair_energy(pos, config.torus, potential)
-    e_in = interaction_energy(y, config, potential)
-    pos_after = pos.copy()
-    pos_after[x_index] = config.torus.wrap(y)
-    config_after = Configuration(config.torus, pos_after)
-    e_after = total_pair_energy(pos_after, config.torus, potential)
-    e_back = interaction_energy(pos[x_index], config_after, potential)
-    return (e_before + e_in) - (e_after + e_back)
-
-
 # -- initial states ----------------------------------------------------------
 
 
@@ -223,95 +183,6 @@ def sample_poisson_positions(torus: Torus, density, rng: np.random.Generator):
         raise ConfigError(f"density must be >= 0, got {rho}")
     n = int(rng.poisson(rho * torus.volume))
     return rng.random((n, d)) * torus.side
-
-
-# -- the jump process --------------------------------------------------------
-
-
-class Event(NamedTuple):
-    time: float
-    mover: int
-    old_position: np.ndarray
-    new_position: np.ndarray
-    accepted: bool
-
-
-class Simulation:
-    """Mutable state of one exact-thinning run (configuration + clock + RNG).
-
-    Random variates are consumed per event in the fixed order (waiting time,
-    mover, displacement, acceptance), prefetched in blocks for speed; the
-    acceptance block is only drawn for interacting potentials.
-    """
-
-    def __init__(self, config: Configuration, kernel: KernelSpec,
-                 potential: PotentialSpec, epsilon: float, rng,
-                 exclude_mover: bool = False, check_envelope: bool = False,
-                 block: int = _RNG_BLOCK):
-        _require_microscopic(potential)
-        self.config = config
-        self.kernel = kernel
-        self.potential = potential
-        self.epsilon = float(epsilon)
-        self.rng = rng
-        self.exclude_mover = exclude_mover
-        self.check_envelope = check_envelope
-        self.t = 0.0
-        self.alpha = alpha(kernel)
-        self.interacting = not potential.is_zero
-        self._block = int(block)
-        self._k = self._block  # force refill on first step
-        n = config.n
-        self._inv_rate = 1.0 / (self.alpha * n) if n else math.inf
-
-    def _refill(self):
-        b, rng, n = self._block, self.rng, self.config.n
-        self._exp = rng.standard_exponential(b)
-        self._mov = rng.integers(0, n, size=b)
-        self._disp = sample_displacement(self.kernel, rng, size=b)
-        if self.interacting:
-            self._acc = rng.random(b)
-        self._k = 0
-
-    def step(self, t_limit=math.inf):
-        """Advance by one proposal; returns the Event, or None past t_limit.
-
-        A None return leaves the configuration at its current state with the
-        clock set to t_limit (exact by memorylessness of the waiting time).
-        """
-        cfg = self.config
-        if cfg.n == 0:
-            raise NoDynamicsError("cannot run hop dynamics on an empty configuration")
-        if self._k >= self._block:
-            self._refill()
-        k = self._k
-        self._k += 1
-        t_next = self.t + self._exp[k] * self._inv_rate
-        if t_next > t_limit:
-            self.t = t_limit
-            return None
-        self.t = t_next
-        i = int(self._mov[k])
-        old = cfg.positions[i].copy()
-        side = cfg.torus.side
-        y = np.mod(old + self._disp[k], side)
-        y[y >= side] = 0.0
-        accepted = True
-        if self.interacting:
-            energy = interaction_energy(
-                y, cfg, self.potential, exclude=i if self.exclude_mover else None
-            )
-            if self.check_envelope:
-                ratio = math.exp(-self.epsilon * energy)
-                if not 0.0 < ratio <= 1.0:
-                    raise NumericError(
-                        f"acceptance ratio {ratio!r} outside (0, 1] at energy {energy!r}"
-                    )
-            if energy > 0.0:
-                accepted = bool(self._acc[k] < math.exp(-self.epsilon * energy))
-        if accepted:
-            cfg.move(i, y)
-        return Event(self.t, i, old, y, accepted)
 
 
 # -- trajectories and ensembles ----------------------------------------------
@@ -653,10 +524,14 @@ def _slots_used(gaps, t, target, limits):
 
 def _draw_slots(rngs, counts, inv_rate, t, target, limits, kernel, interacting):
     """The next block of (waiting time, mover, displacement, acceptance)
-    slots of each row, drawn in the order of Simulation._refill, and the
-    number of slots each row keeps. A row's block is trimmed to the slots it
-    will use before the next row draws; the rows are padded with zeros to the
-    longest, and a zero waiting time never passes a limit."""
+    slots of each row, and the number of slots each row keeps.
+
+    This is the draw order of every stream: per block, _RNG_BLOCK standard
+    exponentials, then _RNG_BLOCK movers in [0, n), then _RNG_BLOCK
+    displacements, then, for an interacting potential, _RNG_BLOCK uniforms.
+    A row's block is trimmed to the slots it will use before the next row
+    draws; the rows are padded with zeros to the longest, and a zero waiting
+    time never passes a limit."""
     block, kept = _RNG_BLOCK, []
     stop = np.empty(len(rngs), dtype=np.int64)
     for r, rng in enumerate(rngs):
@@ -684,10 +559,10 @@ def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
     Every active trajectory uses exactly one (waiting time, mover,
     displacement, acceptance) slot of its own stream per iteration, including
     the step that crosses a snapshot or t_end boundary, so the slot index is
-    shared and each stream draws and consumes its variates exactly as
-    `Simulation` does. A row that outruns the slots kept for it raises
-    NumericError. `initials`, when given, is aligned with `seeds`; the cell
-    table is sized for `n_planned` particles per row.
+    shared and each stream is consumed in the order `_draw_slots` defines.
+    A row that outruns the slots kept for it raises NumericError. `initials`,
+    when given, is aligned with `seeds`; the cell table is sized for
+    `n_planned` particles per row.
     """
     torus, kernel, pot = params.torus, params.kernel, params.potential
     d, side = torus.dim, torus.side
@@ -723,7 +598,7 @@ def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
     bound_at = None
     if interacting and pot.family == "top_hat" and not params.exclude_mover:
         # a top-hat energy is height * count: the acceptance bound that
-        # math.exp gives in Simulation.step, for every count
+        # math.exp gives below, for every count
         bound_at = np.array([math.exp(-eps * (pot.height * c))
                              for c in range(max(counts) + 1)])
     k = width = steps = 0
@@ -751,8 +626,9 @@ def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
             accept = move & (accs[sel, k] < bound_at[table.sums(y, cells)])
         elif interacting:
             energy = table.energies(y, cells, old if params.exclude_mover else None)
-            # math.exp, as in Simulation.step, so the decisions match bit for
-            # bit; an energy <= 0 gives a bound >= 1, which always accepts
+            # scalar math.exp, whose last bit np.exp need not match, so the
+            # decisions are reproducible one proposal at a time; an energy
+            # <= 0 gives a bound >= 1, which always accepts
             accept = move & (accs[sel, k] < [math.exp(-eps * e)
                                               for e in energy.tolist()])
         hit = accept.nonzero()[0]

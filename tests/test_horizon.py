@@ -131,18 +131,9 @@ def test_op_norm_bound_blows_up_as_gap_closes():
     assert op_norm_bound(0.0, -1e-6, 1.0, 1.0) > 1e6
 
 
-def test_op_norm_bound_variants_coincide_when_constants_match():
-    a = op_norm_bound(0.3, -0.4, 2.0, 1.2, variant="delta")
-    b = op_norm_bound(0.3, -0.4, 2.0, 1.2, variant="vlasov")
-    c = op_norm_bound(0.3, -0.4, 2.0, 1.2, variant="renormalized")
-    assert a == b == c
-
-
 def test_op_norm_bound_validation():
     with pytest.raises(ConfigError):
         op_norm_bound(0.0, 0.0, 1.0, 1.0)
-    with pytest.raises(ConfigError):
-        op_norm_bound(0.0, -1.0, 1.0, 1.0, variant="bogus")
 
 
 # -- contraction factor ----------------------------------------------------------------

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from kawasaki import (ConfigError, Configuration, GeometryError, InvalidSpecError,
-                      KernelSpec, NoDynamicsError, NumericError, PotentialSpec,
-                      SimulationParams, Torus, detailed_balance_residual,
-                      interaction_energy, sample_displacement,
-                      sample_poisson_positions, simulate, simulate_ensemble,
-                      total_pair_energy)
+                      KernelSpec, NumericError, PotentialSpec, SimulationParams,
+                      Torus, interaction_energy, sample_displacement,
+                      sample_poisson_positions, simulate, simulate_ensemble)
 from kawasaki import simulator
 from kawasaki.fields import DensityField
-from kawasaki.simulator import Simulation, Trajectory
+from kawasaki.simulator import Trajectory
+from reference import Simulation, detailed_balance_residual, total_pair_energy
 
 TORUS = Torus(1, 20.0)
 KERNEL = KernelSpec.top_hat(1.0, 1.0, dim=1)  # alpha = 2
@@ -227,13 +226,6 @@ def lone_particles(n_traj):
 
 
 def test_gillespie_free_case_always_accepts():
-    rng = np.random.default_rng(21)
-    pos = rng.random((30, 1)) * 20.0
-    config = Configuration(TORUS, pos)
-    sim = Simulation(config, KERNEL, FREE, 1.0, rng)
-    for _ in range(200):
-        assert sim.step().accepted
-    assert config.n == 30
     ens = simulate_ensemble(params(potential=FREE, record_events=True), 10, base_seed=21)
     assert all(t.accepted.all() and t.n_accepted == t.n_events > 0 for t in ens)
 
@@ -249,35 +241,17 @@ def test_gillespie_single_particle_self_interaction():
         se = math.sqrt(expect * (1 - expect) / trials)
         return abs(hits / trials - expect) <= 3.5 * se
 
-    rng = np.random.default_rng(33)
-    hits = trials = 0
-    for _ in range(4000):
-        config = Configuration(TORUS, np.array([[5.0]]))
-        hits += Simulation(config, KERNEL, p, 1.0, rng, block=1).step().accepted
-        trials += 1
-    assert within(hits, trials)
     ens = simulate_ensemble(params(potential=p, t_end=10.0, snapshot_times=()),
                             200, base_seed=33, initials=lone_particles(200))
     assert within(sum(t.n_accepted for t in ens), sum(t.n_events for t in ens))
 
 
 def test_gillespie_exclude_mover_variant():
+    # a lone particle sees no one else, so every proposal is accepted
     p = PotentialSpec.top_hat(2.0, 0.8, dim=1)
-    rng = np.random.default_rng(34)
-    for _ in range(100):
-        config = Configuration(TORUS, np.array([[5.0]]))
-        sim = Simulation(config, KERNEL, p, 1.0, rng, exclude_mover=True, block=1)
-        assert sim.step().accepted  # lone particle sees no one else
     ens = simulate_ensemble(params(potential=p, exclude_mover=True, t_end=5.0),
                             40, base_seed=34, initials=lone_particles(40))
     assert all(t.n_accepted == t.n_events > 0 for t in ens)
-
-
-def test_gillespie_empty_configuration_raises():
-    config = Configuration(TORUS, np.zeros((0, 1)))
-    sim = Simulation(config, KERNEL, POT, 1.0, np.random.default_rng(0))
-    with pytest.raises(NoDynamicsError):
-        sim.step()
 
 
 def test_accepted_rate_matches_direct_omega_oracle():
@@ -298,12 +272,14 @@ def test_accepted_rate_matches_direct_omega_oracle():
     direct = acc.mean()
     se_direct = acc.std() / math.sqrt(m)
 
+    # the first proposal of each kernel trajectory is made from the frozen
+    # configuration (about 20 proposals are expected before t_end)
     k = 15_000
-    hits = 0
-    for j in range(k):
-        cfg = Configuration(TORUS, pos.copy())
-        sim = Simulation(cfg, KERNEL, p, 1.0, np.random.default_rng([77, j]), block=4)
-        hits += sim.step().accepted
+    ens = simulate_ensemble(params(potential=p, t_end=0.1, snapshot_times=(),
+                                   record_events=True),
+                            k, base_seed=77, initials=[pos] * k)
+    assert all(t.n_events >= 1 for t in ens)
+    hits = sum(bool(t.accepted[0]) for t in ens)
     frac = hits / k
     se_frac = math.sqrt(frac * (1 - frac) / k)
     assert abs(frac - direct) <= 3.0 * math.hypot(se_direct, se_frac)
@@ -311,14 +287,15 @@ def test_accepted_rate_matches_direct_omega_oracle():
 
 def test_waiting_times_are_exponential_at_envelope_rate():
     # proposal gaps are Exp(alpha * n) regardless of acceptance; check the
-    # first two moments of 20k gaps (exponential: CV = 1)
+    # first two moments of the gaps of one trajectory of at least 20k events
+    # (exponential: CV = 1); with no snapshot before t_end no gap is cut
     rng = np.random.default_rng(71)
     n = 25
     pos = rng.random((n, 1)) * 20.0
-    config = Configuration(TORUS, pos)
-    sim = Simulation(config, KERNEL, POT, 1.0, rng)
-    times = np.array([sim.step().time for _ in range(20_000)])
-    gaps = np.diff(times, prepend=0.0)
+    traj = simulate(params(t_end=420.0, snapshot_times=(), record_events=True), 71,
+                    initial_positions=pos)
+    assert traj.n_events >= 20_000 and traj.times.size == traj.n_events
+    gaps = np.diff(traj.times, prepend=0.0)
     rate = 2.0 * n
     mean = gaps.mean()
     assert abs(mean - 1.0 / rate) <= 3.0 / (rate * math.sqrt(gaps.size))
@@ -338,26 +315,6 @@ def test_two_dimensional_dynamics_end_to_end():
         assert snap.shape == (traj.n_particles, 2)
         assert np.all((snap >= 0.0) & (snap < 12.0))
     assert sum(t.n_accepted for t in ens) > 0
-
-
-def test_envelope_ratio_in_unit_interval():
-    rng = np.random.default_rng(50)
-    pos = rng.random((50, 1)) * 20.0
-    config = Configuration(TORUS, pos)
-    sim = Simulation(config, KERNEL, POT, 1.0, rng, check_envelope=True)
-    for _ in range(500):
-        sim.step()  # check_envelope raises unless exp(-eps E) is in (0, 1]
-
-
-def test_envelope_check_raises_numeric_error(monkeypatch):
-    # a negative energy gives an acceptance ratio above 1, which thinning
-    # against the envelope alpha * n cannot realize
-    monkeypatch.setattr(simulator, "interaction_energy", lambda *a, **k: -1.0)
-    config = Configuration(TORUS, np.array([[1.0], [1.5]]))
-    sim = Simulation(config, KERNEL, POT, 1.0, np.random.default_rng(0),
-                     check_envelope=True)
-    with pytest.raises(NumericError, match="outside"):
-        sim.step()
 
 
 # -- trajectories and ensembles ------------------------------------------------------
@@ -516,7 +473,7 @@ def scalar_trajectory(p, seed, initial=None):
             while (ev := sim.step(t_limit=target)) is not None:
                 events.append(ev)
             if i_t < len(sts):
-                snapshots.append(config.copy_positions())
+                snapshots.append(config.positions.copy())
     logged = events if p.record_events else []
     return Trajectory(
         seed_key=tuple(seed), torus=p.torus, n_particles=config.n, t_end=p.t_end,
