@@ -4,6 +4,8 @@ Exit-code mapping used by the command line tool: ConfigError -> 1,
 NumericError -> 2, BudgetError -> 3.
 """
 
+import numbers
+
 
 class KawasakiError(Exception):
     """Base class for all package errors."""
@@ -44,3 +46,12 @@ class BoundViolation(NumericError):
         super().__init__(message)
         self.time = time
         self.margin = margin
+
+
+def _require_count(name, value, least=0):
+    """value as an int when it is a whole number >= least, of any real type
+    but bool; ConfigError otherwise."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value >= least
+                                       and float(value).is_integer()):
+        raise ConfigError(f"{name} must be a whole number >= {least}, got {value!r}")
+    return int(value)

@@ -33,11 +33,10 @@ sigma = 0.5, L = 20, n ~ 106) a move costs ~100 us, against ~56 us.
 
 import itertools
 import math
-import numbers
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _require_count
 from .kernels import PotentialSpec
 from .simulator import _profile
 from .torus import Torus
@@ -49,13 +48,6 @@ _BLOCK = 1024  # variates per draw from the chain's rng
 def _require_positive(name, value):
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"{name} must be positive and finite, got {value}")
-
-
-def _require_count(name, value):
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value >= 0
-                                       and float(value).is_integer()):
-        raise ConfigError(f"{name} must be a whole number >= 0, got {value!r}")
-    return int(value)
 
 
 def _stream(draw):  # the values of draw(_BLOCK), draw(_BLOCK), ... one per call
@@ -241,15 +233,11 @@ def calibrate_activity(torus: Torus, potential: PotentialSpec, target_count: flo
     equilibrium tests need.
     """
     _require_positive("target_count", target_count)
-    rounds = _require_count("rounds", rounds)
-    if rounds < 1:
-        raise ConfigError(f"rounds must be at least 1, got {rounds}")
+    rounds = _require_count("rounds", rounds, least=1)
     if moves_per_round is None:
         moves_per_round = int(60 * target_count)
     else:
-        moves_per_round = _require_count("moves_per_round", moves_per_round)
-        if moves_per_round < 1:
-            raise ConfigError(f"moves_per_round must be at least 1, got {moves_per_round}")
+        moves_per_round = _require_count("moves_per_round", moves_per_round, least=1)
     z = target_count / torus.volume  # ideal-gas guess
     chain = GibbsSampler(torus, potential, z, rng, epsilon=epsilon,
                          initial_count=target_count)

@@ -21,12 +21,12 @@ along every trajectory. The profile is treated as exactly zero beyond the
 effective support radius in every code path.
 
 One kernel steps every trajectory: `simulate_ensemble` runs chunks of
-trajectories in lockstep, one event slot per trajectory per iteration, and
-`simulate` is a one-row call of it. Each row keeps its positions in a cell
-table whose cells are at least one support radius wide, sized so that the
-3^d cells around a target hold about _STENCIL_PARTICLES particles, and an
-energy query reads only those; where fewer than 5 cells per axis would fit,
-the table has one cell and the query is all-pairs.
+trajectories in lockstep, and `simulate` is a one-row call of it. Each row
+keeps its positions in a cell table whose cells are at least one support
+radius wide, sized so that the 3^d cells around a target hold about
+_STENCIL_PARTICLES particles, and an energy query reads only those; where
+fewer than 5 cells per axis would fit, the table has one cell and the query
+is all-pairs.
 
 Each row draws its variates a block of _RNG_BLOCK slots at a time, in the
 order that `_draw_slots` defines, and keeps only the prefix of the block it
@@ -36,28 +36,41 @@ are planned at about 2 MB of variates and tables from the slots a row is
 expected to use, alpha n t_end plus a margin, and every pool worker gets at
 least one chunk.
 
+Every slot is known before its step, so a row decides a batch of its next
+slots per iteration in one energy query, against the table as it stands,
+and commits them in slot order up to the first one that an accepted move of
+the same batch could affect, or through its next snapshot or t_end
+crossing. A term beyond the support is exactly 0.0, so each committed
+decision sees the bits a one-at-a-time step would see, and no batch is ever
+rolled back: this is pre-fetching (Brockwell 2006) with the conflict test
+of optimistic simulation (Jefferson 1985) run before the commit.
+
 Reproducibility: trajectory i of an ensemble uses the PCG64 stream seeded by
 the entropy pair (base_seed, i) and consumes it slot by slot, whatever rows
-it shares a chunk with, so ensembles are bit-identical across runs and across
-serial/parallel execution. Top-hat trajectories are bit-identical to a
-stepper that makes one proposal at a time from the same blocks; smooth
-potentials sum their energies in table order, so they match one up to that
-summation order.
+it shares a chunk with and whatever the batch size, so ensembles are
+bit-identical across runs and across serial/parallel execution. Top-hat
+trajectories are bit-identical to a stepper that makes one proposal at a
+time from the same blocks; smooth potentials sum their energies in table
+order, so they match one up to that summation order.
 """
 
+import logging
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvalidSpecError, NumericError
+from .errors import ConfigError, InvalidSpecError, NumericError, _require_count
 from .fields import DensityField
 from .kernels import KernelSpec, PotentialSpec, alpha, sample_displacement
 from .torus import Torus
 
 _RNG_BLOCK = 2048
+
+_logger = logging.getLogger(__name__)
 
 
 class Configuration:
@@ -208,6 +221,13 @@ class SimulationParams:
             raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ConfigError(f"t_end must be finite and >= 0, got {self.t_end}")
+        if isinstance(self.rho0, DensityField):
+            if self.rho0.torus != self.torus:
+                raise ConfigError("density field lives on a different torus")
+        elif (isinstance(self.rho0, bool) or not isinstance(self.rho0, numbers.Real)
+              or not (math.isfinite(self.rho0) and self.rho0 >= 0)):
+            raise ConfigError(f"rho0 must be a finite number >= 0 or a DensityField, "
+                              f"got {self.rho0!r}")
         for s in self.snapshot_times:
             if not 0 <= s <= self.t_end:
                 raise ConfigError(f"snapshot time {s} outside [0, {self.t_end}]")
@@ -300,6 +320,14 @@ def simulate(params: SimulationParams, seed, initial_positions=None) -> Trajecto
 # row and may exceed the plan by the spread of the event counts.
 _CHUNK_BYTES = 1 << 21
 
+# Proposals a row decides per iteration: its speculative batch. No output
+# depends on it (CHANGES.md has the measurements it was chosen from).
+_BATCH = 32
+
+# Terms of one energy query, rows x batch x slots read per target, that the
+# batch is cut to, so that the query's arrays stay in cache.
+_QUERY_TERMS = 1 << 15
+
 # Slots planned per row beyond its expected events and limit crossings.
 _SLOT_MARGIN = 32
 
@@ -381,8 +409,8 @@ class _CellTable:
             # of the target, or beyond 3L/5 across the boundary, so
             # round(diff / L) is fixed by the cells: -floor(near / m)
             self.images = (-(near // m)).transpose(0, 2, 1).astype(np.int8)
-            self.coords = np.arange(d)[None, :, None]
         self.cap = cap
+        self.span = 3 ** d * cap if m > 1 else cap  # slots an energy query reads
         self.tab = np.full((rows, d, n_cells * cap), np.nan)
         self.who = np.full((rows, n_cells * cap), -1)
         # a cell keeps its particles in their order within the row
@@ -397,16 +425,21 @@ class _CellTable:
         self.slot[owner, index] = slot
         self.rows = np.arange(rows)
 
+    def index(self, x):
+        """Cell index along each axis of each point of x, shape (..., d)."""
+        return np.minimum((x * self.inv_width).astype(np.int64), self.m - 1)
+
     def cell(self, x):
         """Flat cell index of each point of x, shape (..., d)."""
-        index = np.minimum((x * self.inv_width).astype(np.int64), self.m - 1)
-        return index @ self.strides
+        return self.index(x) @ self.strides
 
     def at(self, mover):
-        """Position of particle mover[r] of every row r, shape (rows, d)."""
+        """Position of particle mover[r, ...] of every row r, shape
+        mover.shape + (d,)."""
+        rows = self.rows.reshape((-1,) + (1,) * (mover.ndim - 1))
         if self.m == 1:
-            return self.tab[self.rows, :, mover]
-        return self.tab[self.rows, :, self.slot[self.rows, mover]]
+            return self.tab[rows, :, mover]
+        return self.tab[rows, :, self.slot[rows, mover]]
 
     def positions(self, r, n):
         """The n positions of row r, in particle order."""
@@ -418,30 +451,68 @@ class _CellTable:
         self.rows = np.arange(self.tab.shape[0])
 
     def energies(self, y, cells, old=None):
-        """E(y_r, gamma_r) for every row r, y_r in cell cells[r], with the
-        arithmetic of `interaction_energy`: the term of the particle at old[r]
-        is subtracted when `old` is given."""
+        """E(y_r, gamma_r) for every target y_r of every row r, y of shape
+        (rows, d) or (rows, targets, d) and y_r in cell cells[r], with the
+        arithmetic of `interaction_energy`: the term of the particle at
+        old[r] is subtracted when `old` is given."""
         energy = self.potential.height * self.sums(y, cells)
         if old is not None:
-            energy -= self.potential.height * self._phi(_norm2((old - y).T, self.side))
+            r2 = _norm2((old - y).T, self.side).T
+            energy -= self.potential.height * self._phi(r2)
         return energy
 
     def sums(self, y, cells):
-        """E(y_r, gamma_r) / height for every row r, y_r in cell cells[r].
-        Terms are summed one after another in table order, so the zeros of
-        empty slots leave the sum unchanged; top-hat sums are the integer
-        neighbour counts."""
+        """E(y_r, gamma_r) / height for every target y_r of every row r, as
+        in `energies`. Terms are summed one after another in table order, so
+        the zeros of empty slots leave the sum unchanged; top-hat sums are
+        the integer neighbour counts."""
+        rows, d, _ = self.tab.shape
+        shape = y.shape[:-1]
+        y = y.reshape(rows, -1, d).transpose(2, 0, 1)[..., None]  # (d, rows, targets, 1)
         if self.m == 1:
-            r2 = _norm2((self.tab - y[:, :, None]).transpose(1, 0, 2), self.side)
+            r2 = _norm2(self.tab.transpose(1, 0, 2)[:, :, None] - y, self.side)
         else:
-            rows, d, _ = self.tab.shape
-            near = self.neighbours[cells][:, None, :]
-            diff = self.tab.reshape(rows, d, -1, self.cap)[self.rows[:, None, None],
-                                                           self.coords, near]
-            diff -= y[:, :, None, None]
-            image = self.side * self.images[cells].transpose(1, 0, 2)[..., None]
-            r2 = _norm2(diff.transpose(1, 0, 2, 3), self.side, image).reshape(rows, -1)
-        return np.cumsum(self._phi(r2), axis=1)[:, -1]
+            cells = cells.reshape(rows, -1)
+            # the cap-slot line of each (coordinate, row, cell)
+            line = (np.arange(d)[:, None] + d * self.rows) * self.fill.shape[1]
+            diff = self.tab.reshape(-1, self.cap)[line[:, :, None, None]
+                                                  + self.neighbours[cells]]
+            diff -= y[..., None]
+            image = self.side * self.images[cells].transpose(2, 0, 1, 3)[..., None]
+            r2 = _norm2(diff, self.side, image).reshape(rows, y.shape[2], -1)
+        if self.potential.family == "top_hat":
+            return (r2 <= self.cut).sum(axis=-1).reshape(shape)
+        return np.cumsum(self._phi(r2), axis=-1)[..., -1].reshape(shape)
+
+    def clashes(self, mover, old, y, accept):
+        """Per row r, the first proposal j of its batch, the move of particle
+        mover[r, j] from old[r, j] to y[r, j], that could be decided
+        otherwise once the proposals i < j with accept[r, i] are made; the
+        batch width when there is none. That is when i moves the same
+        particle, or its old or new point counts in the energy at y_j: for a
+        count (the top-hat) or with one cell, when it lies within r2 <= cut
+        by the query's own arithmetic, as every other term is exactly 0.0
+        before and after the move; for a smooth sum over more cells, when it
+        lies in the 3^d cells around y_j, whose slot order the move may
+        change."""
+        first = np.full(mover.shape[0], mover.shape[1])
+        r, i = accept[:, :-1].nonzero()
+        if not r.size:
+            return first
+        hit = mover[r] == mover[r, i][:, None]  # [pair, j]
+        if not self.potential.is_zero:
+            if self.m == 1 or self.potential.family == "top_hat":
+                for p in old[r, i], y[r, i]:
+                    r2 = _norm2((p[:, None, :] - y[r]).T, self.side)
+                    hit |= r2.T <= self.cut
+            else:
+                to = self.index(y[r])
+                for p in old[r, i], y[r, i]:
+                    apart = (self.index(p)[:, None, :] - to + 1) % self.m
+                    hit |= (apart <= 2).all(axis=-1)
+        hit &= np.arange(hit.shape[1]) > i[:, None]
+        np.minimum.at(first, r, np.where(hit.any(axis=1), hit.argmax(axis=1), first[r]))
+        return first
 
     def _phi(self, r2):
         """phi / height at squared distances r2, cut off at the support: a
@@ -451,16 +522,16 @@ class _CellTable:
         return np.where(r2 <= self.cut, _profile(self.potential, r2), 0.0)
 
     def move(self, hit, mover, y, cells):
-        """Put the particle mover[r] of each row r in hit at y[r], which lies
-        in cell cells[r]. A particle that changes cell swaps with the last one
-        of its old cell and is appended to the new one, which grows the table
-        when that cell is full."""
-        mover, y = mover[hit], y[hit]
+        """Put particle mover[k] of row hit[k] at y[k], which lies in cell
+        cells[k], for every k; with more than one cell, a row is hit at most
+        once. A particle that changes cell swaps with the last one of its old
+        cell and is appended to the new one, which grows the table when that
+        cell is full."""
         if self.m == 1:
             self.tab[hit, :, mover] = y
             return
         src = self.slot[hit, mover]
-        new = cells[hit]
+        new = cells
         leave = src // self.cap != new
         if leave.any():
             stay = ~leave
@@ -496,6 +567,17 @@ class _CellTable:
         self.tab, self.who = tab.reshape(rows, d, -1), who.reshape(rows, -1)
         self.slot = self.slot // cap * new + self.slot % cap
         self.cap = new
+        self.span = 3 ** d * new
+
+
+def _batch_width(rows, span, n):
+    """Proposals each of `rows` rows of at most n particles decides per
+    iteration: at most _BATCH, and about the slots a row commits before it
+    draws a mover twice, 1.25 sqrt(n) on average, since a batch ends there;
+    cut so that the rows x width x span terms of the query, span slots read
+    per target, stay within _QUERY_TERMS."""
+    return max(1, min(_BATCH, math.ceil(1.25 * math.sqrt(n)),
+                      _QUERY_TERMS // (rows * span)))
 
 
 def _slots_used(gaps, t, target, limits):
@@ -556,13 +638,18 @@ def _draw_slots(rngs, counts, inv_rate, t, target, limits, kernel, interacting):
 def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
     """Run one trajectory per seed, in lockstep; return them in order.
 
-    Every active trajectory uses exactly one (waiting time, mover,
-    displacement, acceptance) slot of its own stream per iteration, including
-    the step that crosses a snapshot or t_end boundary, so the slot index is
-    shared and each stream is consumed in the order `_draw_slots` defines.
-    A row that outruns the slots kept for it raises NumericError. `initials`,
-    when given, is aligned with `seeds`; the cell table is sized for
-    `n_planned` particles per row.
+    Each active trajectory keeps its own index into its block of (waiting
+    time, mover, displacement, acceptance) slots, and takes a batch of them
+    per iteration, `_batch_width` wide: one energy query decides them all
+    against the table as it stands, and they are committed in slot order up
+    to the first one that an accepted move of the batch could affect (see
+    `_CellTable.clashes`), or through the row's next snapshot or t_end
+    crossing, which is a slot too. Every committed decision thus sees the
+    bits a one-at-a-time step would see, and each stream is consumed in the
+    order `_draw_slots` defines, whatever the width. A row refills its block
+    when it has taken its kept slots, and raises NumericError if it gets
+    there short of t_end. `initials`, when given, is aligned with `seeds`;
+    the cell table is sized for `n_planned` particles per row.
     """
     torus, kernel, pot = params.torus, params.kernel, params.potential
     d, side = torus.dim, torus.side
@@ -590,8 +677,11 @@ def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
     t = np.zeros(active.size)
     target = np.zeros(active.size, dtype=np.int64)
     accepts = np.zeros(active.size, dtype=np.int64)
+    used = np.zeros(active.size, dtype=np.int64)  # slots taken, over all blocks
+    k = np.full(active.size, _RNG_BLOCK)  # next slot of each row's block
     stop = np.full(active.size, _RNG_BLOCK)  # slots each row keeps of its block
     limit = np.full(active.size, limits[0])
+    rows = np.arange(active.size)  # active row -> row of the variate arrays
 
     interacting = not pot.is_zero
     eps = float(params.epsilon)
@@ -601,74 +691,107 @@ def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
         # math.exp gives below, for every count
         bound_at = np.array([math.exp(-eps * (pot.height * c))
                              for c in range(max(counts) + 1)])
-    k = width = steps = 0
+    gaps = None
+    iterations = 0
+    n_max = max(counts, default=0)
     while active.size:
-        if k == width:
-            if (stop < _RNG_BLOCK).any():
+        empty = (k == stop).nonzero()[0]
+        if empty.size:
+            if (stop[empty] < _RNG_BLOCK).any():
                 raise NumericError("a row ran past the slots kept for it")
-            gaps, movs, disps, accs, stop = _draw_slots(
-                [rngs[j] for j in active], [counts[j] for j in active], inv_rate,
-                t, target, limits, kernel, interacting)
-            width = gaps.shape[1]
-            rows = np.arange(active.size)  # active row -> array row
-            sel = slice(None)  # rows, as a view while every row is active
-            k = 0
-        t_next = t + gaps[sel, k]
-        cross = t_next > limit
-        move = ~cross
-        mover = movs[sel, k]
+            block = _draw_slots(
+                [rngs[j] for j in active[empty]], [counts[j] for j in active[empty]],
+                inv_rate[empty], t[empty], target[empty], limits, kernel, interacting)
+            if gaps is None:
+                gaps, movs, disps, accs, stop = block
+            else:
+                # a refilling row had kept a whole block, so the arrays are
+                # _RNG_BLOCK wide already
+                for x, part in zip((gaps, movs, disps, accs), block[:4]):
+                    if part is not None:
+                        x[rows[empty], :part.shape[1]] = part
+                stop[empty] = block[4]
+            k[empty] = 0
+        width = gaps.shape[1]
+        batch = np.arange(_batch_width(active.size, table.span, n_max))
+        at = (rows * width)[:, None] + np.minimum(k[:, None] + batch, width - 1)
+        # the clock summed slot by slot as a one-at-a-time step sums it; it
+        # never falls, so a row's crossings follow its first one
+        clock = gaps.ravel()[at]
+        clock[:, 0] += t
+        np.add.accumulate(clock, axis=1, out=clock)
+        cross = clock > limit[:, None]
+        mover = movs.ravel()[at]
         old = table.at(mover)
-        y = np.mod(old + disps[sel, k], side)
+        y = np.mod(old + disps.reshape(-1, d)[at], side)
         y[y >= side] = 0.0
         cells = table.cell(y) if table.m > 1 else None
-        accept = move
+        accept = ~cross
         if bound_at is not None:
-            accept = move & (accs[sel, k] < bound_at[table.sums(y, cells)])
+            accept &= accs.ravel()[at] < bound_at[table.sums(y, cells)]
         elif interacting:
             energy = table.energies(y, cells, old if params.exclude_mover else None)
             # scalar math.exp, whose last bit np.exp need not match, so the
             # decisions are reproducible one proposal at a time; an energy
             # <= 0 gives a bound >= 1, which always accepts
-            accept = move & (accs[sel, k] < [math.exp(-eps * e)
-                                              for e in energy.tolist()])
-        hit = accept.nonzero()[0]
-        if hit.size:
-            table.move(hit, mover, y, cells)
-        accepts += accept
+            accept &= accs.ravel()[at] < [[math.exp(-eps * e) for e in row]
+                                          for row in energy.tolist()]
+        # a batch ends through its first crossing, at the last kept slot, and
+        # before the first proposal an accepted one of it could affect
+        end = np.minimum(np.minimum(batch.size + 1 - cross.sum(axis=1), stop - k),
+                         table.clashes(mover, old, y, accept))
+        taken = batch < end[:, None]
+        accept &= taken
+        r, j = accept.nonzero()
+        if table.m == 1:
+            # a row's committed movers are distinct, so their order is immaterial
+            table.move(r, mover[r, j], y[r, j], None)
+        else:
+            rank = np.arange(r.size) - np.searchsorted(r, r)
+            for q in range(int(rank.max(initial=-1)) + 1):
+                # each row's q-th accepted move, so that every row's moves
+                # reach the table in slot order
+                h = rank == q
+                table.move(r[h], mover[r[h], j[h]], y[r[h], j[h]], cells[r[h], j[h]])
         if params.record_events:
-            # whole rows per iteration; the moves are picked out once at the end
-            log.append((active, t_next, mover.copy(), old, y, accept, move))
-        k += 1
-        steps += 1
-        if not cross.any():
-            t = t_next
+            r, j = (taken & ~cross).nonzero()
+            log.append((active[r], clock[r, j], mover[r, j], old[r, j], y[r, j],
+                        accept[r, j]))
+        accepts += accept.sum(axis=1)
+        used += end
+        k += end
+        iterations += 1
+        last = np.arange(rows.size), end - 1
+        crossed = cross[last]
+        t = np.where(crossed, limit, clock[last])
+        if not crossed.any():
             continue
-        t = np.where(cross, limit, t_next)
-        for r in cross.nonzero()[0]:
+        for r in crossed.nonzero()[0]:
             if target[r] < len(sts):
                 j = active[r]
                 snapshots[j].append(table.positions(r, counts[j]))
-        target += cross
+        target += crossed
         done = target == len(limits)
         if done.any():
             for r in done.nonzero()[0]:
                 j = active[r]
-                # every step of a row is an event except its boundary crossings
-                n_events[j], n_accepted[j] = steps - len(limits), int(accepts[r])
+                # every slot of a row is an event except its boundary crossings
+                n_events[j], n_accepted[j] = int(used[r]) - len(limits), int(accepts[r])
             keep = ~done
-            rows, active, t, target, accepts, stop, inv_rate = (
+            rows, active, t, target, accepts, used, k, stop, inv_rate = (
                 rows[keep], active[keep], t[keep], target[keep], accepts[keep],
-                stop[keep], inv_rate[keep])
-            sel = rows
+                used[keep], k[keep], stop[keep], inv_rate[keep])
             table.keep(keep)
         limit = limits[target]
 
     if log:
         cols = [np.concatenate(c) for c in zip(*log)]
-        cols = [c[cols[-1]] for c in cols[:-1]]
         order = np.argsort(cols[0], kind="stable")
         cols = [c[order] for c in cols]
         bounds = np.searchsorted(cols[0], np.arange(len(starts) + 1))
+    _logger.debug("chunk of %d rows: %d events, %d accepted, %d iterations, "
+                  "%.2f events per iteration", len(seeds), sum(n_events),
+                  sum(n_accepted), iterations, sum(n_events) / max(iterations, 1))
     out = []
     for j, seed in enumerate(seeds):
         rec = ()
@@ -689,14 +812,14 @@ def simulate_ensemble(params: SimulationParams, n_trajectories: int,
     workers, and the pool is clamped to the CPU and unit counts. `initials`,
     when given, holds one initial configuration per trajectory.
     """
-    if n_trajectories < 1:
-        raise ConfigError("need at least one trajectory")
+    n_trajectories = _require_count("n_trajectories", n_trajectories, least=1)
+    n_jobs = _require_count("n_jobs", n_jobs, least=1)
     params.validate()
     if initials is not None and len(initials) != n_trajectories:
         raise ConfigError(f"{len(initials)} initial configurations for "
                           f"{n_trajectories} trajectories")
     n = _planned_particles(params, initials)
-    workers = max(1, min(n_jobs, os.cpu_count() or 1))
+    workers = min(n_jobs, os.cpu_count() or 1)
     bounds = _chunk_bounds(params.torus.dim, n, n_trajectories, workers,
                            _planned_slots(params, n))
     units = [(params, [_stream_seed(base_seed, i) for i in range(lo, hi)],

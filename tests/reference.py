@@ -99,8 +99,8 @@ def total_pair_energy(positions, torus, potential) -> float:
     diff = pos[:, None, :] - pos[None, :, :]
     diff -= torus.side * np.round(diff / torus.side)
     r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    iu = np.triu_indices(n, k=1)
-    return float(_sum_phi(potential, r2[iu]))
+    index = np.arange(n)
+    return float(_sum_phi(potential, r2[index[:, None] < index]))  # i < j, row by row
 
 
 def detailed_balance_residual(config: Configuration, x_index: int, y,

@@ -19,8 +19,9 @@ from kawasaki import (Configuration, KernelSpec, PotentialSpec,
                       find_T_for_q, kinetic_rhs, monitor_bounds, op_norm_bound,
                       picard_solve, run_sweep, simulate_ensemble, solve_kinetic,
                       vlasov_first_order)
+from kawasaki import simulator
 from kawasaki.fields import DensityField
-from reference import detailed_balance_residual
+from reference import detailed_balance_residual, total_pair_energy
 
 TORUS20 = Torus(1, 20.0)
 TOP_HAT_A = KernelSpec.top_hat(1.0, 1.0, dim=1)  # alpha = 2
@@ -68,11 +69,37 @@ def test_criterion_01_conservation():
            time.perf_counter() - t0, 30.0)
 
 
+def kernel_balance_residuals(torus, potential, starts, movers, ys):
+    """The detailed-balance identity for the move x_r = starts[r][movers[r]]
+    -> ys[r] of every row r, with E(y_r, gamma_r) and E(x_r, gamma_r') read
+    from one lockstep cell table of all the rows, before and after the table
+    makes the moves; the largest |residual| at one cell and at five."""
+    rows, movers, ys = np.arange(len(starts)), np.asarray(movers), np.asarray(ys)
+    x = np.array([pos[i] for pos, i in zip(starts, movers)])
+    e_pairs = []
+    for pos, i, y in zip(starts, movers, ys):
+        after = pos.copy()
+        after[i] = y
+        e_pairs.append(total_pair_energy(pos, torus, potential)
+                       - total_pair_energy(after, torus, potential))
+    worst = []
+    for cells in (1, 5):
+        table = simulator._CellTable(torus, potential, cells, starts)
+        e_in = table.energies(ys, table.cell(ys))
+        table.move(rows, movers, ys, table.cell(ys))
+        residual = np.asarray(e_pairs) + e_in - table.energies(x, table.cell(x))
+        worst.append(float(np.abs(residual).max()))
+    return worst
+
+
 def test_criterion_02_detailed_balance():
     t0 = time.perf_counter()
     rng = np.random.default_rng(7007)
     gauss = PotentialSpec.gaussian(0.6, 0.8, dim=1)
+    wide = Torus(1, 30.0)  # room for 5 cells of the Gaussian's support
+    assert simulator._cells_per_axis(wide, gauss, 1e9) >= 5
     worst = 0.0
+    moves = {TOP_HAT_PHI: [], gauss: []}
     for trial in range(10_000):
         n = int(rng.integers(2, 51))
         pos = rng.random((n, 1)) * 20.0
@@ -81,8 +108,14 @@ def test_criterion_02_detailed_balance():
         i = int(rng.integers(0, n))
         y = rng.random(1) * 20.0
         worst = max(worst, abs(detailed_balance_residual(config, i, y, pot)))
+        moves[pot].append((pos * 1.5, i, y * 1.5))
+    worst_one, worst_many = np.max([
+        kernel_balance_residuals(wide, pot, *zip(*group))
+        for pot, group in moves.items()], axis=0)
     report(2, "detailed-balance identity on 10^4 randomized moves",
-           worst <= 1e-10, f"max residual {worst:.2e} <= 1e-10",
+           max(worst, worst_one, worst_many) <= 1e-10,
+           f"max residual {worst:.2e}, with kernel energies {worst_one:.2e} at one cell "
+           f"and {worst_many:.2e} at 5 cells, <= 1e-10",
            time.perf_counter() - t0, 10.0)
 
 

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -225,9 +226,12 @@ def lone_particles(n_traj):
     return [np.array([[5.0]]) for _ in range(n_traj)]
 
 
-def test_gillespie_free_case_always_accepts():
-    ens = simulate_ensemble(params(potential=FREE, record_events=True), 10, base_seed=21)
+def test_gillespie_free_case_always_accepts(monkeypatch):
+    # about 10 particles, so a batch often draws one mover twice
+    p = params(potential=FREE, record_events=True)
+    ens = across_batches(monkeypatch, lambda: simulate_ensemble(p, 10, base_seed=21))
     assert all(t.accepted.all() and t.n_accepted == t.n_events > 0 for t in ens)
+    assert_same_trajectories(ens, scalar_ensemble(p, 10, 21))
 
 
 def test_gillespie_single_particle_self_interaction():
@@ -425,7 +429,7 @@ def test_cell_index_consistent_after_dynamics(monkeypatch):
         y = np.array([p[i] for p, i in zip(pos, mover)])
         y = np.mod(y + rng.normal(0.0, 1.5, size=y.shape), 12.0)
         y[y >= 12.0] = 0.0
-        table.move(hit, mover, y, table.cell(y))
+        table.move(hit, mover[hit], y[hit], table.cell(y[hit]))
         for r in hit:
             pos[r][mover[r]] = y[r]
     check_table(table, pos)
@@ -510,15 +514,30 @@ def assert_same_trajectories(got, want):
             assert np.array_equal(x, y), name
 
 
+BATCHES = (1, 7, 64)
+
+
+def across_batches(monkeypatch, run):
+    """run() with the kernel's default batch, then with each of BATCHES
+    proposals per row and iteration; every run must give the same
+    trajectories, which are returned."""
+    want = run()
+    with monkeypatch.context() as patch:
+        for batch in BATCHES:
+            patch.setattr(simulator, "_batch_width", lambda *args, width=batch: width)
+            assert_same_trajectories(run(), want)
+    return want
+
+
 @pytest.mark.parametrize("dim", [1, 2])
-def test_lockstep_top_hat_bit_identical_to_simulate(dim):
+def test_lockstep_top_hat_bit_identical_to_simulate(monkeypatch, dim):
     if dim == 1:
         p = params(rho0=1.2, t_end=1.0, snapshot_times=(0.0, 0.3, 0.7, 1.0),
                    record_events=True)
     else:
         p = params(torus=TORUS2, kernel=KERNEL2, potential=POT2, rho0=0.4,
                    t_end=0.5, snapshot_times=(0.0, 0.2, 0.5), record_events=True)
-    ens = simulate_ensemble(p, 40, base_seed=19)
+    ens = across_batches(monkeypatch, lambda: simulate_ensemble(p, 40, base_seed=19))
     assert sum(t.n_events for t in ens) > 1000
     assert 0 < sum(t.n_accepted for t in ens) < sum(t.n_events for t in ens)
     assert_same_trajectories(ens, scalar_ensemble(p, 40, 19))
@@ -551,22 +570,23 @@ def table_params(dim, rho0, t_end, **kw):
 
 @pytest.mark.parametrize("exclude", [False, True])
 @pytest.mark.parametrize("case", list(TABLE_CASES))
-def test_cell_table_top_hat_bit_identical_to_simulation(case, exclude):
+def test_cell_table_top_hat_bit_identical_to_simulation(monkeypatch, case, exclude):
     dim, rho0, t_end, n_traj, cells = TABLE_CASES[case]
     p = table_params(dim, rho0, t_end, exclude_mover=exclude)
     assert simulator._cells_per_axis(p.torus, p.potential, rho0 * p.torus.volume) == cells
-    ens = simulate_ensemble(p, n_traj, base_seed=23)
+    ens = across_batches(monkeypatch, lambda: simulate_ensemble(p, n_traj, base_seed=23))
     assert 0 < sum(t.n_accepted for t in ens) < sum(t.n_events for t in ens)
     assert_same_trajectories(ens, scalar_ensemble(p, n_traj, 23))
 
 
-def test_cell_table_three_dimensional_bit_identical_to_simulation():
-    p = table_params(3, 3.0, 0.04)
-    assert simulator._cells_per_axis(p.torus, p.potential, 3.0 * 512.0) == 5
-    ens = simulate_ensemble(p, 3, base_seed=29)
-    assert sum(t.n_events for t in ens) > 500
-    assert 0 < sum(t.n_accepted for t in ens) < sum(t.n_events for t in ens)
-    assert_same_trajectories(ens, scalar_ensemble(p, 3, 29))
+def test_cell_table_three_dimensional_bit_identical_to_simulation(monkeypatch):
+    for exclude in (False, True):
+        p = table_params(3, 3.0, 0.04, exclude_mover=exclude)
+        assert simulator._cells_per_axis(p.torus, p.potential, 3.0 * 512.0) == 5
+        ens = across_batches(monkeypatch, lambda: simulate_ensemble(p, 3, base_seed=29))
+        assert sum(t.n_events for t in ens) > 500
+        assert 0 < sum(t.n_accepted for t in ens) < sum(t.n_events for t in ens)
+        assert_same_trajectories(ens, scalar_ensemble(p, 3, 29))
 
 
 def test_cell_table_overflow_rebuild_bit_identical(monkeypatch):
@@ -582,29 +602,32 @@ def test_cell_table_overflow_rebuild_bit_identical(monkeypatch):
     initials = [np.mod(start + rng.normal(0.0, 0.05, start.shape), 12.0)
                 for _ in range(3)]
     assert simulator._cells_per_axis(p.torus, p.potential, len(start)) == 11
-    ens = simulate_ensemble(p, 3, base_seed=31, initials=initials)
+    ens = across_batches(monkeypatch,
+                         lambda: simulate_ensemble(p, 3, base_seed=31, initials=initials))
     assert len(grows) > 0
     assert_same_trajectories(ens, scalar_ensemble(p, 3, 31, initials))
 
 
 @pytest.mark.parametrize("exclude", [False, True])
-def test_lockstep_given_initials_bit_identical(exclude):
+def test_lockstep_given_initials_bit_identical(monkeypatch, exclude):
     rng = np.random.default_rng(4)
     initials = [rng.random((int(rng.integers(0, 40)), 1)) * 20.0 for _ in range(25)]
     p = params(snapshot_times=(0.0, 1.0), record_events=True, exclude_mover=exclude)
-    ens = simulate_ensemble(p, 25, base_seed=6, initials=initials)
+    ens = across_batches(monkeypatch,
+                         lambda: simulate_ensemble(p, 25, base_seed=6, initials=initials))
     assert_same_trajectories(ens, scalar_ensemble(p, 25, 6, initials))
 
 
-def test_lockstep_exclude_mover_bit_identical_from_poisson_start():
+def test_lockstep_exclude_mover_bit_identical_from_poisson_start(monkeypatch):
     p = params(rho0=1.5, exclude_mover=True, record_events=True)
-    assert_same_trajectories(simulate_ensemble(p, 30, base_seed=12),
-                             scalar_ensemble(p, 30, 12))
+    assert_same_trajectories(
+        across_batches(monkeypatch, lambda: simulate_ensemble(p, 30, base_seed=12)),
+        scalar_ensemble(p, 30, 12))
 
 
-def test_lockstep_low_density_with_empty_trajectories():
+def test_lockstep_low_density_with_empty_trajectories(monkeypatch):
     p = params(rho0=0.05, snapshot_times=(0.0, 0.5, 1.0), record_events=True)
-    ens = simulate_ensemble(p, 40, base_seed=2)
+    ens = across_batches(monkeypatch, lambda: simulate_ensemble(p, 40, base_seed=2))
     counts = [t.n_particles for t in ens]
     assert 0 in counts and max(counts) > 0
     assert_same_trajectories(ens, scalar_ensemble(p, 40, 2))
@@ -614,7 +637,7 @@ def test_lockstep_low_density_with_empty_trajectories():
 
 @pytest.mark.parametrize("family", ["gaussian", "exponential"])
 @pytest.mark.parametrize("exclude", [False, True])
-def test_lockstep_smooth_energies_match_interaction_energy(family, exclude):
+def test_lockstep_smooth_energies_match_interaction_energy(monkeypatch, family, exclude):
     torus = Torus(2, 30.0)
     pot = (PotentialSpec.gaussian(0.6, 1.3, dim=2) if family == "gaussian"
            else PotentialSpec.exponential(4.0, 2.0, dim=2))
@@ -642,8 +665,75 @@ def test_lockstep_smooth_energies_match_interaction_energy(family, exclude):
     p = SimulationParams(torus=torus, kernel=KERNEL2, potential=pot, rho0=0.15,
                          t_end=0.5, snapshot_times=(0.0, 0.5), record_events=True,
                          exclude_mover=exclude)
-    assert_same_trajectories(simulate_ensemble(p, 10, base_seed=5),
-                             scalar_ensemble(p, 10, 5))
+    assert_same_trajectories(
+        across_batches(monkeypatch, lambda: simulate_ensemble(p, 10, base_seed=5)),
+        scalar_ensemble(p, 10, 5))
+
+
+@pytest.mark.parametrize("family, exclude, reach, epsilon", [
+    ("gaussian", False, 1.0, 1.0), ("exponential", True, 1.0, 1.0),
+    ("gaussian", False, 7.0, 0.1)])
+def test_smooth_many_cell_batches_bit_identical(monkeypatch, family, exclude, reach,
+                                                epsilon):
+    # smooth sums follow slot order, so here a batch must also end before a
+    # target whose 3^d cells an accepted move of the batch left or entered;
+    # hops longer than a cell (with most of them accepted) let two moves of
+    # one batch leave one cell, and their swaps must reach the table in slot
+    # order, which the snapshots' slot orders check
+    if family == "gaussian":
+        torus, pot, rho0 = Torus(2, 30.0), PotentialSpec.gaussian(0.5, 1.0, dim=2), 1.2
+    else:
+        torus, pot, rho0 = Torus(2, 40.0), PotentialSpec.exponential(4.0, 1.0, dim=2), 0.7
+    assert simulator._cells_per_axis(torus, pot, rho0 * torus.volume) == 5
+    kernel = KernelSpec.top_hat(reach, 1.0 / reach**2, dim=2)  # alpha = pi
+    p = SimulationParams(torus=torus, kernel=kernel, potential=pot, epsilon=epsilon,
+                         rho0=rho0, t_end=0.3, snapshot_times=(0.0, 0.1, 0.3),
+                         record_events=True, exclude_mover=exclude)
+    orders = {}  # a snapshot's positions -> the particles in slot order, per run
+    positions = simulator._CellTable.positions
+
+    def spy(table, r, n):
+        pos = positions(table, r, n)
+        orders.setdefault(pos.tobytes(), []).append(table.who[r][table.who[r] >= 0])
+        return pos
+
+    monkeypatch.setattr(simulator._CellTable, "positions", spy)
+    ens = across_batches(monkeypatch, lambda: simulate_ensemble(p, 4, base_seed=5))
+    assert len(orders) == 12
+    assert all(len(seen) == 1 + len(BATCHES)
+               and all(np.array_equal(o, seen[0]) for o in seen) for seen in orders.values())
+    cell = simulator._CellTable(torus, pot, 5, [np.zeros((0, 2))]).cell
+    # every trajectory moves a particle across cells
+    assert all(np.any(cell(t.old_positions[t.accepted]) != cell(t.new_positions[t.accepted]))
+               for t in ens)
+
+
+def clash_batch(table, moves, accepted):
+    """First clashing proposal of a one-row batch of (mover, new point) moves."""
+    mover = np.array([[m for m, _ in moves]])
+    y = np.array([[[x] for _, x in moves]])
+    return int(table.clashes(mover, table.at(mover), y, np.array([accepted]))[0])
+
+
+def test_a_point_at_the_cutoff_of_a_later_target_ends_the_batch():
+    # the top-hat counts r2 <= cut, so a point exactly at the cutoff of a
+    # later target changes its count, at one cell as at many
+    start = [np.array([[2.0], [10.0], [15.0]])]
+    for cells in (1, 5):
+        table = simulator._CellTable(TORUS, POT, cells, start)
+        assert table.cut == 1.0
+        assert clash_batch(table, [(0, 5.0), (1, 6.0)], [True, False]) == 1  # new point
+        assert clash_batch(table, [(0, 12.0), (1, 3.0)], [True, False]) == 1  # old point
+        assert clash_batch(table, [(0, 5.0), (1, 6.0)], [False, False]) == 2
+        assert clash_batch(table, [(0, 5.0), (1, np.nextafter(6.0, 7.0))],
+                           [True, False]) == 2
+        assert clash_batch(table, [(0, 5.0), (1, 9.0), (0, 5.5)], [True, True, False]) == 2
+    # a smooth sum over cells clashes on the 3^d cells, not the distance
+    gauss = PotentialSpec.gaussian(0.3, 1.0, dim=1)
+    table = simulator._CellTable(TORUS, gauss, 5, start)
+    assert table.cut < 9.0
+    assert clash_batch(table, [(0, 13.0), (1, 10.0)], [True, False]) == 1
+    assert clash_batch(table, [(0, 3.0), (1, 10.0)], [True, False]) == 2
 
 
 def test_cell_table_finds_pairs_at_the_support_edge():
@@ -683,14 +773,15 @@ def test_cell_table_energies_do_not_depend_on_other_rows():
         assert np.array_equal(alone.energies(y, alone.cell(y)), want)
 
 
-def test_lockstep_serial_and_parallel_identical_across_chunks():
+def test_lockstep_serial_and_parallel_identical_across_chunks(monkeypatch):
     n_traj = 45  # one chunk serially, two with two workers
     assert [len(simulator._chunk_bounds(1, 10.0, n_traj, w)) for w in (1, 2)] == [2, 3]
     gauss = PotentialSpec.gaussian(0.3, 1.0, dim=1)
     for pot in (POT, gauss):
         p = params(potential=pot, t_end=0.5, snapshot_times=(0.25, 0.5),
                    record_events=True)
-        serial = simulate_ensemble(p, n_traj, base_seed=5, n_jobs=1)
+        serial = across_batches(
+            monkeypatch, lambda: simulate_ensemble(p, n_traj, base_seed=5, n_jobs=1))
         parallel = simulate_ensemble(p, n_traj, base_seed=5, n_jobs=2)
         assert_same_trajectories(parallel, serial)
 
@@ -699,6 +790,9 @@ def test_lockstep_serial_and_parallel_identical_across_chunks():
     dict(epsilon=math.nan), dict(epsilon=math.inf), dict(t_end=math.nan),
     dict(t_end=math.inf), dict(snapshot_times=(math.nan,)),
     dict(snapshot_times=(0.5, math.inf)),
+    dict(rho0=math.nan), dict(rho0=math.inf), dict(rho0=-math.inf), dict(rho0=-0.5),
+    dict(rho0=True), dict(rho0="1.0"),
+    dict(rho0=DensityField.constant(Torus(1, 30.0), 16, 0.5)),
 ])
 def test_params_reject_non_finite_values(bad):
     p = params(**bad)
@@ -708,6 +802,34 @@ def test_params_reject_non_finite_values(bad):
         simulate_ensemble(p, 2, base_seed=1)
     with pytest.raises(ConfigError):
         simulate(p, 1)
+
+
+@pytest.mark.parametrize("counts", [
+    dict(n_trajectories=2.5), dict(n_trajectories=True), dict(n_trajectories=0),
+    dict(n_trajectories=math.nan), dict(n_jobs=1.5), dict(n_jobs=0), dict(n_jobs=-2),
+    dict(n_jobs=True), dict(n_jobs=math.inf),
+])
+def test_ensemble_counts_must_be_whole_numbers_from_one(counts):
+    args = {"n_trajectories": 2, "n_jobs": 1, **counts}
+    with pytest.raises(ConfigError, match="whole number >= 1"):
+        simulate_ensemble(params(), base_seed=1, **args)
+
+
+def test_ensemble_takes_whole_counts_of_any_number_type():
+    p = params(record_events=True)
+    assert_same_trajectories(simulate_ensemble(p, 3.0, base_seed=1, n_jobs=np.int64(1)),
+                             simulate_ensemble(p, 3, base_seed=1))
+
+
+def test_each_chunk_logs_its_counts(caplog):
+    p = params(record_events=True)
+    with caplog.at_level(logging.DEBUG, logger="kawasaki.simulator"):
+        ens = simulate_ensemble(p, 6, base_seed=3)
+    (record,) = [r for r in caplog.records if r.name == "kawasaki.simulator"]
+    rows, events, accepted, iterations, per_iteration = record.args
+    assert (rows, events, accepted) == (6, sum(t.n_events for t in ens),
+                                        sum(t.n_accepted for t in ens))
+    assert 0 < iterations < events and per_iteration == pytest.approx(events / iterations)
 
 
 def test_ensemble_rejects_wrong_number_of_initials():
