@@ -17,7 +17,9 @@ are provided on a shared uniform time grid:
   used as an independent verification path on short windows where the
   contraction factor q(T) from the `horizon` module is below one. The time
   integrals use the trapezoid rule; the decaying weight makes the quadrature
-  a one-step recursion, so each sweep costs one pass over the grid.
+  a one-step recursion, so each sweep costs one pass over the grid. The
+  integrand is built in cache-sized blocks of time rows and folded into the
+  recursion as it goes, so a sweep holds two (n_steps + 1, grid) stacks.
 
 Kernels are tabulated on the grid via minimal-image distances and rescaled
 so the discrete sum times the cell volume equals the continuum integral
@@ -384,6 +386,27 @@ class PicardResult:
         return DensityField(self.torus, self.fields[-1])
 
 
+# Picard builds its integrand over at most this many cells at a time, so that a
+# block's transforms and temporaries stay in cache, as simulator._QUERY_TERMS
+# bounds an energy query. pocketfft transforms each time row on its own, so the
+# block size changes no bit of the result.
+_BLOCK_CELLS = 1 << 15
+
+
+def _picard_integrand(values, tab_a, spectra, kappa, half_dt):
+    """half_dt [(a * rho) g + rho (a * (1 - g))], g = e^{-(phi * rho)}, on a
+    block of time rows, built in place."""
+    conv = _convolved(values, tab_a, spectra)
+    gain, g = conv[0], (conv[1] if kappa is None else kappa * values)
+    np.exp(np.negative(g, out=g), out=g)
+    gain *= g
+    out = _convolved(np.subtract(1.0, g, out=g), tab_a, spectra[0])
+    out *= values
+    out += gain
+    out *= half_dt
+    return out
+
+
 def picard_solve(rho0: DensityField, T: float, kernel: KernelSpec,
                  potential: PotentialSpec, tolerance: float = 1e-10,
                  dt: float = None, max_iter: int = 200) -> PicardResult:
@@ -416,30 +439,28 @@ def picard_solve(rho0: DensityField, T: float, kernel: KernelSpec,
     decay = np.exp(-a * times).reshape((-1,) + (1,) * len(shape))
     decay_dt = math.exp(-a * dt)
 
+    rows = max(1, _BLOCK_CELLS // rho0.values.size)
+
     deltas, ratios = [], []
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        # integrand (a * rho) g + rho (a * (1 - g)), g = e^{-(phi * rho)}, built
-        # in place: the (n_steps + 1, grid) stacks set the solver's memory
-        conv = _convolved(cur, tab_a, spectra)
-        gain, g = conv[0], (conv[1] if kappa is None else kappa * cur)
-        np.exp(np.negative(g, out=g), out=g)
-        gain *= g
-        integrand = _convolved(np.subtract(1.0, g, out=g), tab_a, spectra[0])
-        integrand *= cur
-        integrand += gain
-        del conv, gain, g
-        # exact-decay trapezoid recursion for int_0^t e^{-alpha (t-s)} G_s ds
-        integrand *= 0.5 * dt
+        # the integrand is built a block of time rows at a time and folded
+        # straight into the exact-decay trapezoid recursion for
+        # int_0^t e^{-alpha (t-s)} G_s ds, so only the (n_steps + 1, grid)
+        # stacks cur and nxt span the window; prev is row k - 1's integrand
         nxt = rho0.values[None] * decay
         acc = np.zeros(shape)
-        for k in range(1, n_steps + 1):
-            acc += integrand[k - 1]
-            acc *= decay_dt
-            acc += integrand[k]
-            nxt[k] += acc
-        del integrand
+        for start in range(0, n_steps + 1, rows):
+            block = _picard_integrand(cur[start:start + rows], tab_a, spectra, kappa,
+                                      0.5 * dt)
+            for k, row in enumerate(block, start):
+                if k:
+                    acc += prev
+                    acc *= decay_dt
+                    acc += row
+                    nxt[k] += acc
+                prev = row
         diff = np.subtract(nxt, cur, out=cur)
         delta = float(np.abs(diff, out=diff).max())
         deltas.append(delta)

@@ -127,9 +127,10 @@ class SweepResult:
 
 
 def renormalize(estimate: CorrelationEstimate, epsilon: float) -> CorrelationEstimate:
-    """Scale k1 by eps and k2 by eps^2 (standard errors likewise)."""
-    if not epsilon > 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    """Scale k1 by eps and k2 by eps^2 (standard errors likewise); eps must
+    be finite and positive (ConfigError)."""
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ConfigError(f"epsilon must be finite and positive, got {epsilon}")
     out = CorrelationEstimate(
         torus=estimate.torus, time=estimate.time, n_traj=estimate.n_traj,
         mean_count=estimate.mean_count, n_cells=estimate.n_cells,

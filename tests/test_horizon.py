@@ -1,12 +1,19 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import kawasaki
 from kawasaki import (ConfigError, HorizonError, NumericError,
                       contraction_factor, existence_horizon, find_T_for_q,
                       horizon_report, op_norm_bound, t_star, theta_of_t)
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def T_ref(theta0, theta, alpha, c):
@@ -179,3 +186,14 @@ def test_horizon_report_roundtrip():
     assert obj["q_of_T"]["0.01"] == pytest.approx(0.171439, abs=1e-5)
     assert obj["theta_of_t"]["0.01"] is not None
     assert obj["norm_bound"] == pytest.approx(2.0)
+
+
+# -- demo ------------------------------------------------------------------------------
+
+def test_horizon_certificates_demo_runs(tmp_path):
+    # the demo is the one caller of c_phi outside the tests and the benchmark
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kawasaki.__file__)))
+    run = subprocess.run([sys.executable, str(REPO / "demos" / "01_horizon_certificates.py")],
+                         cwd=tmp_path, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr

@@ -4,20 +4,23 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kawasaki import (InvalidSpecError, KernelSpec, PotentialSpec, alpha, c_phi,
-                      mean_phi, sample_displacement)
-from kawasaki.kernels import sphere_area
+from kawasaki import (InvalidSpecError, KernelSpec, NumericError, PotentialSpec,
+                      alpha, c_phi, mean_phi, sample_displacement)
+from kawasaki import kernels
+from kawasaki.kernels import ball_volume, sphere_area
 
 
 def radial_quadrature(spec, fn=None, r_max=None):
-    """Independent oracle: integrate fn(phi(r)) over R^d by 1-d quadrature."""
+    """Independent oracle: integrate fn(phi(r)) over R^d by 1-d quadrature,
+    asked for 1e-13 relative."""
     if fn is None:
         fn = lambda v: v
     if r_max is None:
         r_max = spec.support_radius
     d = spec.dim
     val, _ = quad(lambda r: r ** (d - 1) * fn(float(spec.radial(r))),
-                  0.0, r_max, limit=400)
+                  0.0, r_max, points=[spec.radius] if spec.family == "top_hat" else None,
+                  epsabs=0.0, epsrel=1e-13, limit=1000)
     return sphere_area(d) * val
 
 
@@ -62,6 +65,32 @@ def test_alpha_rejects_nonpositive_parameters():
 def test_c_phi_top_hat_closed_form():
     p = PotentialSpec.top_hat(1.0, 1.0, dim=1)
     assert c_phi(p, 1.0) == pytest.approx(2.0 * (1.0 - math.exp(-1.0)), rel=1e-10)
+    for dim in (1, 2, 3):
+        p = PotentialSpec.top_hat(1.3, 0.7, dim=dim)
+        for eps in (1.0, 0.25, 1e-3):
+            exact = ball_volume(dim, 1.3) * -math.expm1(-eps * 0.7) / eps
+            assert c_phi(p, eps) == exact
+
+
+C_PHI_CASES = [
+    p for d in (1, 2, 3)
+    for p in (PotentialSpec.top_hat(1.3, 0.7, dim=d), PotentialSpec.gaussian(0.7, 2.0, dim=d),
+              PotentialSpec.exponential(3.0, 1.5, dim=d))
+] + [
+    # tall potentials: one fixed 64-node panel misses these by up to 7e-7,
+    # so they need the adaptive split
+    PotentialSpec.gaussian(1.0, 1e6, dim=3),
+    PotentialSpec.exponential(3.0, 1e8, dim=3),
+    PotentialSpec.gaussian(2.0, 1e12, dim=3),
+]
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.25, 1e-3])
+@pytest.mark.parametrize("p", C_PHI_CASES,
+                         ids=[f"{p.family}-{p.dim}d-h{p.height:g}" for p in C_PHI_CASES])
+def test_c_phi_matches_quad_oracle(p, eps):
+    oracle = radial_quadrature(p, lambda v: -math.expm1(-eps * v)) / eps
+    assert c_phi(p, eps) == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("p", [
@@ -104,6 +133,23 @@ def test_c_phi_requires_positive_eps():
     p = PotentialSpec.top_hat(1.0, 1.0, dim=1)
     with pytest.raises(InvalidSpecError):
         c_phi(p, 0.0)
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan])
+@pytest.mark.parametrize("p", [PotentialSpec.top_hat(1.0, 1.0, dim=1),
+                               PotentialSpec.gaussian(0.7, 2.0, dim=2)],
+                         ids=["top_hat", "gaussian"])
+def test_c_phi_rejects_non_finite_eps(p, eps):
+    with pytest.raises(InvalidSpecError):
+        c_phi(p, eps)
+
+
+def test_c_phi_quadrature_raises_past_its_panel_limit():
+    # ~1600 oscillations of sin(1/r) need far more than 200 panels
+    with pytest.raises(NumericError):
+        kernels._adaptive_gauss_legendre(lambda r: np.sin(1.0 / r), 1e-4, 1.0)
+    assert kernels._adaptive_gauss_legendre(np.cos, 0.0, 1.0) == pytest.approx(
+        math.sin(1.0), rel=1e-15)
 
 
 def test_local_potential_constants():

@@ -278,12 +278,41 @@ def test_potentials_sharing_a_kernel_keep_their_own_spectra():
             rho, 0.005, kernel, pot, tolerance=1e-12, dt=5e-4))
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal alone takes ~0.36 s and ~23 MB to import, paid by every run
+def test_import_loads_no_heavy_scipy_and_resets_gc_counters():
+    # every run pays its imports: scipy.signal alone takes ~0.36 s and ~23 MB,
+    # and integrate/optimize/fft ~14 MB; kawasaki needs only scipy.spatial.
+    # Counters left near their thresholds turn a run's first young-generation
+    # collection into a full one.
     src = os.path.dirname(os.path.dirname(os.path.abspath(kinetic.__file__)))
-    code = "import sys, kawasaki; assert 'scipy.signal' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": src})
+    code = ("import gc, sys, kawasaki\n"
+            "counts = gc.get_count()\n"
+            "import kawasaki.cli\n"
+            "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.fft', 'scipy.signal')\n"
+            "print([m for m in heavy if m in sys.modules], counts[1:])")
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[] (0, 0)"
+
+
+PICARD_BLOCK_CASES = {
+    "1d-top_hat": (TORUS, 4096, PotentialSpec.top_hat(1.0, 0.5, dim=1)),
+    "1d-local": (TORUS, 4096, PotentialSpec.local(0.8, dim=1)),
+    "2d-gaussian": (TORUS2, 64, PotentialSpec.gaussian(0.6, 0.8, dim=2)),
+}
+
+
+@pytest.mark.parametrize("case", PICARD_BLOCK_CASES.values(), ids=PICARD_BLOCK_CASES.keys())
+def test_picard_blocks_bit_identical_to_whole_stack(case):
+    # 4096 cells make 8-row blocks, so the 21 time rows span two blocks and a
+    # remainder; the reference builds the integrand over the whole stack
+    torus, n, pot = case
+    assert kinetic._BLOCK_CELLS // n ** torus.dim == 8
+    rho = shared_case_field(torus, n)
+    kernel = KernelSpec.top_hat(1.0, 0.5, dim=torus.dim)
+    res = picard_solve(rho, 0.005, kernel, pot, tolerance=1e-12, dt=2.5e-4)
+    assert res.fields.shape[0] == 21
+    assert np.array_equal(res.fields, reference_picard_fields(
+        rho, 0.005, kernel, pot, tolerance=1e-12, dt=2.5e-4))
 
 
 def test_tabulate_cache_is_bounded_and_shared():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,13 @@ def test_renormalize_rejects_bad_eps():
     est = poisson_estimate(0.5, 10, seed=3)
     with pytest.raises(ConfigError):
         renormalize(est, 0.0)
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan])
+def test_renormalize_rejects_non_finite_eps(eps):
+    est = poisson_estimate(0.5, 10, seed=3)
+    with pytest.raises(ConfigError):
+        renormalize(est, eps)
 
 
 # -- sweep planning -----------------------------------------------------------------
