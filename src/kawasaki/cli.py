@@ -19,6 +19,8 @@ a flag whose field the subcommand lacks is an error. Exit codes: 0 success,
 """
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import os
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BudgetError, ConfigError, KawasakiError, NumericError
-from .estimator import estimate_correlations
+from .estimator import check_pair_bins, estimate_parts, fold_estimate
 from .fields import DensityField
 from .horizon import contraction_factor, horizon_report
 from .kernels import KernelSpec, PotentialSpec, alpha, mean_phi
@@ -38,7 +40,7 @@ from .kinetic import (check_dt, monitor_bounds, picard_solve, snapshot_steps,
                       solve_kinetic)
 from .scaling import (SweepSpec, convergence_report, plan_budget, run_sweep,
                       write_sweep_outputs)
-from .simulator import SimulationParams, check_model, simulate_ensemble
+from .simulator import SimulationParams, check_model, map_chunks
 from .torus import Torus
 
 
@@ -241,42 +243,78 @@ def _sim_params(v):
     )
 
 
+def _pair_edges(est_cfg):
+    return np.linspace(0.0, est_cfg["r_max"], est_cfg["n_bins"] + 1)
+
+
 def _check_simulate(v):
-    return _violations(_sim_params(v).validate)
+    est_cfg = v["estimator"]
+    return _violations(_sim_params(v).validate,
+                       lambda: est_cfg and check_pair_bins(_pair_edges(est_cfg), v["torus"]))
+
+
+def _snapshot_rows(ti, traj):
+    d = traj.torus.dim
+    text = []
+    for s, snap in zip(traj.snapshot_times, traj.snapshots):
+        row = f"{ti},{s!r},%d," + ",".join(["%r"] * d) + "\n"
+        text += [row % (pid, *xs) for pid, xs in enumerate(snap.tolist())]
+    return "".join(text)
+
+
+def _event_rows(ti, traj):
+    row = f"{ti},%r,%d,%d," + ",".join(["%r"] * (2 * traj.torus.dim)) + "\n"
+    return "".join([row % (t, m, a, *old, *new) for t, m, a, old, new in zip(
+        traj.times.tolist(), traj.movers.tolist(), traj.accepted.tolist(),
+        traj.old_positions.tolist(), traj.new_positions.tolist())])
+
+
+def _chunk_outputs(record_events, times, n_cells, r_edges, first, trajectories):
+    """What `simulate` writes of one chunk of trajectories, the first of them
+    trajectory `first`: its snapshots.csv rows, its events.csv rows, and the
+    estimator parts of its snapshots at each of `times` (none when r_edges
+    is None). It runs in the pool worker that simulated the chunk."""
+    rows = list(enumerate(trajectories, first))
+    snaps = "".join(_snapshot_rows(ti, traj) for ti, traj in rows)
+    events = "".join(_event_rows(ti, traj) for ti, traj in rows) if record_events else ""
+    parts = [] if r_edges is None else [
+        estimate_parts([traj.snapshot_at(s) for traj in trajectories],
+                       trajectories[0].torus, n_cells, r_edges) for s in times]
+    return snaps, events, parts
 
 
 def _run_simulate(v, out_dir):
-    ensemble = simulate_ensemble(_sim_params(v), v["n_traj"], v["seed"],
-                                 n_jobs=v["threads"])
+    est_cfg = v["estimator"]
+    n_cells = r_edges = None
+    if est_cfg is not None:
+        n_cells, r_edges = est_cfg["n_cells"], _pair_edges(est_cfg)
+    reduce = functools.partial(_chunk_outputs, v["record_events"], v["snapshots"],
+                               n_cells, r_edges)
+    chunks = map_chunks(_sim_params(v), v["n_traj"], v["seed"], reduce,
+                        n_jobs=v["threads"])
     d = v["torus"].dim
     cols = ",".join(f"x{k}" for k in range(d))
-    with open(os.path.join(out_dir, "snapshots.csv"), "w") as fh:
-        fh.write(f"traj_id,time,particle_id,{cols}\n")
-        for ti, traj in enumerate(ensemble):
-            for s, snap in zip(traj.snapshot_times, traj.snapshots):
-                fh.write("".join(f"{ti},{s!r},{pid},{','.join(map(repr, xs))}\n"
-                                 for pid, xs in enumerate(snap.tolist())))
-    if v["record_events"]:
-        oldc = ",".join(f"old_x{k}" for k in range(d))
-        newc = ",".join(f"new_x{k}" for k in range(d))
-        with open(os.path.join(out_dir, "events.csv"), "w") as fh:
-            fh.write(f"traj_id,time,mover,accepted,{oldc},{newc}\n")
-            for ti, traj in enumerate(ensemble):
-                rows = zip(traj.times.tolist(), traj.movers.tolist(),
-                           traj.accepted.tolist(), traj.old_positions.tolist(),
-                           traj.new_positions.tolist())
-                fh.write("".join(f"{ti},{t!r},{m},{int(a)},{','.join(map(repr, old))},"
-                                 f"{','.join(map(repr, new))}\n"
-                                 for t, m, a, old, new in rows))
-    est_cfg = v["estimator"]
-    if est_cfg is not None:
-        r_edges = np.linspace(0.0, est_cfg["r_max"], est_cfg["n_bins"] + 1)
-        for j, s in enumerate(v["snapshots"]):
-            est = estimate_correlations(ensemble, s, est_cfg["n_cells"], r_edges,
-                                        torus=v["torus"])
-            est.write_k1_csv(os.path.join(out_dir, f"k1_t{j}.csv"))
-            est.write_k2_csv(os.path.join(out_dir, f"k2_t{j}.csv"))
-            est.write_meta_json(os.path.join(out_dir, f"meta_t{j}.json"))
+    parts = []
+    with contextlib.ExitStack() as files:
+        snaps = files.enter_context(open(os.path.join(out_dir, "snapshots.csv"), "w"))
+        snaps.write(f"traj_id,time,particle_id,{cols}\n")
+        if v["record_events"]:
+            events = files.enter_context(open(os.path.join(out_dir, "events.csv"), "w"))
+            events.write(f"traj_id,time,mover,accepted,{cols.replace('x', 'old_x')},"
+                         f"{cols.replace('x', 'new_x')}\n")
+        # each chunk's rows are written as it arrives, in chunk order
+        for snap_rows, event_rows, chunk_parts in chunks:
+            snaps.write(snap_rows)
+            if v["record_events"]:
+                events.write(event_rows)
+            parts.append(chunk_parts)
+    if est_cfg is None:
+        return
+    for j, s in enumerate(v["snapshots"]):
+        est = fold_estimate([p[j] for p in parts], v["torus"], s, n_cells, r_edges)
+        est.write_k1_csv(os.path.join(out_dir, f"k1_t{j}.csv"))
+        est.write_k2_csv(os.path.join(out_dir, f"k2_t{j}.csv"))
+        est.write_meta_json(os.path.join(out_dir, f"meta_t{j}.json"))
 
 
 # -- kinetic ------------------------------------------------------------------
@@ -401,6 +439,7 @@ def _sweep_spec(v):
 def _check_sweep(v):
     spec = _sweep_spec(v)
     diags = _violations(lambda: check_model(v["torus"], v["kernel"], v["potential"]),
+                        lambda: check_pair_bins(spec.pair_edges(), v["torus"]),
                         spec.validate_plan)
     if not diags:
         plan_budget(spec)  # BudgetError: exit 3 from a run, a violation from validate

@@ -15,6 +15,14 @@ all-pairs histogram bit for bit. Memory is O(pairs within r_max): 16 bytes of
 candidate indices per unordered pair, about 0.39 n^2 pairs in 2-d at
 r_max = L/2.
 
+Every estimate is built in two halves. `estimate_parts` computes the
+per-snapshot values of a run of snapshots (hist / cell volume, and pair
+counts / shell measure); `fold_estimate` sums the parts of consecutive runs
+one snapshot after another, in snapshot order, into the mean and its
+standard error. So an estimate folded from parts built chunk by chunk, as the
+CLI `simulate` builds them in the pool workers that simulated each chunk,
+has the bits of one pass over all snapshots.
+
 The factorization diagnostic compares the pair estimate against the radial
 average of the product field k1 (x) k1. For d = 1 that average is computed
 exactly for the piecewise-constant density estimate (the in-cell offset of
@@ -26,6 +34,7 @@ O(h) approximation for ideal data.
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -136,44 +145,6 @@ def _write_profile_csv(path, centers, values, stderr):
             fh.write(f"{float(c)!r},{float(v)!r},{float(s)!r}\n")
 
 
-def estimate_density(ensemble, time, n_cells, torus=None) -> CorrelationEstimate:
-    """One-point correlation (density) estimate on an n_cells^d grid."""
-    if len(ensemble) == 0:
-        raise ConfigError("empty ensemble")
-    torus = _ensemble_torus(ensemble, torus)
-    snaps = _snapshot_arrays(ensemble, time)
-    d = torus.dim
-    edges = [np.linspace(0.0, torus.side, n_cells + 1)] * d
-    vol = (torus.side / n_cells) ** d
-    total = np.zeros((n_cells,) * d)
-    total_sq = np.zeros_like(total)
-    counts = float(sum(pos.shape[0] for pos in snaps))
-    # one histogram per group of snapshots, with a snapshot axis in front;
-    # the sums run snapshot by snapshot, as with one histogram each
-    per = max(1, _DENSITY_BINS // n_cells ** d)
-    for a in range(0, len(snaps), per):
-        group = [pos.reshape(-1, d) for pos in snaps[a:a + per]]
-        owner = np.repeat(np.arange(len(group)), [p.shape[0] for p in group])
-        hist, _ = np.histogramdd(np.column_stack([owner, np.concatenate(group)]),
-                                 bins=[np.arange(len(group) + 1) - 0.5, *edges])
-        v = hist / vol
-        sq = v * v
-        v[0] += total
-        sq[0] += total_sq
-        total = np.add.accumulate(v, axis=0)[-1]
-        total_sq = np.add.accumulate(sq, axis=0)[-1]
-    t = len(snaps)
-    k1 = total / t
-    if t > 1:
-        var = (total_sq - t * k1 * k1) / (t - 1)
-        k1_se = np.sqrt(np.maximum(var, 0.0) / t)
-    else:
-        k1_se = np.full_like(k1, math.nan)
-    return CorrelationEstimate(torus=torus, time=time, n_traj=t,
-                               mean_count=counts / t, n_cells=n_cells,
-                               k1=k1, k1_se=k1_se)
-
-
 def _pair_distance_counts(pos, torus, r_edges):
     """Ordered-pair counts per distance bin of one snapshot.
 
@@ -200,36 +171,109 @@ def _pair_distance_counts(pos, torus, r_edges):
     return 2.0 * counts
 
 
-def estimate_pair_correlation(ensemble, time, r_edges, torus=None) -> CorrelationEstimate:
-    """Radial two-point correlation estimate from ordered pair counts."""
-    if len(ensemble) == 0:
-        raise ConfigError("empty ensemble")
-    torus = _ensemble_torus(ensemble, torus)
+class EstimateParts(NamedTuple):
+    """The per-snapshot half of an estimate, over a run of snapshots."""
+
+    snapshots: int
+    particles: int
+    density: list  # hist / cell volume per snapshot, stacked along a first axis
+    pair: np.ndarray  # pair counts / (shell measure * volume), a row per snapshot
+
+
+def check_pair_bins(r_edges, torus) -> np.ndarray:
+    """The pair bin edges as floats; ConfigError unless every bin is at least
+    1e-9 wide, the position resolution, and the last edge is at most L/2,
+    as minimal-image distances are."""
     r_edges = np.asarray(r_edges, dtype=float)
     if np.any(np.diff(r_edges) < 1e-9):
         raise ConfigError("pair bins thinner than the position resolution")
     if r_edges[-1] > 0.5 * torus.side + 1e-12:
         raise ConfigError("pair bins must stay below L/2 (minimal image)")
-    snaps = _snapshot_arrays(ensemble, time)
-    norm = shell_measure(torus.dim, r_edges) * torus.volume
-    total = np.zeros(len(r_edges) - 1)
-    total_sq = np.zeros_like(total)
-    counts = 0.0
-    for pos in snaps:
-        v = _pair_distance_counts(pos, torus, r_edges) / norm
-        total += v
-        total_sq += v * v
-        counts += pos.shape[0]
-    t = len(snaps)
-    k2 = total / t
-    if t > 1:
-        var = (total_sq - t * k2 * k2) / (t - 1)
-        k2_se = np.sqrt(np.maximum(var, 0.0) / t)
-    else:
-        k2_se = np.full_like(k2, math.nan)
-    return CorrelationEstimate(torus=torus, time=time, n_traj=t,
-                               mean_count=counts / t, r_edges=r_edges,
-                               k2=k2, k2_se=k2_se)
+    return r_edges
+
+
+def _density_values(snaps, n_cells, torus):
+    """hist / cell volume of each snapshot on the n_cells^d grid, as stacks
+    with a snapshot axis in front: one histogram per group of snapshots."""
+    d = torus.dim
+    edges = [np.linspace(0.0, torus.side, n_cells + 1)] * d
+    vol = (torus.side / n_cells) ** d
+    per = max(1, _DENSITY_BINS // n_cells ** d)
+    stacks = []
+    for a in range(0, len(snaps), per):
+        group = [pos.reshape(-1, d) for pos in snaps[a:a + per]]
+        owner = np.repeat(np.arange(len(group)), [p.shape[0] for p in group])
+        hist, _ = np.histogramdd(np.column_stack([owner, np.concatenate(group)]),
+                                 bins=[np.arange(len(group) + 1) - 0.5, *edges])
+        stacks.append(hist / vol)
+    return stacks
+
+
+def estimate_parts(snaps, torus, n_cells=None, r_edges=None) -> EstimateParts:
+    """The parts of the position arrays `snaps`: density values on an
+    n_cells^d grid and pair values over `r_edges`, each left out when None.
+    The parts of consecutive runs of snapshots, folded in order by
+    `fold_estimate`, give the bits of one estimate over all of them."""
+    norm = None
+    if r_edges is not None:
+        r_edges = check_pair_bins(r_edges, torus)
+        norm = shell_measure(torus.dim, r_edges) * torus.volume
+    return EstimateParts(
+        snapshots=len(snaps), particles=sum(pos.shape[0] for pos in snaps),
+        density=None if n_cells is None else _density_values(snaps, n_cells, torus),
+        pair=None if norm is None else np.array(
+            [_pair_distance_counts(pos, torus, r_edges) / norm for pos in snaps]
+        ).reshape(len(snaps), len(norm)))
+
+
+def _fold(stacks):
+    """Mean over snapshots of per-snapshot values in stacks with a snapshot
+    axis in front, and its standard error across snapshots. The sums run
+    one snapshot after another, in order, whatever the stacks' sizes."""
+    total = total_sq = np.zeros(stacks[0].shape[1:])
+    for v in stacks:
+        total = np.add.accumulate(np.concatenate([total[None], v]))[-1]
+        total_sq = np.add.accumulate(np.concatenate([total_sq[None], v * v]))[-1]
+    t = sum(len(v) for v in stacks)
+    mean = total / t
+    if t == 1:
+        return mean, np.full_like(mean, math.nan)
+    var = (total_sq - t * mean * mean) / (t - 1)
+    return mean, np.sqrt(np.maximum(var, 0.0) / t)
+
+
+def fold_estimate(parts, torus, time, n_cells=None, r_edges=None) -> CorrelationEstimate:
+    """The estimate over the snapshots of `parts`, a sequence of
+    `estimate_parts` results of consecutive runs of snapshots, taken with
+    the same `n_cells` and `r_edges`."""
+    t = sum(p.snapshots for p in parts)
+    est = CorrelationEstimate(torus=torus, time=time, n_traj=t,
+                              mean_count=float(sum(p.particles for p in parts)) / t)
+    if n_cells is not None:
+        est.n_cells = n_cells
+        est.k1, est.k1_se = _fold([v for p in parts for v in p.density])
+    if r_edges is not None:
+        est.r_edges = np.asarray(r_edges, dtype=float)
+        est.k2, est.k2_se = _fold([p.pair for p in parts])
+    return est
+
+
+def estimate_density(ensemble, time, n_cells, torus=None) -> CorrelationEstimate:
+    """One-point correlation (density) estimate on an n_cells^d grid."""
+    if len(ensemble) == 0:
+        raise ConfigError("empty ensemble")
+    torus = _ensemble_torus(ensemble, torus)
+    parts = estimate_parts(_snapshot_arrays(ensemble, time), torus, n_cells=n_cells)
+    return fold_estimate([parts], torus, time, n_cells=n_cells)
+
+
+def estimate_pair_correlation(ensemble, time, r_edges, torus=None) -> CorrelationEstimate:
+    """Radial two-point correlation estimate from ordered pair counts."""
+    if len(ensemble) == 0:
+        raise ConfigError("empty ensemble")
+    torus = _ensemble_torus(ensemble, torus)
+    parts = estimate_parts(_snapshot_arrays(ensemble, time), torus, r_edges=r_edges)
+    return fold_estimate([parts], torus, time, r_edges=r_edges)
 
 
 def estimate_correlations(ensemble, time, n_cells, r_edges, torus=None) -> CorrelationEstimate:

@@ -19,8 +19,11 @@ weighted sup-norm spaces indexed by theta:
   valid on windows with e^{alpha T} < 2; q(T) < 1 certifies geometric
   convergence of the integral-equation iteration with sup-norm-u0 data.
 
-All root finding is plain bisection on monotone branches; the maximum T_* is
-located by golden-section search. Tolerances are fixed at 1e-12.
+All root finding is plain bisection on monotone branches. The maximizer
+theta_* is where dT/dtheta changes sign: it is bisected on the sign of
+(theta0 - theta) c_phi e^{-theta} - 1 down to adjacent floats, so it is fixed
+to its last bits although T is flat at its maximum. theta(t) is bisected to
+1e-12.
 """
 
 import json
@@ -29,7 +32,6 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, HorizonError, NumericError
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _TOL = 1e-12
 
 
@@ -53,31 +55,27 @@ def t_star(theta0: float, alpha: float, c_phi: float):
     if c_phi == 0.0:
         return math.inf, -math.inf
 
-    def T(th):
-        return existence_horizon(theta0, th, alpha, c_phi)
+    def g(th):
+        # has the sign of dT/dtheta and decreases in theta
+        return (theta0 - th) * c_phi * math.exp(-th) - 1.0
 
-    # the derivative sign is that of (theta0 - theta) c e^{-theta} - 1, which
-    # is decreasing in theta; expand left until the bracket contains the root
+    # expand left until the bracket contains the root
     width = 1.0
-    while (theta0 - (theta0 - width)) * c_phi * math.exp(-(theta0 - width)) <= 1.0:
+    while g(theta0 - width) <= 0.0:
         width *= 2.0
         if width > 1e8:
             raise NumericError("failed to bracket the horizon maximum")
     lo, hi = theta0 - width, theta0
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = T(x1), T(x2)
-    while hi - lo > _TOL:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = T(x2)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if g(mid) > 0.0:
+            lo = mid
         else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = T(x1)
-    th = 0.5 * (lo + hi)
-    return T(th), th
+            hi = mid
+    th = lo if abs(g(lo)) <= abs(g(hi)) else hi
+    return existence_horizon(theta0, th, alpha, c_phi), th
 
 
 def theta_of_t(theta0: float, alpha: float, c_phi: float, t: float):

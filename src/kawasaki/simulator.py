@@ -34,7 +34,10 @@ will use: the waiting times never depend on an acceptance, so the slot at
 which a row passes its last limit is known once its block is drawn. Chunks
 are planned at about 2 MB of variates and tables from the slots a row is
 expected to use, alpha n t_end plus a margin, and every pool worker gets at
-least one chunk.
+least one chunk. `map_chunks` reduces each chunk where it ran, in the pool
+worker when there is a pool, and hands back only the reduced value, in
+chunk order; `simulate_ensemble` is its identity case, whose workers return
+the pickled trajectories.
 
 Every slot is known before its step, so a row decides a batch of its next
 slots per iteration in one energy query, against the table as it stands,
@@ -802,15 +805,28 @@ def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
     return out
 
 
-def simulate_ensemble(params: SimulationParams, n_trajectories: int,
-                      base_seed: int, n_jobs: int = 1, initials=None):
-    """Run n independent trajectories; trajectory i is a pure function of
-    (params, base_seed, i), so parallel and serial execution agree exactly.
+def _run_chunk(reduce, first, params, seeds, initials, n_planned):
+    return reduce(first, _simulate_rows(params, seeds, initials, n_planned))
 
-    The trajectories run in lockstep chunks. With n_jobs > 1 each chunk is a
-    unit handed to the process pool; there are at least as many chunks as
-    workers, and the pool is clamped to the CPU and unit counts. `initials`,
-    when given, holds one initial configuration per trajectory.
+
+def _pooled(units, workers):
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_run_chunk, *zip(*units),
+                            chunksize=max(1, len(units) // (4 * workers)))
+
+
+def map_chunks(params: SimulationParams, n_trajectories: int, base_seed: int,
+               reduce, n_jobs: int = 1, initials=None):
+    """Run n independent trajectories in lockstep chunks and reduce each
+    chunk in the process that ran it: an iterator over reduce(first,
+    trajectories) per chunk, in chunk order, `first` being the index of the
+    chunk's first trajectory. Trajectory i is a pure function of (params,
+    base_seed, i), so serial and pooled runs agree exactly.
+
+    With n_jobs > 1 the chunks go to a process pool, at least one per worker,
+    which is clamped to the CPU and chunk counts, and only the reduced values
+    come back, so `reduce` must pickle. The inputs are checked at the call.
+    `initials`, when given, holds one initial configuration per trajectory.
     """
     n_trajectories = _require_count("n_trajectories", n_trajectories, least=1)
     n_jobs = _require_count("n_jobs", n_jobs, least=1)
@@ -822,14 +838,23 @@ def simulate_ensemble(params: SimulationParams, n_trajectories: int,
     workers = min(n_jobs, os.cpu_count() or 1)
     bounds = _chunk_bounds(params.torus.dim, n, n_trajectories, workers,
                            _planned_slots(params, n))
-    units = [(params, [_stream_seed(base_seed, i) for i in range(lo, hi)],
+    units = [(reduce, int(lo), params, [_stream_seed(base_seed, i) for i in range(lo, hi)],
               None if initials is None else initials[lo:hi], n)
              for lo, hi in zip(bounds[:-1], bounds[1:])]
     workers = min(workers, len(units))
     if workers <= 1:
-        chunks = [_simulate_rows(*unit) for unit in units]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_simulate_rows, *zip(*units),
-                                   chunksize=max(1, len(units) // (4 * workers))))
-    return [traj for chunk in chunks for traj in chunk]
+        return (_run_chunk(*unit) for unit in units)
+    return _pooled(units, workers)
+
+
+def _trajectories(first, trajectories):
+    return trajectories
+
+
+def simulate_ensemble(params: SimulationParams, n_trajectories: int,
+                      base_seed: int, n_jobs: int = 1, initials=None):
+    """Run n independent trajectories and return them in order: `map_chunks`
+    with chunks reduced to their trajectories, which the pool pickles back."""
+    return [traj for chunk in map_chunks(params, n_trajectories, base_seed,
+                                         _trajectories, n_jobs, initials)
+            for traj in chunk]

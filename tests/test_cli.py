@@ -190,6 +190,52 @@ def test_simulate_outputs_and_rerun_identical(tmp_path):
     assert header == "traj_id,time,particle_id,x0"
 
 
+def test_simulate_outputs_identical_serial_and_pooled(tmp_path):
+    """Chunks reduced in the pool workers give the files of one serial chunk."""
+    cfg = sim_config(n_traj=5, record_events=True, snapshots=[0.5, 0.25],
+                     estimator={"n_cells": 7, "r_max": 3.3, "n_bins": 9})
+    outs = []
+    for threads in (1, 2):
+        path = write_json(tmp_path / f"sim{threads}.json", {**cfg, "threads": threads})
+        outs.append(tmp_path / f"o{threads}")
+        assert main(["simulate", "--config", path, "--out", str(outs[-1])]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert {"events.csv", "k1_t1.csv", "k2_t1.csv", "meta_t1.json"} <= set(names)
+    for name in names:
+        if name != "manifest.json":
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    configs = [json.loads((o / "manifest.json").read_text())["config"] for o in outs]
+    assert [c.pop("threads") for c in configs] == [1, 2] and configs[0] == configs[1]
+
+
+PINNED = [0.0, 1e-05, 5e-324, 0.1 + 0.2, 39.99999999999999, 1e16]
+
+
+def test_csv_rows_keep_the_bytes_of_repr():
+    from kawasaki import Torus, Trajectory
+    from kawasaki.cli import _event_rows, _snapshot_rows
+
+    xs = np.array(PINNED)
+    traj = Trajectory(seed_key=(0,), torus=Torus(2, 40.0), n_particles=3, t_end=1e16,
+                      snapshot_times=(5e-324, 0.1 + 0.2),
+                      snapshots=[xs.reshape(3, 2), xs[::-1].reshape(3, 2)],
+                      times=xs, movers=np.arange(6), old_positions=np.outer(xs, [1, 1]),
+                      new_positions=np.column_stack([xs[::-1], xs]),
+                      accepted=np.array([True, False] * 3))
+    snaps = "".join(f"{4},{s!r},{pid},{','.join(map(repr, x))}\n"
+                    for s, snap in zip(traj.snapshot_times, traj.snapshots)
+                    for pid, x in enumerate(snap.tolist()))
+    events = "".join(f"{4},{t!r},{m},{int(a)},{','.join(map(repr, old))},"
+                     f"{','.join(map(repr, new))}\n"
+                     for t, m, a, old, new in zip(
+                         traj.times.tolist(), traj.movers.tolist(), traj.accepted.tolist(),
+                         traj.old_positions.tolist(), traj.new_positions.tolist()))
+    assert _snapshot_rows(4, traj) == snaps
+    assert _event_rows(4, traj) == events
+    assert "5e-324" in snaps and "1e+16" in events and "0.30000000000000004" in events
+
+
 def test_manifest_round_trip_reproduces_outputs(tmp_path):
     path = write_json(tmp_path / "sim.json", sim_config())
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -297,6 +343,12 @@ BAD_CONFIGS = {
     # alpha = 2: the kinetic reference grid has steps of 0.05 / alpha = 0.025
     "sweep-times-off-grid": ("scale-sweep", {"times": [0.01, 0.3]}),
     "sweep-dt-unstable": ("scale-sweep", {"dt": 1.0}),
+    # pair bins beyond L/2 = 10, or thinner than 1e-9, failed only after the run
+    "estimator-r_max-beyond-half": ("simulate", {"estimator": {"n_cells": 10,
+                                                               "r_max": 10.5}}),
+    "estimator-bins-too-thin": ("simulate", {"estimator": {"n_cells": 10, "r_max": 1e-8,
+                                                           "n_bins": 20}}),
+    "sweep-r_max-beyond-half": ("scale-sweep", {"r_max": 10.5}),
     "picard-t_end-zero": ("kinetic", {"method": "picard", "t_end": 0.0,
                                       "snapshots": [0.0]}),
 }

@@ -1,3 +1,4 @@
+import json
 import math
 import zlib
 
@@ -389,3 +390,56 @@ def test_csv_and_meta_output(tmp_path):
     header = (tmp_path / "k1.csv").read_text().splitlines()[0]
     assert header == "bin_center,value,stderr"
     assert "np.float64" not in (tmp_path / "k2.csv").read_text()
+
+
+# -- estimates folded from chunks ---------------------------------------------------
+
+def test_simulate_folds_uneven_chunks_to_the_one_pass_bits(monkeypatch, tmp_path):
+    """The CLI estimates from parts that each chunk's worker builds; folded in
+    chunk order they give the bits of one pass over every snapshot."""
+    from kawasaki import cli, simulator
+
+    n_traj, seed, times = 12, 7, (0.5, 0.2)
+    torus = Torus(1, 20.0)
+    cfg = {"torus": {"dim": 1, "side": 20.0},
+           "kernel": {"family": "top_hat", "radius": 1.0, "height": 1.0, "dim": 1},
+           "potential": {"family": "top_hat", "radius": 1.0, "height": 0.5, "dim": 1},
+           "rho0": 0.5, "t_end": 0.5, "snapshots": list(times), "n_traj": n_traj,
+           "seed": seed, "estimator": {"n_cells": 7, "r_max": 3.3, "n_bins": 9}}
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({"subcommand": "simulate", **cfg}))
+    # cells of 20/7 and bins of 0.3666..: sums whose bits depend on their order
+    monkeypatch.setattr(simulator, "_chunk_bounds",
+                        lambda *args: np.array([0, 1, 4, 5, 9, n_traj]))
+    folded = []
+
+    def recording_fold(*args, **kwargs):
+        folded.append(fold(*args, **kwargs))
+        return folded[-1]
+
+    fold = cli.fold_estimate
+    monkeypatch.setattr(cli, "fold_estimate", recording_fold)
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    monkeypatch.undo()
+
+    params = SimulationParams(torus=torus, kernel=KERNEL,
+                              potential=PotentialSpec.top_hat(1.0, 0.5, dim=1),
+                              rho0=0.5, t_end=0.5, snapshot_times=times)
+    ens = simulate_ensemble(params, n_traj, seed)
+    edges = np.linspace(0.0, 3.3, 10)
+    norm = shell_measure(1, edges) * torus.volume
+    assert len(folded) == len(times)
+    for est, t in zip(folded, times):
+        snaps = [traj.snapshot_at(t) for traj in ens]
+        k1, k1_se, mean_count = density_one_histogram_each(snaps, torus, 7)
+        total, total_sq = np.zeros(9), np.zeros(9)
+        for pos in snaps:
+            v = all_pairs_counts(pos, torus, edges) / norm
+            total += v
+            total_sq += v * v
+        k2 = total / n_traj
+        k2_se = np.sqrt(np.maximum((total_sq - n_traj * k2 * k2) / (n_traj - 1), 0.0)
+                        / n_traj)
+        assert np.array_equal(est.k1, k1) and np.array_equal(est.k1_se, k1_se)
+        assert np.array_equal(est.k2, k2) and np.array_equal(est.k2_se, k2_se)
+        assert est.mean_count == mean_count and est.n_traj == n_traj

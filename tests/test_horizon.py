@@ -78,9 +78,26 @@ def test_t_star_matches_scipy_oracle():
     T_max, th_max = t_star(theta0, alpha, c)
     assert T_max == pytest.approx(-res.fun, rel=1e-10)
     assert th_max == pytest.approx(res.x, abs=1e-6)
-    # stationarity condition (theta0 - theta) c e^{-theta} = 1 at the maximizer;
-    # the quadratic flatness of T near its max limits theta to ~1e-8 in doubles
-    assert (theta0 - th_max) * c * math.exp(-th_max) == pytest.approx(1.0, abs=1e-6)
+    # stationarity condition (theta0 - theta) c e^{-theta} = 1 at the maximizer,
+    # which is bisected on that condition rather than on the flat T
+    assert (theta0 - th_max) * c * math.exp(-th_max) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("theta0", [-2.0, 0.0, 1.0, 5.0])
+@pytest.mark.parametrize("c", [1e-3, 0.1, 1.0, 7.0, 100.0])
+def test_t_star_maximizer_is_within_a_float_of_the_root(theta0, c):
+    _, th = t_star(theta0, 1.0, c)
+    g = (theta0 - th) * c * math.exp(-th) - 1.0
+    slope = c * math.exp(-th) * (1.0 + theta0 - th)  # -dg/dtheta
+    assert abs(g) <= slope * np.spacing(abs(th)) + 4 * np.finfo(float).eps
+
+
+def test_t_star_moves_a_few_ulps_with_one_ulp_of_c_phi():
+    c = 0.6321205588285576  # the kinetic-grids top-hat c_phi, then one ulp up
+    assert np.nextafter(c, 1.0) == 0.6321205588285577
+    (T_a, th_a), (T_b, th_b) = t_star(0.0, 2.0, c), t_star(0.0, 2.0, np.nextafter(c, 1.0))
+    assert abs(th_b - th_a) <= 4 * np.spacing(abs(th_a))
+    assert abs(T_b - T_a) <= 4 * np.spacing(T_a)
 
 
 def test_t_star_infinite_without_potential():
