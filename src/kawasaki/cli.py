@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BudgetError, ConfigError, KawasakiError, NumericError
-from .estimator import check_pair_bins, estimate_parts, fold_estimate
+from .estimator import check_pair_bins, chunk_parts, fold_estimates
 from .fields import DensityField
 from .horizon import contraction_factor, horizon_report
 from .kernels import KernelSpec, PotentialSpec, alpha, mean_phi
@@ -271,16 +271,12 @@ def _event_rows(ti, traj):
 
 def _chunk_outputs(record_events, times, n_cells, r_edges, first, trajectories):
     """What `simulate` writes of one chunk of trajectories, the first of them
-    trajectory `first`: its snapshots.csv rows, its events.csv rows, and the
-    estimator parts of its snapshots at each of `times` (none when r_edges
-    is None). It runs in the pool worker that simulated the chunk."""
+    trajectory `first`: its snapshots.csv rows, its events.csv rows, and its
+    `chunk_parts`. It runs in the pool worker that simulated the chunk."""
     rows = list(enumerate(trajectories, first))
     snaps = "".join(_snapshot_rows(ti, traj) for ti, traj in rows)
     events = "".join(_event_rows(ti, traj) for ti, traj in rows) if record_events else ""
-    parts = [] if r_edges is None else [
-        estimate_parts([traj.snapshot_at(s) for traj in trajectories],
-                       trajectories[0].torus, n_cells, r_edges) for s in times]
-    return snaps, events, parts
+    return snaps, events, chunk_parts(times, n_cells, r_edges, first, trajectories)
 
 
 def _run_simulate(v, out_dir):
@@ -294,7 +290,6 @@ def _run_simulate(v, out_dir):
                         n_jobs=v["threads"])
     d = v["torus"].dim
     cols = ",".join(f"x{k}" for k in range(d))
-    parts = []
     with contextlib.ExitStack() as files:
         snaps = files.enter_context(open(os.path.join(out_dir, "snapshots.csv"), "w"))
         snaps.write(f"traj_id,time,particle_id,{cols}\n")
@@ -302,16 +297,20 @@ def _run_simulate(v, out_dir):
             events = files.enter_context(open(os.path.join(out_dir, "events.csv"), "w"))
             events.write(f"traj_id,time,mover,accepted,{cols.replace('x', 'old_x')},"
                          f"{cols.replace('x', 'new_x')}\n")
-        # each chunk's rows are written as it arrives, in chunk order
-        for snap_rows, event_rows, chunk_parts in chunks:
-            snaps.write(snap_rows)
-            if v["record_events"]:
-                events.write(event_rows)
-            parts.append(chunk_parts)
+
+        def written(chunks):
+            # each chunk's rows are written as it arrives, in chunk order
+            for snap_rows, event_rows, parts in chunks:
+                snaps.write(snap_rows)
+                if v["record_events"]:
+                    events.write(event_rows)
+                yield parts
+
+        ests = fold_estimates(written(chunks), v["torus"], v["snapshots"], n_cells,
+                              r_edges)
     if est_cfg is None:
         return
-    for j, s in enumerate(v["snapshots"]):
-        est = fold_estimate([p[j] for p in parts], v["torus"], s, n_cells, r_edges)
+    for j, est in enumerate(ests):
         est.write_k1_csv(os.path.join(out_dir, f"k1_t{j}.csv"))
         est.write_k2_csv(os.path.join(out_dir, f"k2_t{j}.csv"))
         est.write_meta_json(os.path.join(out_dir, f"meta_t{j}.json"))

@@ -15,13 +15,16 @@ all-pairs histogram bit for bit. Memory is O(pairs within r_max): 16 bytes of
 candidate indices per unordered pair, about 0.39 n^2 pairs in 2-d at
 r_max = L/2.
 
-Every estimate is built in two halves. `estimate_parts` computes the
+Every estimate takes one path in two halves. `estimate_parts` computes the
 per-snapshot values of a run of snapshots (hist / cell volume, and pair
-counts / shell measure); `fold_estimate` sums the parts of consecutive runs
-one snapshot after another, in snapshot order, into the mean and its
-standard error. So an estimate folded from parts built chunk by chunk, as the
-CLI `simulate` builds them in the pool workers that simulated each chunk,
-has the bits of one pass over all snapshots.
+counts / shell measure); `chunk_parts`, the `map_chunks` reducer, takes them
+for a chunk of trajectories at each snapshot time. `fold_estimates` adds
+each chunk's parts, as the chunk arrives, to running sums per time, one
+snapshot after another, and ends with the mean and its standard error. So
+an estimate folded from chunks, as the CLI `simulate` and `run_sweep` build
+them in the pool workers that simulated each chunk, has the bits of one pass
+over all snapshots, and neither caller keeps a chunk once it is folded. The
+public `estimate_*` functions are the one-chunk case.
 
 The factorization diagnostic compares the pair estimate against the radial
 average of the product field k1 (x) k1. For d = 1 that average is computed
@@ -58,14 +61,9 @@ def shell_measure(dim: int, r_edges) -> np.ndarray:
 
 
 def _snapshot_arrays(ensemble, time):
-    """Positions per trajectory at a stored snapshot time."""
-    out = []
-    for traj in ensemble:
-        if hasattr(traj, "snapshot_at"):
-            out.append(traj.snapshot_at(time))
-        else:
-            out.append(np.asarray(traj, dtype=float))
-    return out
+    """Positions per trajectory (or raw position array) at a stored snapshot time."""
+    return [traj.snapshot_at(time) if hasattr(traj, "snapshot_at")
+            else np.asarray(traj, dtype=float) for traj in ensemble]
 
 
 def _ensemble_torus(ensemble, torus):
@@ -116,12 +114,18 @@ class CorrelationEstimate:
     # -- serialization -------------------------------------------------------
 
     def write_k1_csv(self, path):
-        centers = (np.arange(self.k1.size) + 0.5) * (self.torus.side / self.n_cells)
-        _write_profile_csv(path, centers[:self.k1.size], self.k1.ravel(),
-                           self.k1_se.ravel())
+        """k1 per cell, keyed by its center for d = 1 and by its row-major
+        cell index, as in the kinetic rho.csv, for d >= 2."""
+        if self.torus.dim == 1:
+            h = self.torus.side / self.n_cells
+            key, index = "bin_center", ((np.arange(self.k1.size) + 0.5) * h).tolist()
+        else:
+            key, index = "cell_index", range(self.k1.size)
+        _write_profile_csv(path, key, index, self.k1.ravel(), self.k1_se.ravel())
 
     def write_k2_csv(self, path):
-        _write_profile_csv(path, self.r_centers, self.k2, self.k2_se)
+        _write_profile_csv(path, "bin_center", self.r_centers.tolist(), self.k2,
+                           self.k2_se)
 
     def meta_json(self) -> dict:
         return {
@@ -138,11 +142,11 @@ class CorrelationEstimate:
             fh.write("\n")
 
 
-def _write_profile_csv(path, centers, values, stderr):
+def _write_profile_csv(path, key, index, values, stderr):
     with open(path, "w") as fh:
-        fh.write("bin_center,value,stderr\n")
-        for c, v, s in zip(np.ravel(centers), values, stderr):
-            fh.write(f"{float(c)!r},{float(v)!r},{float(s)!r}\n")
+        fh.write(f"{key},value,stderr\n")
+        for c, v, s in zip(index, values, stderr):
+            fh.write(f"{c!r},{float(v)!r},{float(s)!r}\n")
 
 
 def _pair_distance_counts(pos, torus, r_edges):
@@ -176,8 +180,10 @@ class EstimateParts(NamedTuple):
 
     snapshots: int
     particles: int
-    density: list  # hist / cell volume per snapshot, stacked along a first axis
-    pair: np.ndarray  # pair counts / (shell measure * volume), a row per snapshot
+    # stacks with a snapshot axis in front, of hist / cell volume and of pair
+    # counts / (shell measure * volume) per snapshot
+    density: list
+    pair: list
 
 
 def check_pair_bins(r_edges, torus) -> np.ndarray:
@@ -213,7 +219,7 @@ def estimate_parts(snaps, torus, n_cells=None, r_edges=None) -> EstimateParts:
     """The parts of the position arrays `snaps`: density values on an
     n_cells^d grid and pair values over `r_edges`, each left out when None.
     The parts of consecutive runs of snapshots, folded in order by
-    `fold_estimate`, give the bits of one estimate over all of them."""
+    `fold_estimates`, give the bits of one estimate over all of them."""
     norm = None
     if r_edges is not None:
         r_edges = check_pair_bins(r_edges, torus)
@@ -221,20 +227,34 @@ def estimate_parts(snaps, torus, n_cells=None, r_edges=None) -> EstimateParts:
     return EstimateParts(
         snapshots=len(snaps), particles=sum(pos.shape[0] for pos in snaps),
         density=None if n_cells is None else _density_values(snaps, n_cells, torus),
-        pair=None if norm is None else np.array(
+        pair=None if norm is None else [np.array(
             [_pair_distance_counts(pos, torus, r_edges) / norm for pos in snaps]
-        ).reshape(len(snaps), len(norm)))
+        ).reshape(len(snaps), len(norm))])
 
 
-def _fold(stacks):
-    """Mean over snapshots of per-snapshot values in stacks with a snapshot
-    axis in front, and its standard error across snapshots. The sums run
-    one snapshot after another, in order, whatever the stacks' sizes."""
-    total = total_sq = np.zeros(stacks[0].shape[1:])
-    for v in stacks:
-        total = np.add.accumulate(np.concatenate([total[None], v]))[-1]
-        total_sq = np.add.accumulate(np.concatenate([total_sq[None], v * v]))[-1]
-    t = sum(len(v) for v in stacks)
+def chunk_parts(times, n_cells, r_edges, first, trajectories) -> list:
+    """The `map_chunks` reducer of every estimate: the parts of a chunk of
+    trajectories (the first of them trajectory `first`) at each of `times`."""
+    return [estimate_parts(_snapshot_arrays(trajectories, s), trajectories[0].torus,
+                           n_cells, r_edges) for s in times]
+
+
+def _add(sums, stacks):
+    """Running (total, total_sq) of per-snapshot values plus the rows of
+    `stacks`, added one snapshot after another whatever the stacks' sizes."""
+    for v in stacks or ():
+        if sums is None:
+            sums = (np.zeros(v.shape[1:]),) * 2
+        sums = tuple(np.add.accumulate(np.concatenate([s[None], w]))[-1]
+                     for s, w in zip(sums, (v, v * v)))
+    return sums
+
+
+def _mean_se(sums, t):
+    """Mean over t snapshots and its standard error across them."""
+    if sums is None:
+        return None, None
+    total, total_sq = sums
     mean = total / t
     if t == 1:
         return mean, np.full_like(mean, math.nan)
@@ -242,48 +262,49 @@ def _fold(stacks):
     return mean, np.sqrt(np.maximum(var, 0.0) / t)
 
 
-def fold_estimate(parts, torus, time, n_cells=None, r_edges=None) -> CorrelationEstimate:
-    """The estimate over the snapshots of `parts`, a sequence of
-    `estimate_parts` results of consecutive runs of snapshots, taken with
-    the same `n_cells` and `r_edges`."""
-    t = sum(p.snapshots for p in parts)
-    est = CorrelationEstimate(torus=torus, time=time, n_traj=t,
-                              mean_count=float(sum(p.particles for p in parts)) / t)
-    if n_cells is not None:
-        est.n_cells = n_cells
-        est.k1, est.k1_se = _fold([v for p in parts for v in p.density])
+def fold_estimates(chunks, torus, times, n_cells=None, r_edges=None) -> list:
+    """One estimate per time of `times`, over the snapshots of `chunks`: an
+    iterable of `chunk_parts` results of consecutive runs of trajectories,
+    taken with the same `n_cells` and `r_edges`. Each chunk is folded into
+    running sums as it arrives and then dropped."""
+    runs = [(0, 0, None, None)] * len(times)
+    for parts in chunks:
+        runs = [(t + p.snapshots, count + p.particles, _add(k1, p.density),
+                 _add(k2, p.pair)) for (t, count, k1, k2), p in zip(runs, parts)]
     if r_edges is not None:
-        est.r_edges = np.asarray(r_edges, dtype=float)
-        est.k2, est.k2_se = _fold([p.pair for p in parts])
-    return est
+        r_edges = np.asarray(r_edges, dtype=float)
+    out = []
+    for time, (t, count, k1, k2) in zip(times, runs):
+        est = CorrelationEstimate(torus=torus, time=time, n_traj=t,
+                                  mean_count=float(count) / t, n_cells=n_cells or 0,
+                                  r_edges=r_edges)
+        est.k1, est.k1_se = _mean_se(k1, t)
+        est.k2, est.k2_se = _mean_se(k2, t)
+        out.append(est)
+    return out
+
+
+def _estimate(ensemble, time, n_cells, r_edges, torus):
+    if len(ensemble) == 0:
+        raise ConfigError("empty ensemble")
+    torus = _ensemble_torus(ensemble, torus)
+    parts = estimate_parts(_snapshot_arrays(ensemble, time), torus, n_cells, r_edges)
+    return fold_estimates([[parts]], torus, [time], n_cells, r_edges)[0]
 
 
 def estimate_density(ensemble, time, n_cells, torus=None) -> CorrelationEstimate:
     """One-point correlation (density) estimate on an n_cells^d grid."""
-    if len(ensemble) == 0:
-        raise ConfigError("empty ensemble")
-    torus = _ensemble_torus(ensemble, torus)
-    parts = estimate_parts(_snapshot_arrays(ensemble, time), torus, n_cells=n_cells)
-    return fold_estimate([parts], torus, time, n_cells=n_cells)
+    return _estimate(ensemble, time, n_cells, None, torus)
 
 
 def estimate_pair_correlation(ensemble, time, r_edges, torus=None) -> CorrelationEstimate:
     """Radial two-point correlation estimate from ordered pair counts."""
-    if len(ensemble) == 0:
-        raise ConfigError("empty ensemble")
-    torus = _ensemble_torus(ensemble, torus)
-    parts = estimate_parts(_snapshot_arrays(ensemble, time), torus, r_edges=r_edges)
-    return fold_estimate([parts], torus, time, r_edges=r_edges)
+    return _estimate(ensemble, time, None, r_edges, torus)
 
 
 def estimate_correlations(ensemble, time, n_cells, r_edges, torus=None) -> CorrelationEstimate:
     """Both one- and two-point estimates from the same snapshots."""
-    est1 = estimate_density(ensemble, time, n_cells, torus=torus)
-    est2 = estimate_pair_correlation(ensemble, time, r_edges, torus=torus)
-    est1.r_edges = est2.r_edges
-    est1.k2 = est2.k2
-    est1.k2_se = est2.k2_se
-    return est1
+    return _estimate(ensemble, time, n_cells, r_edges, torus)
 
 
 # -- radial product profile --------------------------------------------------

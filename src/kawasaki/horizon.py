@@ -22,8 +22,9 @@ weighted sup-norm spaces indexed by theta:
 All root finding is plain bisection on monotone branches. The maximizer
 theta_* is where dT/dtheta changes sign: it is bisected on the sign of
 (theta0 - theta) c_phi e^{-theta} - 1 down to adjacent floats, so it is fixed
-to its last bits although T is flat at its maximum. theta(t) is bisected to
-1e-12.
+to its last bits although T is flat at its maximum. theta(t) and the window
+of find_T_for_q are bisected down to adjacent floats too, through the same
+helper.
 """
 
 import json
@@ -32,7 +33,18 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, HorizonError, NumericError
 
-_TOL = 1e-12
+
+def _bisect(below, lo, hi):
+    """Bisect [lo, hi], where below(lo) holds and below(hi) does not, down to
+    two adjacent floats, and return them."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo, hi
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
 
 
 def existence_horizon(theta0: float, theta: float, alpha: float, c_phi: float) -> float:
@@ -65,15 +77,7 @@ def t_star(theta0: float, alpha: float, c_phi: float):
         width *= 2.0
         if width > 1e8:
             raise NumericError("failed to bracket the horizon maximum")
-    lo, hi = theta0 - width, theta0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda th: g(th) > 0.0, theta0 - width, theta0)
     th = lo if abs(g(lo)) <= abs(g(hi)) else hi
     return existence_horizon(theta0, th, alpha, c_phi), th
 
@@ -90,14 +94,9 @@ def theta_of_t(theta0: float, alpha: float, c_phi: float, t: float):
     T_max, th_max = t_star(theta0, alpha, c_phi)
     if t >= T_max:
         return None
-    lo, hi = th_max, theta0  # T decreases from T_* to 0 on this branch
-    while hi - lo > _TOL:
-        mid = 0.5 * (lo + hi)
-        if existence_horizon(theta0, mid, alpha, c_phi) > t:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # T decreases from T_* to 0 on this branch; lo is the last float with T > t
+    return _bisect(lambda th: existence_horizon(theta0, th, alpha, c_phi) > t,
+                   th_max, theta0)[0]
 
 
 def op_norm_bound(theta_pp: float, theta_p: float, alpha: float, c: float) -> float:
@@ -139,12 +138,8 @@ def find_T_for_q(q_target: float, u0: float, alpha: float, mean_phi: float,
     hi = math.log(2.0) / alpha * (1.0 - 1e-12)
     if contraction_factor(u0, alpha, mean_phi, hi) < q_target:
         raise NumericError("q stays below the target on the admissible window")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if contraction_factor(u0, alpha, mean_phi, mid) < q_target:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda T: contraction_factor(u0, alpha, mean_phi, T) < q_target,
+                     lo, hi)
     T = 0.5 * (lo + hi)
     if abs(contraction_factor(u0, alpha, mean_phi, T) - q_target) > tol:
         raise NumericError("bisection for q(T) did not reach tolerance")

@@ -159,6 +159,21 @@ class RadialSpec:
             return self.kappa == 0.0
         return self.height == 0.0
 
+    # -- constructors ------------------------------------------------------
+    # each builds the class it is called on, which runs that class's checks
+
+    @classmethod
+    def top_hat(cls, radius, height=1.0, dim=1):
+        return cls(family="top_hat", dim=dim, radius=radius, height=height)
+
+    @classmethod
+    def gaussian(cls, sigma, height=1.0, dim=1):
+        return cls(family="gaussian", dim=dim, sigma=sigma, height=height)
+
+    @classmethod
+    def exponential(cls, rate, height=1.0, dim=1):
+        return cls(family="exponential", dim=dim, rate=rate, height=height)
+
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -174,7 +189,7 @@ class RadialSpec:
         return obj
 
     @classmethod
-    def _from_json(cls, obj: dict):
+    def from_json(cls, obj: dict):
         obj = dict(obj)
         try:
             family = obj.pop("family")
@@ -197,22 +212,6 @@ class KernelSpec(RadialSpec):
     def __post_init__(self):
         self._validate(allow_local=False, allow_zero_height=False)
 
-    @classmethod
-    def top_hat(cls, radius, height=1.0, dim=1):
-        return cls(family="top_hat", dim=dim, radius=radius, height=height)
-
-    @classmethod
-    def gaussian(cls, sigma, height=1.0, dim=1):
-        return cls(family="gaussian", dim=dim, sigma=sigma, height=height)
-
-    @classmethod
-    def exponential(cls, rate, height=1.0, dim=1):
-        return cls(family="exponential", dim=dim, rate=rate, height=height)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "KernelSpec":
-        return cls._from_json(obj)
-
 
 @dataclass(frozen=True)
 class PotentialSpec(RadialSpec):
@@ -222,28 +221,12 @@ class PotentialSpec(RadialSpec):
         self._validate(allow_local=True, allow_zero_height=True)
 
     @classmethod
-    def top_hat(cls, radius, height=1.0, dim=1):
-        return cls(family="top_hat", dim=dim, radius=radius, height=height)
-
-    @classmethod
-    def gaussian(cls, sigma, height=1.0, dim=1):
-        return cls(family="gaussian", dim=dim, sigma=sigma, height=height)
-
-    @classmethod
-    def exponential(cls, rate, height=1.0, dim=1):
-        return cls(family="exponential", dim=dim, rate=rate, height=height)
-
-    @classmethod
     def local(cls, kappa, dim=1):
         return cls(family="local", dim=dim, kappa=kappa)
 
     @classmethod
     def zero(cls, dim=1):
         return cls(family="top_hat", dim=dim, radius=1.0, height=0.0)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PotentialSpec":
-        return cls._from_json(obj)
 
 
 # -- derived scalars -------------------------------------------------------

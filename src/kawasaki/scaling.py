@@ -12,9 +12,12 @@ e1 versus eps.
 
 Trajectory counts default to n_traj(eps) ~ eps * n_traj_base, which keeps
 the total number of particle updates (and hence the renormalized estimator
-noise) roughly constant across the ladder.
+noise) roughly constant across the ladder. Each eps is estimated on the
+path of the CLI `simulate`: `map_chunks` with the `chunk_parts` reducer, which
+runs in the pool workers, and `fold_estimates` as the chunks arrive.
 """
 
+import functools
 import json
 import math
 import os
@@ -23,12 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ConfigError
-from .estimator import (CorrelationEstimate, estimate_correlations,
+from .estimator import (CorrelationEstimate, chunk_parts, fold_estimates,
                         radial_product_profile)
 from .fields import DensityField
 from .kernels import KernelSpec, PotentialSpec, alpha as kernel_alpha
 from .kinetic import check_dt, snapshot_steps, solve_kinetic
-from .simulator import SimulationParams, check_model, simulate_ensemble
+from .simulator import SimulationParams, check_model, map_chunks
 from .torus import Torus
 
 
@@ -177,6 +180,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     e2_se = np.zeros_like(e1)
     estimates = []
     n_traj_used = []
+    reduce = functools.partial(chunk_parts, spec.times, spec.n_cells, r_edges)
 
     for i, eps in enumerate(spec.epsilons):
         n_traj = spec.trajectories_for(i)
@@ -186,14 +190,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             epsilon=eps, rho0=rho0.with_values(rho0.values / eps),
             t_end=t_end, snapshot_times=tuple(spec.times), record_events=False,
         )
-        ensemble = simulate_ensemble(params, n_traj, base_seed=(spec.base_seed, i),
-                                     n_jobs=spec.n_jobs)
-        row = []
-        for j, t in enumerate(spec.times):
-            est = renormalize(
-                estimate_correlations(ensemble, t, spec.n_cells, r_edges,
-                                      torus=spec.torus), eps)
-            row.append(est)
+        chunks = map_chunks(params, n_traj, (spec.base_seed, i), reduce,
+                            n_jobs=spec.n_jobs)
+        row = [renormalize(est, eps) for est in fold_estimates(
+            chunks, spec.torus, spec.times, spec.n_cells, r_edges)]
+        for j, est in enumerate(row):
             diff1 = np.abs(est.k1 - ref_fields[j].values)
             b1 = int(np.argmax(diff1))
             e1[i, j] = float(diff1.ravel()[b1])

@@ -3,6 +3,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,23 +191,80 @@ def test_simulate_outputs_and_rerun_identical(tmp_path):
     assert header == "traj_id,time,particle_id,x0"
 
 
-def test_simulate_outputs_identical_serial_and_pooled(tmp_path):
+def assert_serial_and_pooled_identical(tmp_path, sub, cfg, wanted):
     """Chunks reduced in the pool workers give the files of one serial chunk."""
-    cfg = sim_config(n_traj=5, record_events=True, snapshots=[0.5, 0.25],
-                     estimator={"n_cells": 7, "r_max": 3.3, "n_bins": 9})
     outs = []
     for threads in (1, 2):
-        path = write_json(tmp_path / f"sim{threads}.json", {**cfg, "threads": threads})
+        path = write_json(tmp_path / f"cfg{threads}.json", {**cfg, "threads": threads})
         outs.append(tmp_path / f"o{threads}")
-        assert main(["simulate", "--config", path, "--out", str(outs[-1])]) == 0
+        assert main([sub, "--config", path, "--out", str(outs[-1])]) == 0
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())
-    assert {"events.csv", "k1_t1.csv", "k2_t1.csv", "meta_t1.json"} <= set(names)
+    assert wanted <= set(names)
     for name in names:
         if name != "manifest.json":
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
     configs = [json.loads((o / "manifest.json").read_text())["config"] for o in outs]
     assert [c.pop("threads") for c in configs] == [1, 2] and configs[0] == configs[1]
+
+
+def test_simulate_outputs_identical_serial_and_pooled(tmp_path):
+    cfg = sim_config(n_traj=5, record_events=True, snapshots=[0.5, 0.25],
+                     estimator={"n_cells": 7, "r_max": 3.3, "n_bins": 9})
+    assert_serial_and_pooled_identical(
+        tmp_path, "simulate", cfg, {"events.csv", "k1_t1.csv", "k2_t1.csv", "meta_t1.json"})
+
+
+def test_scale_sweep_outputs_identical_serial_and_pooled(tmp_path):
+    cfg = sweep_config(n_traj=[5, 4], times=[0.5, 0.25], n_cells=7, r_max=3.3, n_bins=9)
+    assert_serial_and_pooled_identical(
+        tmp_path, "scale-sweep", cfg,
+        {"errors.csv", "report.json", "eps1_t1_k1.csv", "eps1_t1_k2.csv"})
+
+
+# 1-d: in 2-d the sweep's product profile, on a 4x refined grid, peaks above
+# what ten times the chunks would add
+FREE = {"torus": {"dim": 1, "side": 20.0},
+        "kernel": {"family": "top_hat", "radius": 1.0, "height": 1.0, "dim": 1},
+        "potential": {"family": "top_hat", "radius": 1.0, "height": 0.0, "dim": 1},
+        "rho0": 0.5}
+
+
+def traced_peak(out, sub, cfg):
+    """The traced peak of one CLI run that writes into the new directory `out`."""
+    out.mkdir()
+    path = write_json(out / "cfg.json", cfg)
+    tracemalloc.start()
+    try:
+        assert main([sub, "--config", path, "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("sub", ["simulate", "scale-sweep"])
+def test_main_process_memory_flat_in_n_traj(tmp_path, monkeypatch, sub):
+    """The main process folds each chunk's parts as the chunk arrives, so with
+    chunks of one trajectory its traced peak does not grow with n_traj: ten
+    times the trajectories would hold another ~0.9 MB of 2048-cell parts."""
+    from kawasaki import simulator
+
+    monkeypatch.setattr(simulator, "_chunk_bounds", lambda dim, n, n_traj, *args:
+                        np.arange(n_traj + 1))
+
+    def config(n_traj):
+        if sub == "simulate":
+            return {"subcommand": sub, **FREE, "t_end": 0.2, "snapshots": [0.1, 0.2],
+                    "n_traj": n_traj, "seed": 3,
+                    "estimator": {"n_cells": 2048, "r_max": 4.0, "n_bins": 8}}
+        return {"subcommand": sub, **FREE, "epsilons": [1.0, 0.5], "times": [0.1, 0.2],
+                "n_traj": [n_traj] * 2, "n_cells": 2048, "r_max": 4.0, "n_bins": 8,
+                "dt": 0.01, "seed": 3}
+
+    traced_peak(tmp_path / "warm", sub, config(3))
+    small = traced_peak(tmp_path / "small", sub, config(3))
+    large = traced_peak(tmp_path / "large", sub, config(30))
+    assert large <= small + (256 << 10), (small, large)
 
 
 PINNED = [0.0, 1e-05, 5e-324, 0.1 + 0.2, 39.99999999999999, 1e16]

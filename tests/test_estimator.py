@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from kawasaki import (ConfigError, CorrelationEstimate, GibbsSampler, KernelSpec,
-                      PotentialSpec, SimulationParams, Torus, calibrate_activity,
-                      estimate_correlations, estimate_density,
+                      PotentialSpec, SimulationParams, SweepSpec, Torus,
+                      calibrate_activity, estimate_correlations, estimate_density,
                       estimate_pair_correlation, radial_product_profile,
-                      simulate_ensemble, sub_poisson_report)
+                      renormalize, run_sweep, simulate_ensemble, sub_poisson_report)
 from kawasaki import estimator
 from kawasaki.estimator import shell_measure
 from kawasaki.fields import DensityField
@@ -392,7 +392,35 @@ def test_csv_and_meta_output(tmp_path):
     assert "np.float64" not in (tmp_path / "k2.csv").read_text()
 
 
+def test_k1_csv_keys_cells_by_row_major_index_in_2d(tmp_path):
+    torus = Torus(2, 40.0)
+    snaps = poisson_snapshots(0.05, 20, seed=31, torus=torus)
+    est = estimate_density(snaps, 0.0, 4, torus=torus)
+    est.write_k1_csv(tmp_path / "k1.csv")
+    lines = (tmp_path / "k1.csv").read_text().splitlines()
+    assert lines[0] == "cell_index,value,stderr"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == [str(i) for i in range(16)]
+    assert [float(r[1]) for r in rows] == est.k1.ravel().tolist()
+
+
 # -- estimates folded from chunks ---------------------------------------------------
+
+def pairs_one_each(snaps, torus, r_edges):
+    """k2 and k2_se from all-pairs counts, summed one snapshot after another."""
+    norm = shell_measure(torus.dim, r_edges) * torus.volume
+    total, total_sq = np.zeros(len(norm)), np.zeros(len(norm))
+    for pos in snaps:
+        v = all_pairs_counts(pos, torus, r_edges) / norm
+        total += v
+        total_sq += v * v
+    t = len(snaps)
+    k2 = total / t
+    return k2, np.sqrt(np.maximum((total_sq - t * k2 * k2) / (t - 1), 0.0) / t)
+
+
+UNEVEN = np.array([0, 1, 4, 5, 9, 12])  # chunks of 1, 3, 1, 4 and 3 trajectories
+
 
 def test_simulate_folds_uneven_chunks_to_the_one_pass_bits(monkeypatch, tmp_path):
     """The CLI estimates from parts that each chunk's worker builds; folded in
@@ -409,16 +437,15 @@ def test_simulate_folds_uneven_chunks_to_the_one_pass_bits(monkeypatch, tmp_path
     path = tmp_path / "sim.json"
     path.write_text(json.dumps({"subcommand": "simulate", **cfg}))
     # cells of 20/7 and bins of 0.3666..: sums whose bits depend on their order
-    monkeypatch.setattr(simulator, "_chunk_bounds",
-                        lambda *args: np.array([0, 1, 4, 5, 9, n_traj]))
+    monkeypatch.setattr(simulator, "_chunk_bounds", lambda *args: UNEVEN)
     folded = []
 
     def recording_fold(*args, **kwargs):
-        folded.append(fold(*args, **kwargs))
-        return folded[-1]
+        folded.extend(fold(*args, **kwargs))
+        return folded
 
-    fold = cli.fold_estimate
-    monkeypatch.setattr(cli, "fold_estimate", recording_fold)
+    fold = cli.fold_estimates
+    monkeypatch.setattr(cli, "fold_estimates", recording_fold)
     assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
     monkeypatch.undo()
 
@@ -427,19 +454,45 @@ def test_simulate_folds_uneven_chunks_to_the_one_pass_bits(monkeypatch, tmp_path
                               rho0=0.5, t_end=0.5, snapshot_times=times)
     ens = simulate_ensemble(params, n_traj, seed)
     edges = np.linspace(0.0, 3.3, 10)
-    norm = shell_measure(1, edges) * torus.volume
     assert len(folded) == len(times)
     for est, t in zip(folded, times):
         snaps = [traj.snapshot_at(t) for traj in ens]
         k1, k1_se, mean_count = density_one_histogram_each(snaps, torus, 7)
-        total, total_sq = np.zeros(9), np.zeros(9)
-        for pos in snaps:
-            v = all_pairs_counts(pos, torus, edges) / norm
-            total += v
-            total_sq += v * v
-        k2 = total / n_traj
-        k2_se = np.sqrt(np.maximum((total_sq - n_traj * k2 * k2) / (n_traj - 1), 0.0)
-                        / n_traj)
+        k2, k2_se = pairs_one_each(snaps, torus, edges)
         assert np.array_equal(est.k1, k1) and np.array_equal(est.k1_se, k1_se)
         assert np.array_equal(est.k2, k2) and np.array_equal(est.k2_se, k2_se)
         assert est.mean_count == mean_count and est.n_traj == n_traj
+
+
+def test_sweep_folds_uneven_chunks_to_the_one_pass_bits(monkeypatch):
+    """`run_sweep` folds the same chunk parts in chunk order: its renormalized
+    estimates keep the bits of one pass over the whole ensemble."""
+    from kawasaki import simulator
+
+    n_traj, seed, times = 12, 7, (0.5, 0.2)
+    torus = Torus(1, 20.0)
+    potential = PotentialSpec.top_hat(1.0, 0.5, dim=1)
+    edges = np.linspace(0.0, 3.3, 10)
+    spec = SweepSpec(torus=torus, kernel=KERNEL, potential=potential,
+                     epsilons=(1.0, 0.5), rho0=0.5, times=times, n_traj=(n_traj,) * 2,
+                     n_cells=7, r_edges=tuple(edges), base_seed=seed)
+    monkeypatch.setattr(simulator, "_chunk_bounds", lambda *args: UNEVEN)
+    result = run_sweep(spec)
+    monkeypatch.undo()
+
+    rho0 = spec.limit_field()
+    for i, eps in enumerate(spec.epsilons):
+        params = SimulationParams(torus=torus, kernel=KERNEL, potential=potential,
+                                  epsilon=eps, rho0=rho0.with_values(rho0.values / eps),
+                                  t_end=0.5, snapshot_times=times)
+        ens = simulate_ensemble(params, n_traj, (seed, i))
+        for est, t in zip(result.estimates[i], times):
+            snaps = [traj.snapshot_at(t) for traj in ens]
+            k1, k1_se, mean_count = density_one_histogram_each(snaps, torus, 7)
+            k2, k2_se = pairs_one_each(snaps, torus, edges)
+            want = renormalize(CorrelationEstimate(
+                torus=torus, time=t, n_traj=n_traj, mean_count=mean_count, n_cells=7,
+                k1=k1, k1_se=k1_se, r_edges=edges, k2=k2, k2_se=k2_se), eps)
+            assert np.array_equal(est.k1, want.k1) and np.array_equal(est.k1_se, want.k1_se)
+            assert np.array_equal(est.k2, want.k2) and np.array_equal(est.k2_se, want.k2_se)
+            assert est.mean_count == mean_count and est.n_traj == n_traj

@@ -100,6 +100,18 @@ def test_t_star_moves_a_few_ulps_with_one_ulp_of_c_phi():
     assert abs(T_b - T_a) <= 4 * np.spacing(T_a)
 
 
+def test_theta_of_t_moves_a_few_ulps_with_one_ulp_of_c_phi():
+    c = 0.6321205588285576  # the kinetic-grids top-hat c_phi, then one ulp up
+    T_max, _ = t_star(0.0, 2.0, c)
+    for frac in (0.01, 0.25, 0.5, 0.9):
+        t = frac * T_max
+        th_a, th_b = theta_of_t(0.0, 2.0, c, t), theta_of_t(0.0, 2.0, np.nextafter(c, 1.0), t)
+        assert abs(th_b - th_a) <= 4 * np.spacing(abs(th_a)), frac
+        # the last float of the branch with T > t, whatever the bracket's start
+        assert existence_horizon(0.0, th_a, 2.0, c) > t
+        assert existence_horizon(0.0, np.nextafter(th_a, 1.0), 2.0, c) <= t
+
+
 def test_t_star_infinite_without_potential():
     T_max, th_max = t_star(0.0, 1.0, 0.0)
     assert math.isinf(T_max)
