@@ -14,7 +14,7 @@ import numpy as np
 
 from kawasaki import (GibbsSampler, KernelSpec, PotentialSpec,
                       SimulationParams, Torus, calibrate_activity,
-                      estimate_pair_correlation, simulate)
+                      estimate_pair_correlation, simulate_ensemble)
 
 torus = Torus(1, 60.0)
 kernel = KernelSpec.top_hat(1.0, 1.0, dim=1)   # alpha = 2
@@ -34,8 +34,9 @@ t_end = 5.0 / 2.0
 params = SimulationParams(torus=torus, kernel=kernel, potential=pot,
                           rho0=2.0, t_end=t_end, snapshot_times=(t_end,),
                           record_events=False)
-finals = [simulate(params, [41, i], initial_positions=init).snapshots[0]
-          for i, init in enumerate(initials)]
+# trajectory i runs on stream (41, i) from initials[i]
+finals = [traj.snapshots[0] for traj in
+          simulate_ensemble(params, len(initials), 41, initials=initials)]
 
 edges = np.linspace(0.0, 5.0, 21)
 before = estimate_pair_correlation(initials, 0.0, edges, torus=torus)

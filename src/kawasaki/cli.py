@@ -208,13 +208,15 @@ _MODEL = (
 
 
 def _violations(*checks):
-    """The messages of the ConfigErrors raised by the callables `checks`."""
+    """The messages of the ConfigErrors raised by the callables `checks`,
+    each once: a rule that two checks share is reported once."""
     diags = []
     for check in checks:
         try:
             check()
         except ConfigError as exc:
-            diags.append(str(exc))
+            if str(exc) not in diags:
+                diags.append(str(exc))
     return diags
 
 

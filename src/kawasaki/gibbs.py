@@ -17,6 +17,16 @@ visits only the 3^d cells around the point, in plain Python floats. Per pair
 it does the arithmetic of the all-particle sum, and smooth energies are summed
 in particle order, so the chain is bit-identical to the brute-force one.
 
+The query takes the minimal image by comparison: d - L where d > L/2 and
+d + L where d < -L/2, against the simulator's d - L round(d / L). Positions
+lie in [0, L], so |d| <= L and both rules shift by -L, 0 or L, the same float
+subtraction whenever they pick the same shift. They can pick different ones
+only where d / L rounds to about +-1/2; there d^2 >= ~L^2 / 4, and L > 4R
+(`Torus.require_fits`) puts that above the cutoff R^2. So every term that
+passes the cutoff, and every (index, r^2) of a smooth sum, is the same under
+both rules. In 1-d the query takes r^2 = d * d, which is 0.0 + d * d bit for
+bit, as d * d >= 0; moves and cell lookups skip the per-coordinate loop too.
+
 Uniforms and standard normals come from the chain's rng in blocks of _BLOCK,
 kept across `run` calls, so the draws do not depend on how moves are split. An
 index int(u * n), u <= 1 - 2^-53, rounds below n for every n < 2^53 (the exact
@@ -24,11 +34,12 @@ product lies over half an ulp below n); its bias, under n 2^-53, is the
 resolution of every acceptance test.
 
 Plain Python pays per particle in the stencil, so the cell list wins while the
-3^d cells hold a few dozen particles at most (2-vCPU Xeon, CPython 3.11). A
-1-d top-hat chain at n ~ 60, with ~3 particles per stencil, makes a move in
-~5-6 us (~7-10 us with scalar Generator calls), against ~25 us for numpy over
-all particles at n ~ 200. With ~38 particles per stencil (2-d Gaussian,
-sigma = 0.5, L = 20, n ~ 106) a move costs ~100 us, against ~56 us.
+3^d cells hold a few particles. Per move, on one pinned vCPU of a 2-vCPU Xeon
+with CPython 3.11, against numpy over all particles in brackets: ~3-4 us
+(~27 us) for criterion 12's 1-d top-hat chain (L = 100, n ~ 200, ~6
+particles per stencil), ~30-45 us (~30-40 us) for a 2-d Gaussian one
+(sigma = 0.5, L = 20, n ~ 100) and ~100-150 us (~35-45 us) for a 3-d
+exponential one (rate 8, L = 14, n ~ 150).
 """
 
 import itertools
@@ -126,6 +137,8 @@ class GibbsSampler:
 
     def _cell(self, y):
         m, inv, c = self._m, self._inv_width, 0
+        if len(y) == 1:
+            return min(int(y[0] * inv), m - 1)
         for a in y:
             c = c * m + min(int(a * inv), m - 1)
         return c
@@ -136,20 +149,41 @@ class GibbsSampler:
         if not self._cut:
             return 0.0
         L, cut, pos, pot = self.torus.side, self._cut, self._pos, self.potential
+        half = 0.5 * L
         count, hits = 0, None if pot.family == "top_hat" else []
-        for members in self._near[cell]:
-            for j in members:
-                if j == skip:
-                    continue
-                r2 = 0.0
-                for a, b in zip(pos[j], y):
-                    d = a - b
-                    d -= L * round(d / L)
-                    r2 += d * d
-                if r2 <= cut:
-                    count += 1
-                    if hits is not None:
-                        hits.append((j, r2))
+        if len(y) == 1:
+            b = y[0]
+            for members in self._near[cell]:
+                for j in members:
+                    if j == skip:
+                        continue
+                    d = pos[j][0] - b
+                    if d > half:
+                        d -= L
+                    elif d < -half:
+                        d += L
+                    r2 = d * d
+                    if r2 <= cut:
+                        count += 1
+                        if hits is not None:
+                            hits.append((j, r2))
+        else:
+            for members in self._near[cell]:
+                for j in members:
+                    if j == skip:
+                        continue
+                    r2 = 0.0
+                    for a, b in zip(pos[j], y):
+                        d = a - b
+                        if d > half:
+                            d -= L
+                        elif d < -half:
+                            d += L
+                        r2 += d * d
+                    if r2 <= cut:
+                        count += 1
+                        if hits is not None:
+                            hits.append((j, r2))
         if not count:
             return 0.0
         if hits is None:
@@ -172,7 +206,12 @@ class GibbsSampler:
                 return
             i = _index(uniform(), len(pos))
             x = pos[i]
-            y = tuple(self._wrap(a + self.scale * self._normal()) for a in x)
+            if len(x) == 1:
+                L = self.torus.side
+                a = (x[0] + self.scale * self._normal()) % L
+                y = (0.0 if a >= L else a,)
+            else:
+                y = tuple(self._wrap(a + self.scale * self._normal()) for a in x)
             cell = self._cell(y)
             de = self._energy(y, cell, i) - self._energy(x, home[i], i)
             if de <= 0 or uniform() < math.exp(-self.epsilon * de):
@@ -182,7 +221,8 @@ class GibbsSampler:
                     cells[cell].append(i)
                     home[i] = cell
         elif u < self.p_displace + 0.5 * (1.0 - self.p_displace):
-            y = tuple(uniform() * self.torus.side for _ in range(self.torus.dim))
+            L, d = self.torus.side, self.torus.dim
+            y = (uniform() * L,) if d == 1 else tuple(uniform() * L for _ in range(d))
             cell = self._cell(y)
             de = self._energy(y, cell)
             acc = self.activity * self.torus.volume * math.exp(-self.epsilon * de) / (len(pos) + 1)

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ConfigError
-from .estimator import (CorrelationEstimate, chunk_parts, fold_estimates,
-                        radial_product_profile)
+from .estimator import (CorrelationEstimate, check_pair_bins, chunk_parts,
+                        fold_estimates, radial_product_profile)
 from .fields import DensityField
 from .kernels import KernelSpec, PotentialSpec, alpha as kernel_alpha
 from .kinetic import check_dt, snapshot_steps, solve_kinetic
@@ -59,7 +59,8 @@ class SweepSpec:
         self.validate_plan()
 
     def validate_plan(self):
-        """The ladder, times and reference-grid rules, without the model's."""
+        """The ladder, times, reference-grid and pair-bin rules, without the
+        model's."""
         eps = tuple(self.epsilons)
         if len(eps) < 1 or any(not (0 < e <= 1) for e in eps):
             raise ConfigError("epsilons must lie in (0, 1]")
@@ -77,6 +78,7 @@ class SweepSpec:
         except ConfigError as exc:
             raise ConfigError(f"comparison times, on the kinetic reference grid of "
                               f"dt {dt:g}: {exc}") from None
+        check_pair_bins(self.pair_edges(), self.torus)
 
     def reference_dt(self) -> float:
         """Step of the kinetic reference solve: dt, by default 0.05 / alpha."""

@@ -111,6 +111,19 @@ def test_validate_reports_sweep_model_and_ladder_errors_together(tmp_path, capsy
     assert "strictly decreasing" in out
 
 
+@pytest.mark.parametrize("change, violations", [
+    ({}, ["pair bins must stay below L/2 (minimal image)"]),
+    ({"epsilons": [0.5, 1.0]}, ["pair bins must stay below L/2 (minimal image)",
+                                "epsilons must be strictly decreasing"]),
+], ids=["alone", "with a ladder error"])
+def test_validate_reports_sweep_pair_bins_once(tmp_path, capsys, change, violations):
+    # SweepSpec.validate_plan checks the pair bins too
+    cfg = {"subcommand": "scale-sweep", **sweep_config(r_max=10.5, **change)}
+    path = write_json(tmp_path / "bad.json", cfg)
+    assert main(["validate", "--config", path]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"violation: {v}" for v in violations]
+
+
 def test_validate_flags_uncertified_picard_window(tmp_path, capsys):
     # pick T with q(T) about 1.2 for u0 = alpha = <phi> = 1
     lo, hi = 0.0, math.log(2.0) * 0.999

@@ -1,12 +1,20 @@
+import itertools
 import math
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kawasaki
 from kawasaki import (ConfigError, GeometryError, GibbsSampler, PotentialSpec,
                       Torus, calibrate_activity, gibbs)
 from kawasaki.simulator import _norm2, _sum_phi
 
+REPO = pathlib.Path(__file__).resolve().parents[1]
 TORUS = Torus(1, 50.0)
 POT = PotentialSpec.top_hat(1.0, 0.7, dim=1)
 
@@ -124,6 +132,8 @@ REFERENCE_CASES = {
     "gaussian 2-d": (Torus(2, 16.0), PotentialSpec.gaussian(0.5, 1.0, dim=2), 0.5, 60),
     "exponential 3-d": (Torus(3, 14.0), PotentialSpec.exponential(8.0, 1.0, dim=3), 0.05, 60),
     "top-hat 2-d, small box": (Torus(2, 4.5), PotentialSpec.top_hat(1.0, 0.5, dim=2), 1.0, 15),
+    "gaussian 1-d": (Torus(1, 20.0), PotentialSpec.gaussian(0.5, 1.0, dim=1), 1.0, 20),
+    "criterion 12": (Torus(1, 100.0), PotentialSpec.top_hat(1.0, 0.7, dim=1), 22.0, 200),
 }
 
 
@@ -145,6 +155,35 @@ def test_cell_list_chain_bit_identical_to_brute_force(case):
     for y in probes:
         y = tuple(y.tolist())
         assert chain._energy(y, chain._cell(y)) == ref._energy_with(np.array(y))
+
+
+def brute_energy(chain, y):
+    r2 = _norm2((chain.positions() - np.array(y)).T, chain.torus.side)
+    return _sum_phi(chain.potential, r2)
+
+
+@pytest.mark.parametrize("torus, pot, n0", [
+    (Torus(1, 100.0), PotentialSpec.top_hat(1.0, 0.7, dim=1), 200),
+    (Torus(1, 20.0), PotentialSpec.gaussian(0.5, 1.0, dim=1), 20),
+    (Torus(2, 9.0), PotentialSpec.top_hat(1.0, 0.3, dim=2), 40),
+    (Torus(2, 20.0), PotentialSpec.gaussian(0.5, 1.0, dim=2), 60),
+], ids=["top-hat 1-d", "gaussian 1-d", "top-hat 2-d", "gaussian 2-d"])
+def test_queries_at_the_seam_match_brute_force(torus, pot, n0):
+    # particles within the support on both sides of the seam, up to L itself,
+    # queried from 0.0 and from the last float below L
+    L, R = torus.side, pot.support_radius
+    chain = GibbsSampler(torus, pot, 1.0, np.random.default_rng(9), initial_count=n0)
+    assert chain._m > 3  # the seam cells are not all neighbours of each other
+    inside = R * (1.0 - 1e-12) / math.sqrt(torus.dim)
+    coords = [0.0, 0.25 * R, inside, L - 0.25 * R, L - inside, float(np.nextafter(L, 0.0)), L]
+    for p in itertools.product(coords, repeat=torus.dim):
+        cell = chain._cell(p)
+        chain._cells[cell].append(chain.n)
+        chain._pos.append(p)
+        chain._home.append(cell)
+    for y in itertools.product([0.0, float(np.nextafter(L, 0.0))], repeat=torus.dim):
+        e = chain._energy(y, chain._cell(y))
+        assert e > 0 and e == brute_energy(chain, y), y
 
 
 def test_empty_start_runs_and_inserts():
@@ -290,3 +329,13 @@ def test_calibration_takes_whole_counts_of_any_number_type():
         return calibrate_activity(TORUS, POT, 10.0, np.random.default_rng(5), **counts)
 
     assert z(rounds=3.0, moves_per_round=np.int64(300)) == z(rounds=3, moves_per_round=300)
+
+
+def test_equilibrium_check_demo_runs(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kawasaki.__file__)))
+    run = subprocess.run([sys.executable, str(REPO / "demos" / "05_equilibrium_check.py")],
+                         cwd=tmp_path, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    agree = re.search(r"bins agreeing within 3 sigma: (\d+)%", run.stdout)
+    assert agree and int(agree.group(1)) >= 80, run.stdout

@@ -6,6 +6,7 @@ import pytest
 from kawasaki import (BudgetError, ConfigError, KernelSpec, PotentialSpec,
                       SweepResult, SweepSpec, Torus, convergence_report,
                       estimate_correlations, renormalize, run_sweep)
+from kawasaki import scaling
 from kawasaki.fields import DensityField
 from kawasaki.scaling import plan_budget
 
@@ -98,6 +99,21 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         base_spec(n_traj=(10,)).validate()  # wrong ladder length
     base_spec().validate()
+
+
+@pytest.mark.parametrize("r_edges", [np.linspace(0.0, 10.5, 9), np.linspace(0.0, 1e-8, 21)],
+                         ids=["beyond half the side", "thinner than 1e-9"])
+def test_pair_bins_checked_before_any_solve_or_simulation(monkeypatch, r_edges):
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran before its pair bins were checked")
+
+    monkeypatch.setattr(scaling, "solve_kinetic", never)
+    monkeypatch.setattr(scaling, "map_chunks", never)
+    spec = base_spec(r_edges=tuple(r_edges))
+    with pytest.raises(ConfigError, match="pair bins"):
+        spec.validate()
+    with pytest.raises(ConfigError, match="pair bins"):
+        run_sweep(spec)
 
 
 def test_trajectory_counts_scale_with_eps():
