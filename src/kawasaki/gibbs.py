@@ -24,8 +24,9 @@ subtraction whenever they pick the same shift. They can pick different ones
 only where d / L rounds to about +-1/2; there d^2 >= ~L^2 / 4, and L > 4R
 (`Torus.require_fits`) puts that above the cutoff R^2. So every term that
 passes the cutoff, and every (index, r^2) of a smooth sum, is the same under
-both rules. In 1-d the query takes r^2 = d * d, which is 0.0 + d * d bit for
-bit, as d * d >= 0; moves and cell lookups skip the per-coordinate loop too.
+both rules. In 1-d the query takes r^2 = d * d with no per-coordinate loop,
+which is 0.0 + d * d bit for bit, as d * d >= 0; 1-d moves and their cell
+lookups skip that loop too.
 
 Uniforms and standard normals come from the chain's rng in blocks of _BLOCK,
 kept across `run` calls, so the draws do not depend on how moves are split. An
@@ -33,13 +34,23 @@ index int(u * n), u <= 1 - 2^-53, rounds below n for every n < 2^53 (the exact
 product lies over half an ulp below n); its bias, under n 2^-53, is the
 resolution of every acceptance test.
 
+Each chain builds its energy query once, a closure over its own position and
+neighbour lists, which it mutates in place and never rebinds, and over L,
+L/2, the cutoff, the height and whether the potential is smooth. `run` is the
+one move loop: once per call it binds the streams, the lists, the query, L,
+the volume, p_displace, the displacement scale, epsilon and the activity, so
+an activity set between calls, as `calibrate_activity` sets it, is honoured.
+It keeps the draw order and the evaluation order of every acceptance
+expression, and adds the moves it made and those it accepted, per type, to
+`moves` and `accepted` once per call.
+
 Plain Python pays per particle in the stencil, so the cell list wins while the
 3^d cells hold a few particles. Per move, on one pinned vCPU of a 2-vCPU Xeon
-with CPython 3.11, against numpy over all particles in brackets: ~3-4 us
-(~27 us) for criterion 12's 1-d top-hat chain (L = 100, n ~ 200, ~6
-particles per stencil), ~30-45 us (~30-40 us) for a 2-d Gaussian one
-(sigma = 0.5, L = 20, n ~ 100) and ~100-150 us (~35-45 us) for a 3-d
-exponential one (rate 8, L = 14, n ~ 150).
+with CPython 3.11 (process time, medians of 7 rounds in three runs), against
+numpy over all particles in brackets: ~2.6 us (~33 us) for criterion 12's 1-d
+top-hat chain (L = 100, n ~ 200, ~6 particles per stencil), ~53-57 us
+(~44-47 us) for a 2-d Gaussian one (sigma = 0.5, L = 20, n ~ 120-150) and
+~68-82 us (~46-52 us) for a 3-d exponential one (rate 8, L = 14, n ~ 125).
 """
 
 import itertools
@@ -67,6 +78,67 @@ def _stream(draw):  # the values of draw(_BLOCK), draw(_BLOCK), ... one per call
 
 def _index(u, n):
     return int(u * n)  # < n: see the module docstring
+
+
+def _energy_query(torus, potential, pos, near):
+    """The chain's energy query energy(y, cell, skip=-1): the energy of a
+    particle at y in cell `cell` against every particle but `skip`, the terms
+    of the all-particle sum that pass the cutoff. It reads `pos` and `near`,
+    which the chain mutates in place, and binds everything else once."""
+    cut = potential.support_radius * potential.support_radius
+    if not cut:
+        return lambda y, cell, skip=-1: 0.0
+    L, height, smooth = torus.side, potential.height, potential.family != "top_hat"
+    half = 0.5 * L
+    neg_half = -half
+
+    if torus.dim == 1:
+        def energy(y, cell, skip=-1):
+            b = y[0]
+            count, hits = 0, []
+            for members in near[cell]:
+                for j in members:
+                    d = pos[j][0] - b
+                    if d > half:
+                        d -= L
+                    elif d < neg_half:
+                        d += L
+                    r2 = d * d
+                    if r2 <= cut and j != skip:
+                        count += 1
+                        if smooth:
+                            hits.append((j, r2))
+            if not count:
+                return 0.0
+            if not smooth:
+                return height * count
+            hits.sort()
+            return height * float(_profile(potential, np.array([r2 for _, r2 in hits])).sum())
+        return energy
+
+    def energy(y, cell, skip=-1):
+        count, hits = 0, []
+        for members in near[cell]:
+            for j in members:
+                r2 = 0.0
+                for a, b in zip(pos[j], y):
+                    d = a - b
+                    if d > half:
+                        d -= L
+                    elif d < neg_half:
+                        d += L
+                    r2 += d * d
+                if r2 <= cut and j != skip:
+                    count += 1
+                    if smooth:
+                        hits.append((j, r2))
+        if not count:
+            return 0.0
+        if not smooth:
+            return height * count
+        hits.sort()
+        return height * float(_profile(potential, np.array([r2 for _, r2 in hits])).sum())
+    return energy
 
 
 class GibbsSampler:
@@ -112,7 +184,6 @@ class GibbsSampler:
         # cell index rounds across a boundary inside the neighbour cells of
         # every point within the support
         d = torus.dim
-        self._cut = r_sup * r_sup
         m = 1
         if r_sup > 0:
             m = min(int(torus.side / (r_sup * (1.0 + 1e-9))),
@@ -127,6 +198,10 @@ class GibbsSampler:
         self._home = [self._cell(p) for p in self._pos]
         for i, c in enumerate(self._home):
             self._cells[c].append(i)
+        self._energy = _energy_query(torus, potential, self._pos, self._near)
+        # accepted moves of each type and moves made, over every `run`
+        self.accepted = {"displace": 0, "insert": 0, "delete": 0}
+        self.moves = 0
 
     @property
     def n(self) -> int:
@@ -137,118 +212,88 @@ class GibbsSampler:
 
     def _cell(self, y):
         m, inv, c = self._m, self._inv_width, 0
-        if len(y) == 1:
-            return min(int(y[0] * inv), m - 1)
         for a in y:
             c = c * m + min(int(a * inv), m - 1)
         return c
 
-    def _energy(self, y, cell, skip=-1):
-        """Energy of a particle at y in cell `cell` against every particle but
-        `skip`: the terms of the all-particle sum that pass the cutoff."""
-        if not self._cut:
-            return 0.0
-        L, cut, pos, pot = self.torus.side, self._cut, self._pos, self.potential
-        half = 0.5 * L
-        count, hits = 0, None if pot.family == "top_hat" else []
-        if len(y) == 1:
-            b = y[0]
-            for members in self._near[cell]:
-                for j in members:
-                    if j == skip:
-                        continue
-                    d = pos[j][0] - b
-                    if d > half:
-                        d -= L
-                    elif d < -half:
-                        d += L
-                    r2 = d * d
-                    if r2 <= cut:
-                        count += 1
-                        if hits is not None:
-                            hits.append((j, r2))
-        else:
-            for members in self._near[cell]:
-                for j in members:
-                    if j == skip:
-                        continue
-                    r2 = 0.0
-                    for a, b in zip(pos[j], y):
-                        d = a - b
-                        if d > half:
-                            d -= L
-                        elif d < -half:
-                            d += L
-                        r2 += d * d
-                    if r2 <= cut:
-                        count += 1
-                        if hits is not None:
-                            hits.append((j, r2))
-        if not count:
-            return 0.0
-        if hits is None:
-            return pot.height * count
-        hits.sort()
-        return pot.height * float(_profile(pot, np.array([r2 for _, r2 in hits])).sum())
-
-    def _wrap(self, a):
-        # Python's % on floats is np.mod's arithmetic; L folds to 0.0 as in
-        # Torus.wrap
-        L = self.torus.side
-        a %= L
-        return 0.0 if a >= L else a
-
-    def _attempt(self):
-        uniform, pos, home, cells = self._uniform, self._pos, self._home, self._cells
-        u = uniform()
-        if u < self.p_displace:
-            if not pos:
-                return
-            i = _index(uniform(), len(pos))
-            x = pos[i]
-            if len(x) == 1:
-                L = self.torus.side
-                a = (x[0] + self.scale * self._normal()) % L
-                y = (0.0 if a >= L else a,)
-            else:
-                y = tuple(self._wrap(a + self.scale * self._normal()) for a in x)
-            cell = self._cell(y)
-            de = self._energy(y, cell, i) - self._energy(x, home[i], i)
-            if de <= 0 or uniform() < math.exp(-self.epsilon * de):
-                pos[i] = y
-                if cell != home[i]:
-                    cells[home[i]].remove(i)
-                    cells[cell].append(i)
-                    home[i] = cell
-        elif u < self.p_displace + 0.5 * (1.0 - self.p_displace):
-            L, d = self.torus.side, self.torus.dim
-            y = (uniform() * L,) if d == 1 else tuple(uniform() * L for _ in range(d))
-            cell = self._cell(y)
-            de = self._energy(y, cell)
-            acc = self.activity * self.torus.volume * math.exp(-self.epsilon * de) / (len(pos) + 1)
-            if uniform() < acc:
-                cells[cell].append(len(pos))
-                pos.append(y)
-                home.append(cell)
-        else:
-            if not pos:
-                return
-            i = _index(uniform(), len(pos))
-            de = self._energy(pos[i], home[i], i)
-            acc = len(pos) * math.exp(self.epsilon * de) / (self.activity * self.torus.volume)
-            if uniform() < acc:
-                # the last particle takes index i
-                cells[home[i]].remove(i)
-                last = len(pos) - 1
-                y, cell = pos.pop(), home.pop()
-                if i != last:
-                    pos[i], home[i] = y, cell
-                    members = cells[cell]
-                    members[members.index(last)] = i
-
     def run(self, n_moves: int):
-        for _ in range(_require_count("n_moves", n_moves)):
-            self._attempt()
+        """Make n_moves moves. The chain's parameters, `activity` among them,
+        are read once per call, so a change between calls is honoured."""
+        n_moves = _require_count("n_moves", n_moves)
+        uniform, normal, energy, cell_of = self._uniform, self._normal, self._energy, self._cell
+        pos, home, cells = self._pos, self._home, self._cells
+        L, dim, zv = self.torus.side, self.torus.dim, self.activity * self.torus.volume
+        m1, inv = self._m - 1, self._inv_width
+        p_displace, scale, epsilon = self.p_displace, self.scale, self.epsilon
+        p_insert = p_displace + 0.5 * (1.0 - p_displace)
+        exp = math.exp
+        displaced = inserted = deleted = 0
+        for _ in range(n_moves):
+            u = uniform()
+            if u < p_displace:
+                if not pos:
+                    continue
+                i = int(uniform() * len(pos))  # _index, inlined
+                x = pos[i]
+                # Python's % on floats is np.mod's arithmetic; L folds to 0.0
+                # as in Torus.wrap
+                if dim == 1:
+                    a = (x[0] + scale * normal()) % L
+                    if a >= L:
+                        a = 0.0
+                    y, cell = (a,), int(a * inv)
+                    if cell > m1:
+                        cell = m1
+                else:
+                    y = []
+                    for a in x:
+                        a = (a + scale * normal()) % L
+                        y.append(0.0 if a >= L else a)
+                    y = tuple(y)
+                    cell = cell_of(y)
+                was = home[i]
+                de = energy(y, cell, i) - energy(x, was, i)
+                if de <= 0 or uniform() < exp(-epsilon * de):
+                    pos[i] = y
+                    displaced += 1
+                    if cell != was:
+                        cells[was].remove(i)
+                        cells[cell].append(i)
+                        home[i] = cell
+            elif u < p_insert:
+                if dim == 1:
+                    a = uniform() * L
+                    y, cell = (a,), int(a * inv)
+                    if cell > m1:
+                        cell = m1
+                else:
+                    y = tuple(uniform() * L for _ in range(dim))
+                    cell = cell_of(y)
+                n = len(pos)
+                if uniform() < zv * exp(-epsilon * energy(y, cell)) / (n + 1):
+                    cells[cell].append(n)
+                    pos.append(y)
+                    home.append(cell)
+                    inserted += 1
+            else:
+                n = len(pos)
+                if not n:
+                    continue
+                i = int(uniform() * n)  # _index, inlined
+                if uniform() < n * exp(epsilon * energy(pos[i], home[i], i)) / zv:
+                    # the last particle takes index i
+                    cells[home[i]].remove(i)
+                    y, cell = pos.pop(), home.pop()
+                    if i != n - 1:
+                        pos[i], home[i] = y, cell
+                        members = cells[cell]
+                        members[members.index(n - 1)] = i
+                    deleted += 1
+        accepted = self.accepted
+        accepted["displace"] += displaced
+        accepted["insert"] += inserted
+        accepted["delete"] += deleted
+        self.moves += n_moves
 
     def sample(self, n_samples: int, thin_moves: int, burn_in_moves: int = 0):
         """Decorrelated configuration samples along one chain."""

@@ -57,6 +57,7 @@ time from the same blocks; smooth potentials sum their energies in table
 order, so they match one up to that summation order.
 """
 
+import collections
 import logging
 import math
 import numbers
@@ -810,9 +811,20 @@ def _run_chunk(reduce, first, params, seeds, initials, n_planned):
 
 
 def _pooled(units, workers):
+    # at most 2 * workers chunks in flight, yielded in chunk order, so the
+    # results that finish ahead of the one being consumed stay few
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_run_chunk, *zip(*units),
-                            chunksize=max(1, len(units) // (4 * workers)))
+        pending = collections.deque()
+        try:
+            for unit in units:
+                pending.append(pool.submit(_run_chunk, *unit))
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def map_chunks(params: SimulationParams, n_trajectories: int, base_seed: int,
@@ -824,8 +836,9 @@ def map_chunks(params: SimulationParams, n_trajectories: int, base_seed: int,
     base_seed, i), so serial and pooled runs agree exactly.
 
     With n_jobs > 1 the chunks go to a process pool, at least one per worker,
-    which is clamped to the CPU and chunk counts, and only the reduced values
-    come back, so `reduce` must pickle. The inputs are checked at the call.
+    which is clamped to the CPU and chunk counts, with at most two per worker
+    in flight, and only the reduced values come back, so `reduce` must
+    pickle. The inputs are checked at the call.
     `initials`, when given, holds one initial configuration per trajectory.
     """
     n_trajectories = _require_count("n_trajectories", n_trajectories, least=1)

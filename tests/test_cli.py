@@ -3,6 +3,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -255,24 +256,39 @@ def traced_peak(out, sub, cfg):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("sub", ["simulate", "scale-sweep"])
-def test_main_process_memory_flat_in_n_traj(tmp_path, monkeypatch, sub):
+@pytest.mark.parametrize("sub, threads", [
+    pytest.param("simulate", 1, id="simulate"),
+    pytest.param("scale-sweep", 1, id="scale-sweep"),
+    pytest.param("simulate", 2, id="simulate-threads2"),
+    pytest.param("scale-sweep", 2, id="scale-sweep-threads2"),
+])
+def test_main_process_memory_flat_in_n_traj(tmp_path, monkeypatch, sub, threads):
     """The main process folds each chunk's parts as the chunk arrives, so with
     chunks of one trajectory its traced peak does not grow with n_traj: ten
-    times the trajectories would hold another ~0.9 MB of 2048-cell parts."""
-    from kawasaki import simulator
+    times the trajectories would hold another ~0.9 MB of 2048-cell parts. A
+    pool keeps a bounded number of chunks in flight, so it holds no more."""
+    from kawasaki import cli, scaling, simulator
 
     monkeypatch.setattr(simulator, "_chunk_bounds", lambda dim, n, n_traj, *args:
                         np.arange(n_traj + 1))
+    if threads > 1:
+        # a slow consumer, so chunks the pool runs ahead wait in this process
+        def slow(*args, **kwargs):
+            for chunk in simulator.map_chunks(*args, **kwargs):
+                time.sleep(0.03)
+                yield chunk
+
+        monkeypatch.setattr(cli, "map_chunks", slow)
+        monkeypatch.setattr(scaling, "map_chunks", slow)
 
     def config(n_traj):
         if sub == "simulate":
             return {"subcommand": sub, **FREE, "t_end": 0.2, "snapshots": [0.1, 0.2],
-                    "n_traj": n_traj, "seed": 3,
+                    "n_traj": n_traj, "seed": 3, "threads": threads,
                     "estimator": {"n_cells": 2048, "r_max": 4.0, "n_bins": 8}}
         return {"subcommand": sub, **FREE, "epsilons": [1.0, 0.5], "times": [0.1, 0.2],
                 "n_traj": [n_traj] * 2, "n_cells": 2048, "r_max": 4.0, "n_bins": 8,
-                "dt": 0.01, "seed": 3}
+                "dt": 0.01, "seed": 3, "threads": threads}
 
     traced_peak(tmp_path / "warm", sub, config(3))
     small = traced_peak(tmp_path / "small", sub, config(3))
@@ -308,14 +324,27 @@ def test_csv_rows_keep_the_bytes_of_repr():
 
 
 def test_manifest_round_trip_reproduces_outputs(tmp_path):
-    path = write_json(tmp_path / "sim.json", sim_config())
-    out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    assert main(["simulate", "--config", path, "--out", str(out1)]) == 0
-    manifest = out1 / "manifest.json"
-    assert main(["simulate", "--config", str(manifest), "--out", str(out2)]) == 0
-    assert (out1 / "snapshots.csv").read_bytes() == (out2 / "snapshots.csv").read_bytes()
-    assert json.loads(manifest.read_text())["config"] == \
-        json.loads((out2 / "manifest.json").read_text())["config"]
+    # every output file, manifest.json included, of a run from a config and
+    # of a run from that run's manifest is byte-identical
+    runs = [
+        ("simulate", sim_config(snapshots=[0.25, 0.5],
+                                estimator={"n_cells": 10, "r_max": 3.0, "n_bins": 6})),
+        ("kinetic", kinetic_config()),
+        ("kinetic", kinetic_config(method="picard", dt=5e-4)),
+        ("horizon", horizon_config()),
+        ("scale-sweep", sweep_config()),
+    ]
+    for k, (sub, cfg) in enumerate(runs):
+        path = write_json(tmp_path / f"cfg{k}.json", cfg)
+        out1, out2 = tmp_path / f"{k}a", tmp_path / f"{k}b"
+        assert main([sub, "--config", path, "--out", str(out1)]) == 0
+        assert main([sub, "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert "manifest.json" in names and len(names) > 1, (sub, names)
+        assert names == sorted(p.name for p in out2.iterdir()), sub
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (sub, name)
+    assert (tmp_path / "0a" / "events.csv").exists()
 
 
 def test_kinetic_run_outputs(tmp_path):

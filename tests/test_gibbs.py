@@ -148,6 +148,7 @@ def test_cell_list_chain_bit_identical_to_brute_force(case):
         assert chain.n == ref._n
         assert np.array_equal(chain.positions(), ref.positions())
     assert min(ref.accepted.values()) > 0, ref.accepted
+    assert chain.accepted == ref.accepted and chain.moves == 6 * 250
     # single queries, the hardest ones just inside the support of a particle
     edge = pot.support_radius * (1.0 - 1e-12) * np.eye(torus.dim)[0]
     probes = [torus.wrap(p + s * edge) for p in chain.positions() for s in (-1, 1)]
@@ -155,6 +156,21 @@ def test_cell_list_chain_bit_identical_to_brute_force(case):
     for y in probes:
         y = tuple(y.tolist())
         assert chain._energy(y, chain._cell(y)) == ref._energy_with(np.array(y))
+
+
+def test_activity_set_between_runs_is_honoured():
+    torus, pot, z, n0 = REFERENCE_CASES["top-hat 1-d"]
+    chain = GibbsSampler(torus, pot, z, np.random.default_rng(11), initial_count=n0)
+    ref = BruteForceChain(torus, pot, z, np.random.default_rng(11), n0)
+    kept = GibbsSampler(torus, pot, z, np.random.default_rng(11), initial_count=n0)
+    for c in (chain, ref, kept):
+        c.run(250)
+    chain.activity = ref.activity = 0.25 * z
+    for c in (chain, ref, kept):
+        c.run(250)
+    assert np.array_equal(chain.positions(), ref.positions())
+    assert chain.accepted == ref.accepted
+    assert not np.array_equal(chain.positions(), kept.positions())
 
 
 def brute_energy(chain, y):
@@ -219,6 +235,25 @@ def test_largest_uniform_draws_the_last_index():
     sizes = list(range(1, 5000)) + [2 ** k + s for k in range(12, 53) for s in (-1, 0, 1)]
     for n in sizes + [2 ** 53 - 1]:
         assert gibbs._index(1.0 - 2.0 ** -53, n) == n - 1, n
+    # the move loop draws its displacement and deletion indices the same way:
+    # the largest uniform moves the last particle, then deletes it
+    top = 1.0 - 2.0 ** -53
+    for n in range(1, 40):
+        chain = GibbsSampler(TORUS, PotentialSpec.zero(dim=1), 1.0, np.random.default_rng(0),
+                             initial_count=0)
+        for i in range(n):
+            p = (float(i),)
+            chain._cells[chain._cell(p)].append(i)
+            chain._pos.append(p)
+            chain._home.append(chain._cell(p))
+        start = chain.positions()
+        chain._uniform = iter([0.0, top, 0.99, top, 0.0]).__next__
+        chain._normal = iter([0.5]).__next__
+        chain.run(1)
+        assert np.array_equal(chain.positions()[:-1], start[:-1])
+        assert chain.positions()[-1, 0] == start[-1, 0] + 0.5 * chain.scale
+        chain.run(1)
+        assert np.array_equal(chain.positions(), start[:-1])
 
 
 @pytest.mark.parametrize("torus, pot", [

@@ -1,3 +1,4 @@
+import concurrent.futures
 import logging
 import math
 
@@ -841,13 +842,14 @@ def test_ensemble_rejects_wrong_number_of_initials():
 
 class RecordingPool:
     """Stand-in for ProcessPoolExecutor that records its size and the number
-    of units it is given, and runs them inline."""
+    of units submitted to it, and runs them inline."""
 
     sizes = []
     units = []
 
     def __init__(self, max_workers):
         RecordingPool.sizes.append(max_workers)
+        RecordingPool.units.append(0)
 
     def __enter__(self):
         return self
@@ -855,9 +857,11 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables, chunksize=1):
-        RecordingPool.units.append(len(iterables[0]))
-        return map(fn, *iterables)
+    def submit(self, fn, *args):
+        RecordingPool.units[-1] += 1
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
 
 
 def test_pool_units_split_trajectories_across_workers(monkeypatch):
