@@ -19,7 +19,8 @@ are provided on a shared uniform time grid:
   integrals use the trapezoid rule; the decaying weight makes the quadrature
   a one-step recursion, so each sweep costs one pass over the grid. The
   integrand is built in cache-sized blocks of time rows and folded into the
-  recursion as it goes, so a sweep holds two (n_steps + 1, grid) stacks.
+  recursion as it goes, so a sweep holds one (n_steps + 1, grid) stack,
+  updated in place a block of rows at a time.
 
 Kernels are tabulated on the grid via minimal-image distances and rescaled
 so the discrete sum times the cell volume equals the continuum integral
@@ -440,33 +441,40 @@ def picard_solve(rho0: DensityField, T: float, kernel: KernelSpec,
     decay_dt = math.exp(-a * dt)
 
     rows = max(1, _BLOCK_CELLS // rho0.values.size)
+    # one block's new rows, reused: a fresh block per block let the allocator
+    # trim and re-fault the heap top (~20k page faults in a new process)
+    buf = np.empty((min(rows, n_steps + 1),) + shape)
 
     deltas, ratios = [], []
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        # the integrand is built a block of time rows at a time and folded
-        # straight into the exact-decay trapezoid recursion for
-        # int_0^t e^{-alpha (t-s)} G_s ds, so only the (n_steps + 1, grid)
-        # stacks cur and nxt span the window; prev is row k - 1's integrand
-        nxt = rho0.values[None] * decay
+        # the one stack cur is updated in place a block of time rows at a time:
+        # the integrand of the old rows is folded into the exact-decay trapezoid
+        # recursion for int_0^t e^{-alpha (t-s)} G_s ds, then the new rows
+        # overwrite the old. Later blocks read only their own rows, so this is
+        # still a Jacobi sweep. prev is row k - 1's integrand; np.maximum keeps
+        # a NaN from any block in the update size
         acc = np.zeros(shape)
+        delta = 0.0
         for start in range(0, n_steps + 1, rows):
-            block = _picard_integrand(cur[start:start + rows], tab_a, spectra, kappa,
-                                      0.5 * dt)
+            old = cur[start:start + rows]
+            block = _picard_integrand(old, tab_a, spectra, kappa, 0.5 * dt)
+            new = np.multiply(rho0.values[None], decay[start:start + rows],
+                              out=buf[:len(old)])
             for k, row in enumerate(block, start):
                 if k:
                     acc += prev
                     acc *= decay_dt
                     acc += row
-                    nxt[k] += acc
+                    new[k - start] += acc
                 prev = row
-        diff = np.subtract(nxt, cur, out=cur)
-        delta = float(np.abs(diff, out=diff).max())
-        deltas.append(delta)
+            diff = np.subtract(new, old, out=old)
+            delta = np.maximum(delta, np.abs(diff, out=diff).max())
+            old[...] = new
+        deltas.append(float(delta))
         if len(deltas) > 1 and deltas[-2] > 0:
             ratios.append(deltas[-1] / deltas[-2])
-        cur = nxt
         if delta < tolerance:
             converged = True
             break

@@ -323,6 +323,15 @@ def test_csv_rows_keep_the_bytes_of_repr():
     assert "5e-324" in snaps and "1e+16" in events and "0.30000000000000004" in events
 
 
+def assert_same_files(out1, out2, sub):
+    """The two output directories hold the same files, byte for byte."""
+    names = sorted(p.name for p in out1.iterdir())
+    assert "manifest.json" in names and len(names) > 1, (sub, names)
+    assert names == sorted(p.name for p in out2.iterdir()), sub
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (sub, name)
+
+
 def test_manifest_round_trip_reproduces_outputs(tmp_path):
     # every output file, manifest.json included, of a run from a config and
     # of a run from that run's manifest is byte-identical
@@ -339,12 +348,24 @@ def test_manifest_round_trip_reproduces_outputs(tmp_path):
         out1, out2 = tmp_path / f"{k}a", tmp_path / f"{k}b"
         assert main([sub, "--config", path, "--out", str(out1)]) == 0
         assert main([sub, "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
-        names = sorted(p.name for p in out1.iterdir())
-        assert "manifest.json" in names and len(names) > 1, (sub, names)
-        assert names == sorted(p.name for p in out2.iterdir()), sub
-        for name in names:
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (sub, name)
+        assert_same_files(out1, out2, sub)
     assert (tmp_path / "0a" / "events.csv").exists()
+
+
+def test_kinetic_and_horizon_rerun_identical(tmp_path):
+    # a plain rerun of one config gives the same files, manifest.json
+    # included, byte for byte
+    runs = [
+        ("kinetic", kinetic_config(snapshots=[0.01, 0.02])),
+        ("kinetic", kinetic_config(method="picard", dt=5e-4)),
+        ("horizon", horizon_config(mean_phi=1.0, t=[0.05, 0.1], u0=0.8, windows=[0.05])),
+    ]
+    for k, (sub, cfg) in enumerate(runs):
+        path = write_json(tmp_path / f"cfg{k}.json", cfg)
+        out1, out2 = tmp_path / f"{k}a", tmp_path / f"{k}b"
+        assert main([sub, "--config", path, "--out", str(out1)]) == 0
+        assert main([sub, "--config", path, "--out", str(out2)]) == 0
+        assert_same_files(out1, out2, sub)
 
 
 def test_kinetic_run_outputs(tmp_path):

@@ -1,15 +1,18 @@
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kawasaki import (ConfigError, GeometryError, HorizonError, KernelSpec,
-                      NumericError, PotentialSpec, StepSizeError, Torus,
-                      contraction_factor, convolve, kinetic_rhs, monitor_bounds,
-                      picard_solve, solve_kinetic, vlasov_first_order)
+                      NumericError, PotentialSpec, StepSizeError, Torus, alpha,
+                      contraction_factor, convolve, find_T_for_q, kinetic_rhs,
+                      mean_phi, monitor_bounds, picard_solve, solve_kinetic,
+                      vlasov_first_order)
 from kawasaki import kinetic
 from kawasaki.fields import DensityField
 from kawasaki.kinetic import check_dt, snapshot_steps, tabulate
@@ -313,6 +316,60 @@ def test_picard_blocks_bit_identical_to_whole_stack(case):
     assert res.fields.shape[0] == 21
     assert np.array_equal(res.fields, reference_picard_fields(
         rho, 0.005, kernel, pot, tolerance=1e-12, dt=2.5e-4))
+
+
+def test_picard_nan_in_a_later_block_reaches_the_update_size(monkeypatch):
+    # a NaN in the second of the 8-row blocks of every sweep must make every
+    # update size NaN, as a max over the whole stack does, so a NaN iterate
+    # can never pass for a converged one
+    built, sizes = kinetic._picard_integrand, []
+
+    def with_nan(values, *args):
+        out = built(values, *args)
+        sizes.append(len(out))
+        if len(sizes) % 3 == 2:
+            out[3, 17] = math.nan
+        return out
+
+    monkeypatch.setattr(kinetic, "_picard_integrand", with_nan)
+    rho = shared_case_field(TORUS, 4096)
+    kernel = KernelSpec.top_hat(1.0, 0.5, dim=1)
+    with pytest.raises(NumericError) as err:
+        picard_solve(rho, 0.005, kernel, PotentialSpec.gaussian(0.6, 0.8, dim=1),
+                     dt=2.5e-4, max_iter=3)
+    assert sizes == [8, 8, 5] * 3
+    assert len(err.value.deltas) == 3 and all(math.isnan(d) for d in err.value.deltas)
+
+
+def test_picard_sweep_holds_one_time_stack():
+    # the benchmark's 1024-cell x 800-step window: each sweep updates its one
+    # (n_steps + 1, grid) stack in place, so the traced peak stays below two
+    rho = DensityField.from_function(
+        TORUS, 1024, lambda x: 0.55 + 0.45 * np.cos(2 * np.pi * x / 20.0))
+    kernel = KernelSpec.top_hat(0.5, 1.0, dim=1)
+    pot = PotentialSpec.top_hat(0.5, 1.0, dim=1)
+    T = find_T_for_q(0.5, rho.sup, alpha(kernel), mean_phi(pot))
+    tracemalloc.start()
+    try:
+        res = picard_solve(rho, T, kernel, pot, tolerance=1e-12, dt=T / 800)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.fields.shape == (801, 1024) and res.iterations > 2
+    assert peak < 2 * res.fields.nbytes, (peak, res.fields.nbytes)
+
+
+def test_kinetic_equation_demo_runs(tmp_path):
+    # the one demo that calls picard_solve; its fixed point must meet RK4
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kinetic.__file__)))
+    demo = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "demos", "02_kinetic_equation.py")
+    run = subprocess.run([sys.executable, demo], cwd=tmp_path, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    gap = re.search(r"fixed point vs RK4 sup-norm gap: (\S+)", run.stdout)
+    assert gap is not None, run.stdout
+    assert float(gap.group(1)) < 1e-9
 
 
 def test_tabulate_cache_is_bounded_and_shared():
