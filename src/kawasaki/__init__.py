@@ -15,9 +15,9 @@ from .fields import DensityField
 from .kernels import (KernelSpec, PotentialSpec, alpha, c_phi, mean_phi,
                       sample_displacement)
 from .torus import Torus
-from .simulator import (Configuration, SimulationParams, Trajectory,
-                        interaction_energy, map_chunks,
-                        sample_poisson_positions, simulate, simulate_ensemble)
+from .simulator import (SimulationParams, Trajectory, interaction_energy,
+                        map_chunks, sample_poisson_positions, simulate,
+                        simulate_ensemble)
 from .estimator import (CorrelationEstimate, SubPoissonReport,
                         estimate_correlations, estimate_density,
                         estimate_pair_correlation, radial_product_profile,

@@ -31,16 +31,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import BudgetError, ConfigError, KawasakiError, NumericError
+from .errors import (BudgetError, ConfigError, KawasakiError, NumericError,
+                     collect_violations)
 from .estimator import check_pair_bins, chunk_parts, fold_estimates
 from .fields import DensityField
 from .horizon import contraction_factor, horizon_report
 from .kernels import KernelSpec, PotentialSpec, alpha, mean_phi
 from .kinetic import (check_dt, monitor_bounds, picard_solve, snapshot_steps,
                       solve_kinetic)
-from .scaling import (SweepSpec, convergence_report, plan_budget, run_sweep,
-                      write_sweep_outputs)
-from .simulator import SimulationParams, check_model, map_chunks
+from .scaling import SweepSpec, convergence_report, run_sweep, write_sweep_outputs
+from .simulator import SimulationParams, map_chunks
 from .torus import Torus
 
 
@@ -207,19 +207,6 @@ _MODEL = (
 )
 
 
-def _violations(*checks):
-    """The messages of the ConfigErrors raised by the callables `checks`,
-    each once: a rule that two checks share is reported once."""
-    diags = []
-    for check in checks:
-        try:
-            check()
-        except ConfigError as exc:
-            if str(exc) not in diags:
-                diags.append(str(exc))
-    return diags
-
-
 # -- simulate -----------------------------------------------------------------
 
 _SIMULATE = _MODEL + (
@@ -251,8 +238,9 @@ def _pair_edges(est_cfg):
 
 def _check_simulate(v):
     est_cfg = v["estimator"]
-    return _violations(_sim_params(v).validate,
-                       lambda: est_cfg and check_pair_bins(_pair_edges(est_cfg), v["torus"]))
+    return collect_violations(
+        _sim_params(v).validate,
+        lambda: est_cfg and check_pair_bins(_pair_edges(est_cfg), v["torus"]))
 
 
 def _snapshot_rows(ti, traj):
@@ -338,8 +326,8 @@ def _check_kinetic(v):
              f"{v[name].support_radius:g} >= L/2" for name in ("kernel", "potential")
              if v[name].family != "local" and v[name].support_radius >= half]
     a = alpha(v["kernel"])
-    diags += _violations(lambda: check_dt(v["dt"], a),
-                         lambda: snapshot_steps(v["snapshots"], v["t_end"], v["dt"]))
+    diags += collect_violations(lambda: check_dt(v["dt"], a),
+                                lambda: snapshot_steps(v["snapshots"], v["t_end"], v["dt"]))
     if v["method"] == "picard" and not v["t_end"] > 0:
         diags.append(f"Picard window needs t_end > 0, got {v['t_end']:g}")
     elif v["method"] == "picard":
@@ -430,8 +418,7 @@ def _sweep_spec(v):
         epsilons=tuple(v["epsilons"]), rho0=v["rho0"], times=tuple(v["times"]),
         n_traj_base=v["n_traj_base"],
         n_traj=None if v["n_traj"] is None else tuple(v["n_traj"]),
-        n_cells=v["n_cells"],
-        r_edges=tuple(np.linspace(0.0, v["r_max"], v["n_bins"] + 1)), dt=v["dt"],
+        n_cells=v["n_cells"], r_edges=tuple(_pair_edges(v)), dt=v["dt"],
         budget_max_particles=v["budget_max_particles"], base_seed=v["seed"],
         n_jobs=v["threads"],
     )
@@ -439,11 +426,9 @@ def _sweep_spec(v):
 
 def _check_sweep(v):
     spec = _sweep_spec(v)
-    diags = _violations(lambda: check_model(v["torus"], v["kernel"], v["potential"]),
-                        lambda: check_pair_bins(spec.pair_edges(), v["torus"]),
-                        spec.validate_plan)
+    diags = spec.violations()
     if not diags:
-        plan_budget(spec)  # BudgetError: exit 3 from a run, a violation from validate
+        spec.validate()  # BudgetError: exit 3 from a run, a violation from validate
     return diags
 
 
@@ -457,7 +442,7 @@ def _run_sweep(v, out_dir):
 
 class Command(NamedTuple):
     table: tuple
-    check: Callable  # resolved values -> list of cross-field violations
+    check: Callable  # resolved values -> cross-field violations: ConfigErrors or messages
     run: Callable  # (resolved values, out_dir) -> None
 
 
@@ -544,7 +529,7 @@ def main(argv=None) -> int:
         sub, vals = _resolve_args(args)
         command = COMMANDS[sub]
         try:
-            diags = command.check(vals)
+            diags = [str(d) for d in command.check(vals)]
         except BudgetError as exc:
             if not validating:
                 raise

@@ -48,6 +48,17 @@ class BoundViolation(NumericError):
         self.margin = margin
 
 
+def collect_violations(*checks):
+    """The ConfigErrors that the callables `checks` raise, in order."""
+    found = []
+    for check in checks:
+        try:
+            check()
+        except ConfigError as exc:
+            found.append(exc)
+    return found
+
+
 def _require_count(name, value, least=0):
     """value as an int when it is a whole number >= least, of any real type
     but bool; ConfigError otherwise."""

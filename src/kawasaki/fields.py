@@ -56,7 +56,7 @@ class DensityField:
     def sup(self) -> float:
         return float(self.values.max())
 
-    def centers(self, axis: int = 0) -> np.ndarray:
+    def centers(self) -> np.ndarray:
         h = self.spacing
         return (np.arange(self.n_cells) + 0.5) * h
 

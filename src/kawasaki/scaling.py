@@ -25,19 +25,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError
+from .errors import BudgetError, ConfigError, collect_violations
 from .estimator import (CorrelationEstimate, check_pair_bins, chunk_parts,
                         fold_estimates, radial_product_profile)
 from .fields import DensityField
 from .kernels import KernelSpec, PotentialSpec, alpha as kernel_alpha
 from .kinetic import check_dt, snapshot_steps, solve_kinetic
-from .simulator import SimulationParams, check_model, map_chunks
+from .simulator import SimulationParams, check_density, check_model, map_chunks
 from .torus import Torus
 
 
 @dataclass(frozen=True, eq=False)
 class SweepSpec:
-    """Plan for one scaling ladder."""
+    """Plan for one scaling ladder, and the one place its rules live:
+    `violations` lists every rule it breaks, and `validate` raises the first
+    of them or, with none, a BudgetError when the plan is over budget."""
 
     torus: Torus
     kernel: KernelSpec
@@ -54,31 +56,48 @@ class SweepSpec:
     base_seed: int = 0
     n_jobs: int = 1
 
-    def validate(self):
-        check_model(self.torus, self.kernel, self.potential)
-        self.validate_plan()
-
-    def validate_plan(self):
-        """The ladder, times, reference-grid and pair-bin rules, without the
-        model's."""
-        eps = tuple(self.epsilons)
+    def violations(self) -> list:
+        """A ConfigError for every rule the spec breaks, in the order they are
+        checked below; a rule whose inputs an earlier rule rejected is skipped."""
+        eps, times, dt = tuple(self.epsilons), tuple(self.times), self.reference_dt()
+        found = collect_violations(
+            lambda: check_model(self.torus, self.kernel, self.potential),
+            lambda: check_pair_bins(self.pair_edges(), self.torus))
         if len(eps) < 1 or any(not (0 < e <= 1) for e in eps):
-            raise ConfigError("epsilons must lie in (0, 1]")
-        if len(set(eps)) != len(eps) or list(eps) != sorted(eps, reverse=True):
-            raise ConfigError("epsilons must be strictly decreasing")
-        if len(self.times) < 1 or any(t < 0 for t in self.times):
-            raise ConfigError("comparison times must be >= 0")
+            found.append(ConfigError("epsilons must lie in (0, 1]"))
+        elif len(set(eps)) != len(eps) or list(eps) != sorted(eps, reverse=True):
+            found.append(ConfigError("epsilons must be strictly decreasing"))
+        times_ok = len(times) >= 1 and not any(t < 0 for t in times)
+        if not times_ok:
+            found.append(ConfigError("comparison times must be >= 0"))
         if self.n_traj is not None and len(self.n_traj) != len(eps):
-            raise ConfigError("n_traj must match the epsilon ladder")
-        # the kinetic reference solve checks the same, but only after a run starts
-        dt = self.reference_dt()
-        check_dt(dt, kernel_alpha(self.kernel))
-        try:
-            snapshot_steps(self.times, max(self.times), dt)
-        except ConfigError as exc:
-            raise ConfigError(f"comparison times, on the kinetic reference grid of "
-                              f"dt {dt:g}: {exc}") from None
-        check_pair_bins(self.pair_edges(), self.torus)
+            found.append(ConfigError("n_traj must match the epsilon ladder"))
+        # the kinetic reference solve checks these too, but only after a run starts
+        dt_errors = collect_violations(lambda: check_dt(dt, kernel_alpha(self.kernel)))
+        found += dt_errors
+        if times_ok and not dt_errors:
+            try:
+                snapshot_steps(times, max(times), dt)
+            except ConfigError as exc:
+                found.append(ConfigError(f"comparison times, on the kinetic reference "
+                                         f"grid of dt {dt:g}: {exc}"))
+        found += collect_violations(lambda: check_density(self.torus, self.rho0))
+        if isinstance(self.rho0, DensityField) and self.rho0.n_cells != self.n_cells:
+            found.append(ConfigError("rho0 grid must match n_cells"))
+        return found
+
+    def validate(self):
+        """Raise the first violation; with none, BudgetError when the expected
+        particle count at the smallest eps exceeds the budget."""
+        found = self.violations()
+        if found:
+            raise found[0]
+        worst = self.limit_field().mass / min(self.epsilons)
+        if worst > self.budget_max_particles:
+            raise BudgetError(
+                f"expected particle count {worst:.0f} exceeds the budget "
+                f"{self.budget_max_particles:.0f} at eps={min(self.epsilons):g}"
+            )
 
     def reference_dt(self) -> float:
         """Step of the kinetic reference solve: dt, by default 0.05 / alpha."""
@@ -86,8 +105,6 @@ class SweepSpec:
 
     def limit_field(self) -> DensityField:
         if isinstance(self.rho0, DensityField):
-            if self.rho0.n_cells != self.n_cells:
-                raise ConfigError("rho0 grid must match n_cells")
             return self.rho0
         return DensityField.constant(self.torus, self.n_cells, float(self.rho0))
 
@@ -150,23 +167,9 @@ def renormalize(estimate: CorrelationEstimate, epsilon: float) -> CorrelationEst
     return out
 
 
-def plan_budget(spec: SweepSpec):
-    """Expected particle count per eps; raises BudgetError before any run."""
-    mass = spec.limit_field().mass
-    expected = [mass / e for e in spec.epsilons]
-    worst = max(expected)
-    if worst > spec.budget_max_particles:
-        raise BudgetError(
-            f"expected particle count {worst:.0f} exceeds the budget "
-            f"{spec.budget_max_particles:.0f} at eps={min(spec.epsilons):g}"
-        )
-    return expected
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Execute the ladder and compare against the kinetic reference."""
     spec.validate()
-    plan_budget(spec)
     rho0 = spec.limit_field()
     t_end = max(spec.times)
     ref = solve_kinetic(rho0, spec.kernel, spec.potential, dt=spec.reference_dt(),

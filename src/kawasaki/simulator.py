@@ -77,37 +77,6 @@ _RNG_BLOCK = 2048
 _logger = logging.getLogger(__name__)
 
 
-class Configuration:
-    """A finite point configuration on the torus.
-
-    Positions are stored as an (n, d) array in [0, L)^d; they must be finite.
-    """
-
-    def __init__(self, torus: Torus, positions):
-        self.torus = torus
-        pos = np.asarray(positions, dtype=float)
-        if pos.size == 0:
-            pos = np.zeros((0, torus.dim))
-        if pos.ndim == 1:
-            pos = pos[:, None]
-        if pos.shape[1] != torus.dim:
-            raise ConfigError(
-                f"positions have dimension {pos.shape[1]}, torus has {torus.dim}"
-            )
-        if not np.isfinite(pos).all():
-            raise ConfigError("positions must be finite")
-        self._pos = torus.wrap(pos.copy())
-
-    @property
-    def n(self) -> int:
-        return self._pos.shape[0]
-
-    @property
-    def positions(self) -> np.ndarray:
-        """Live view of the position array; treat as read-only."""
-        return self._pos
-
-
 def _sum_phi(potential, r2):
     """Sum of phi over squared distances, with the support cutoff applied."""
     r_sup = potential.support_radius
@@ -155,14 +124,14 @@ def _norm2(diff, side, image=None):
     return r2
 
 
-def interaction_energy(y, config: Configuration, potential: PotentialSpec,
-                       exclude=None) -> float:
-    """Total potential energy sum_{z in gamma, z != excluded} phi(y - z).
+def interaction_energy(y, config, potential: PotentialSpec, exclude=None) -> float:
+    """Total potential energy sum_{z in gamma, z != excluded} phi(y - z), for
+    gamma any object with a `torus` and an (n, d) array of `positions`.
 
     Distances are minimal-image and phi is cut off at its effective support.
     """
     _require_microscopic(potential)
-    if potential.is_zero or config.n == 0:
+    if potential.is_zero or len(config.positions) == 0:
         return 0.0
     y = np.asarray(y, dtype=float).reshape(-1)
     r2 = _norm2((config.positions - y).T, config.torus.side)
@@ -176,13 +145,39 @@ def interaction_energy(y, config: Configuration, potential: PotentialSpec,
 # -- initial states ----------------------------------------------------------
 
 
+def check_density(torus: Torus, rho0):
+    """Raise ConfigError unless rho0 is a finite number >= 0 or a
+    DensityField on the torus."""
+    if isinstance(rho0, DensityField):
+        if rho0.torus != torus:
+            raise ConfigError("density field lives on a different torus")
+    elif (isinstance(rho0, bool) or not isinstance(rho0, numbers.Real)
+          or not (math.isfinite(rho0) and rho0 >= 0)):
+        raise ConfigError(f"rho0 must be a finite number >= 0 or a DensityField, "
+                          f"got {rho0!r}")
+
+
+def _start(torus: Torus, positions):
+    """A given initial configuration as an (n, d) array of floats;
+    ConfigError unless its points are finite and of the torus's dimension."""
+    pos = np.asarray(positions, dtype=float)
+    if pos.size == 0:
+        pos = np.zeros((0, torus.dim))
+    if pos.ndim == 1:
+        pos = pos[:, None]
+    if pos.shape[1] != torus.dim:
+        raise ConfigError(f"positions have dimension {pos.shape[1]}, torus has {torus.dim}")
+    if not np.isfinite(pos).all():
+        raise ConfigError("positions must be finite")
+    return pos
+
+
 def sample_poisson_positions(torus: Torus, density, rng: np.random.Generator):
     """Positions of a Poisson point sample: N ~ Poisson(integral of rho),
     locations i.i.d. with density rho / integral."""
+    check_density(torus, density)
     d = torus.dim
     if isinstance(density, DensityField):
-        if density.torus != torus:
-            raise ConfigError("density field lives on a different torus")
         weights = density.values.ravel() * density.cell_volume
         mass = float(weights.sum())
         if mass == 0.0:
@@ -195,10 +190,7 @@ def sample_poisson_positions(torus: Torus, density, rng: np.random.Generator):
         idx = np.column_stack(np.unravel_index(flats, density.values.shape))
         h = density.spacing
         return (idx + rng.random((n, d))) * h
-    rho = float(density)
-    if rho < 0:
-        raise ConfigError(f"density must be >= 0, got {rho}")
-    n = int(rng.poisson(rho * torus.volume))
+    n = int(rng.poisson(float(density) * torus.volume))
     return rng.random((n, d)) * torus.side
 
 
@@ -225,13 +217,7 @@ class SimulationParams:
             raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ConfigError(f"t_end must be finite and >= 0, got {self.t_end}")
-        if isinstance(self.rho0, DensityField):
-            if self.rho0.torus != self.torus:
-                raise ConfigError("density field lives on a different torus")
-        elif (isinstance(self.rho0, bool) or not isinstance(self.rho0, numbers.Real)
-              or not (math.isfinite(self.rho0) and self.rho0 >= 0)):
-            raise ConfigError(f"rho0 must be a finite number >= 0 or a DensityField, "
-                              f"got {self.rho0!r}")
+        check_density(self.torus, self.rho0)
         for s in self.snapshot_times:
             if not 0 <= s <= self.t_end:
                 raise ConfigError(f"snapshot time {s} outside [0, {self.t_end}]")
@@ -309,7 +295,8 @@ def simulate(params: SimulationParams, seed, initial_positions=None) -> Trajecto
     gives exactly the trajectory `simulate_ensemble` gives for that stream.
     """
     params.validate()
-    initials = None if initial_positions is None else [initial_positions]
+    initials = (None if initial_positions is None
+                else [_start(params.torus, initial_positions)])
     return _simulate_rows(params, [seed], initials,
                           _planned_particles(params, initials))[0]
 
@@ -652,8 +639,9 @@ def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
     bits a one-at-a-time step would see, and each stream is consumed in the
     order `_draw_slots` defines, whatever the width. A row refills its block
     when it has taken its kept slots, and raises NumericError if it gets
-    there short of t_end. `initials`, when given, is aligned with `seeds`;
-    the cell table is sized for `n_planned` particles per row.
+    there short of t_end. `initials`, when given, is aligned with `seeds`
+    and holds checked (n, d) arrays; the cell table is sized for `n_planned`
+    particles per row.
     """
     torus, kernel, pot = params.torus, params.kernel, params.potential
     d, side = torus.dim, torus.side
@@ -665,7 +653,7 @@ def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
         else:
             pos = initials[r]
         rngs.append(rng)
-        starts.append(Configuration(torus, pos).positions)
+        starts.append(torus.wrap(pos))
     counts = [p.shape[0] for p in starts]
     sts, targets = _targets(params)
     limits = np.asarray(targets, dtype=float)
@@ -838,15 +826,18 @@ def map_chunks(params: SimulationParams, n_trajectories: int, base_seed: int,
     With n_jobs > 1 the chunks go to a process pool, at least one per worker,
     which is clamped to the CPU and chunk counts, with at most two per worker
     in flight, and only the reduced values come back, so `reduce` must
-    pickle. The inputs are checked at the call.
-    `initials`, when given, holds one initial configuration per trajectory.
+    pickle. `initials`, when given, holds one initial configuration per
+    trajectory. Every input, each initial configuration included, is checked
+    at the call, before any chunk runs.
     """
     n_trajectories = _require_count("n_trajectories", n_trajectories, least=1)
     n_jobs = _require_count("n_jobs", n_jobs, least=1)
     params.validate()
-    if initials is not None and len(initials) != n_trajectories:
-        raise ConfigError(f"{len(initials)} initial configurations for "
-                          f"{n_trajectories} trajectories")
+    if initials is not None:
+        if len(initials) != n_trajectories:
+            raise ConfigError(f"{len(initials)} initial configurations for "
+                              f"{n_trajectories} trajectories")
+        initials = [_start(params.torus, x) for x in initials]
     n = _planned_particles(params, initials)
     workers = min(n_jobs, os.cpu_count() or 1)
     bounds = _chunk_bounds(params.torus.dim, n, n_trajectories, workers,

@@ -1,4 +1,4 @@
-"""Periodic box geometry and minimal-image arithmetic.
+"""Periodic box geometry and its minimal-image rule.
 
 The finite-volume arena for simulation and for the gridded kinetic solver is
 a d-dimensional torus [0, L)^d with equal side lengths. All pair distances
@@ -39,18 +39,6 @@ class Torus:
         """
         out = np.mod(x, self.side)
         return np.where(out >= self.side, 0.0, out)
-
-    def minimal_image(self, dx):
-        """Fold coordinate differences into [-L/2, L/2)^d."""
-        L = self.side
-        return (np.asarray(dx) + 0.5 * L) % L - 0.5 * L
-
-    def distance(self, x, y):
-        """Minimal-image Euclidean distance between points (or arrays of points)."""
-        d = self.minimal_image(np.asarray(x) - np.asarray(y))
-        if d.ndim <= 1 and self.dim == 1:
-            return np.abs(d)
-        return np.sqrt(np.sum(d * d, axis=-1))
 
     def require_fits(self, radius: float, what: str = "interaction"):
         """Raise unless L > 4 * radius (the minimal-image safety margin)."""

@@ -1,9 +1,10 @@
 """Scalar reference implementations that only the tests use.
 
-`Simulation` steps one configuration, one proposal at a time, and serves as
-the independent reference that the lockstep kernel `simulator._simulate_rows`
-is compared against bit for bit. `total_pair_energy` and
-`detailed_balance_residual` check the algebra behind Gibbs reversibility.
+`Configuration` holds one point configuration, and `Simulation` steps it one
+proposal at a time; it is the independent reference that the lockstep kernel
+`simulator._simulate_rows` is compared against bit for bit. `minimal_image`
+and `distance` are the torus arithmetic the oracles use. `total_pair_energy`
+and `detailed_balance_residual` check the algebra behind Gibbs reversibility.
 """
 
 import math
@@ -11,9 +12,54 @@ from typing import NamedTuple
 
 import numpy as np
 
+from kawasaki.errors import ConfigError
 from kawasaki.kernels import alpha, sample_displacement
-from kawasaki.simulator import (_RNG_BLOCK, Configuration, _sum_phi,
-                                interaction_energy)
+from kawasaki.simulator import _RNG_BLOCK, _sum_phi, interaction_energy
+
+
+def minimal_image(torus, dx):
+    """Fold coordinate differences into [-L/2, L/2)^d."""
+    L = torus.side
+    return (np.asarray(dx) + 0.5 * L) % L - 0.5 * L
+
+
+def distance(torus, x, y):
+    """Minimal-image Euclidean distance between points (or arrays of points)."""
+    d = minimal_image(torus, np.asarray(x) - np.asarray(y))
+    if d.ndim <= 1 and torus.dim == 1:
+        return np.abs(d)
+    return np.sqrt(np.sum(d * d, axis=-1))
+
+
+class Configuration:
+    """A finite point configuration on the torus.
+
+    Positions are stored as an (n, d) array in [0, L)^d; they must be finite.
+    """
+
+    def __init__(self, torus, positions):
+        self.torus = torus
+        pos = np.asarray(positions, dtype=float)
+        if pos.size == 0:
+            pos = np.zeros((0, torus.dim))
+        if pos.ndim == 1:
+            pos = pos[:, None]
+        if pos.shape[1] != torus.dim:
+            raise ConfigError(
+                f"positions have dimension {pos.shape[1]}, torus has {torus.dim}"
+            )
+        if not np.isfinite(pos).all():
+            raise ConfigError("positions must be finite")
+        self._pos = torus.wrap(pos.copy())
+
+    @property
+    def n(self) -> int:
+        return self._pos.shape[0]
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Live view of the position array; treat as read-only."""
+        return self._pos
 
 
 class Event(NamedTuple):

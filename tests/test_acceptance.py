@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from kawasaki import (Configuration, KernelSpec, PotentialSpec,
+from kawasaki import (KernelSpec, PotentialSpec,
                       SimulationParams, SweepSpec, Torus, GibbsSampler,
                       alpha, calibrate_activity, contraction_factor,
                       estimate_correlations, estimate_density,
@@ -21,7 +21,7 @@ from kawasaki import (Configuration, KernelSpec, PotentialSpec,
                       vlasov_first_order)
 from kawasaki import simulator
 from kawasaki.fields import DensityField
-from reference import detailed_balance_residual, total_pair_energy
+from reference import Configuration, detailed_balance_residual, total_pair_energy
 
 TORUS20 = Torus(1, 20.0)
 TOP_HAT_A = KernelSpec.top_hat(1.0, 1.0, dim=1)  # alpha = 2

@@ -44,7 +44,8 @@ def test_tabulated_kernel_names_its_grid_for_the_tracer():
 
 
 @pytest.mark.parametrize("name", ["Simulation", "Event", "detailed_balance_residual",
-                                  "total_pair_energy", "NoDynamicsError"])
+                                  "total_pair_energy", "NoDynamicsError",
+                                  "Configuration"])
 def test_test_only_names_are_not_exported(name):
     assert not hasattr(kawasaki, name)
     assert not hasattr(simulator, name)

@@ -118,11 +118,32 @@ def test_validate_reports_sweep_model_and_ladder_errors_together(tmp_path, capsy
                                 "epsilons must be strictly decreasing"]),
 ], ids=["alone", "with a ladder error"])
 def test_validate_reports_sweep_pair_bins_once(tmp_path, capsys, change, violations):
-    # SweepSpec.validate_plan checks the pair bins too
+    # the pair bins are one rule of SweepSpec.violations, reported once
     cfg = {"subcommand": "scale-sweep", **sweep_config(r_max=10.5, **change)}
     path = write_json(tmp_path / "bad.json", cfg)
     assert main(["validate", "--config", path]) == 1
     assert capsys.readouterr().out.splitlines() == [f"violation: {v}" for v in violations]
+
+
+WIDE_KERNEL = {"family": "top_hat", "radius": 10.0, "height": 1.0, "dim": 1}  # = L/2
+
+
+@pytest.mark.parametrize("change, violations", [
+    ({"kernel": WIDE_KERNEL, "r_max": 10.5, "epsilons": [0.5, 1.0], "times": [-0.25],
+      "n_traj": [3]},
+     ["minimal-image ambiguity: interaction radius 10 requires side > 40, got 20",
+      "pair bins must stay below L/2 (minimal image)",
+      "epsilons must be strictly decreasing",
+      "comparison times must be >= 0",
+      "n_traj must match the epsilon ladder"]),
+    ({"times": []}, ["comparison times must be >= 0"]),
+    ({"epsilons": []}, ["epsilons must lie in (0, 1]"]),
+], ids=["five rules", "no times", "no epsilons"])
+def test_validate_reports_every_sweep_violation(tmp_path, capsys, change, violations):
+    cfg = {"subcommand": "scale-sweep", **sweep_config(**change)}
+    path = write_json(tmp_path / "bad.json", cfg)
+    assert main(["validate", "--config", path]) == 1
+    assert capsys.readouterr() == ("".join(f"violation: {v}\n" for v in violations), "")
 
 
 def test_validate_flags_uncertified_picard_window(tmp_path, capsys):

@@ -8,7 +8,6 @@ from kawasaki import (BudgetError, ConfigError, KernelSpec, PotentialSpec,
                       estimate_correlations, renormalize, run_sweep)
 from kawasaki import scaling
 from kawasaki.fields import DensityField
-from kawasaki.scaling import plan_budget
 
 TORUS = Torus(1, 20.0)
 KERNEL = KernelSpec.top_hat(1.0, 1.0, dim=1)
@@ -84,7 +83,7 @@ def base_spec(**kw):
 def test_budget_checked_before_any_simulation():
     spec = base_spec(budget_max_particles=10.0)
     with pytest.raises(BudgetError):
-        plan_budget(spec)
+        spec.validate()
     with pytest.raises(BudgetError):
         run_sweep(spec)
 
@@ -101,18 +100,24 @@ def test_spec_validation():
     base_spec().validate()
 
 
-@pytest.mark.parametrize("r_edges", [np.linspace(0.0, 10.5, 9), np.linspace(0.0, 1e-8, 21)],
-                         ids=["beyond half the side", "thinner than 1e-9"])
-def test_pair_bins_checked_before_any_solve_or_simulation(monkeypatch, r_edges):
+@pytest.mark.parametrize("change, message", [
+    ({"r_edges": tuple(np.linspace(0.0, 10.5, 9))}, "pair bins"),
+    ({"r_edges": tuple(np.linspace(0.0, 1e-8, 21))}, "pair bins"),
+    ({"rho0": DensityField.constant(Torus(1, 30.0), 32, 0.5)}, "different torus"),
+    ({"rho0": DensityField.constant(TORUS, 16, 0.5)}, "rho0 grid must match n_cells"),
+    ({"rho0": -1.0}, "rho0 must be a finite number >= 0"),
+], ids=["beyond half the side", "thinner than 1e-9", "rho0 on another torus",
+        "rho0 grid not n_cells", "negative rho0"])
+def test_pair_bins_checked_before_any_solve_or_simulation(monkeypatch, change, message):
     def never(*args, **kwargs):
-        raise AssertionError("the sweep ran before its pair bins were checked")
+        raise AssertionError("the sweep ran before its inputs were checked")
 
     monkeypatch.setattr(scaling, "solve_kinetic", never)
     monkeypatch.setattr(scaling, "map_chunks", never)
-    spec = base_spec(r_edges=tuple(r_edges))
-    with pytest.raises(ConfigError, match="pair bins"):
+    spec = base_spec(**change)
+    with pytest.raises(ConfigError, match=message):
         spec.validate()
-    with pytest.raises(ConfigError, match="pair bins"):
+    with pytest.raises(ConfigError, match=message):
         run_sweep(spec)
 
 

@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from kawasaki import (ConfigError, Configuration, GeometryError, InvalidSpecError,
+from kawasaki import (ConfigError, GeometryError, InvalidSpecError,
                       KernelSpec, NumericError, PotentialSpec, SimulationParams,
                       Torus, interaction_energy, sample_displacement,
                       sample_poisson_positions, simulate, simulate_ensemble)
 from kawasaki import simulator
 from kawasaki.fields import DensityField
 from kawasaki.simulator import Trajectory
-from reference import Simulation, detailed_balance_residual, total_pair_energy
+from reference import (Configuration, Simulation, detailed_balance_residual,
+                       minimal_image, total_pair_energy)
 
 TORUS = Torus(1, 20.0)
 KERNEL = KernelSpec.top_hat(1.0, 1.0, dim=1)  # alpha = 2
@@ -27,7 +28,7 @@ def brute_energy(y, positions, torus, potential, exclude=None):
     for i, z in enumerate(np.atleast_2d(positions)):
         if exclude is not None and i == exclude:
             continue
-        d = torus.minimal_image(y - z)
+        d = minimal_image(torus, y - z)
         r = float(np.sqrt(np.sum(d * d)))
         if r <= potential.support_radius:
             total += float(potential.radial(r))
@@ -97,7 +98,7 @@ def test_energy_rejects_local_potential():
 def jump_rate(x_index, y, config, kernel, potential, epsilon=1.0):
     """Hop rate a(x - y) * exp(-eps * E(y, gamma)) for moving particle x to y."""
     y = np.asarray(y, dtype=float).reshape(-1)
-    dx = config.torus.minimal_image(config.positions[x_index] - y)
+    dx = minimal_image(config.torus, config.positions[x_index] - y)
     a_val = float(np.atleast_1d(kernel.value(dx if kernel.dim > 1 else dx[0]))[0])
     if a_val == 0.0:
         return 0.0
@@ -124,7 +125,7 @@ def test_jump_rate_matches_direct_formula():
     for _ in range(50):
         i = int(rng.integers(0, 20))
         y = (pos[i] + rng.uniform(-1.5, 1.5, size=1)) % 20.0
-        dx = TORUS.minimal_image(pos[i] - y)[0]
+        dx = minimal_image(TORUS, pos[i] - y)[0]
         expected = float(KERNEL.radial(abs(dx))) * math.exp(
             -brute_energy(y, pos, TORUS, POT))
         assert jump_rate(i, y, config, KERNEL, POT) == pytest.approx(
@@ -210,15 +211,43 @@ def test_poisson_initial_returns_configuration():
     assert np.all((config.positions >= 0.0) & (config.positions < 20.0))
 
 
+def never_simulated(*args, **kwargs):
+    raise AssertionError("a chunk ran before every initial configuration was checked")
+
+
+def chunk_sizes(first, trajectories):
+    return len(trajectories)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_configuration_rejects_non_finite_positions(bad):
-    with pytest.raises(ConfigError, match="finite"):
-        Configuration(TORUS, np.array([[1.0], [bad]]))
+def test_configuration_rejects_non_finite_positions(monkeypatch, bad):
     initials = [np.array([[1.0]]), np.array([[2.0], [bad]])]
     with pytest.raises(ConfigError, match="finite"):
         simulate_ensemble(params(), 2, base_seed=1, initials=initials)
     with pytest.raises(ConfigError, match="finite"):
         simulate(params(), 1, initial_positions=initials[1])
+    monkeypatch.setattr(simulator, "_simulate_rows", never_simulated)
+    with pytest.raises(ConfigError, match="finite"):
+        simulator.map_chunks(params(), 2, 1, chunk_sizes, initials=initials)
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+@pytest.mark.parametrize("last, message", [
+    (np.array([[1.0], [2.0], [3.0], [4.0], [math.nan]]), "positions must be finite"),
+    (np.ones((5, 2)), "positions have dimension 2, torus has 1"),
+], ids=["nan", "wrong dimension"])
+def test_map_chunks_checks_every_initial_before_any_chunk(monkeypatch, n_jobs, last,
+                                                          message):
+    # the bad configuration is the last of 200, several chunks after the first
+    rng = np.random.default_rng(3)
+    initials = [rng.random((5, 1)) * 20.0 for _ in range(199)] + [last]
+    p = params(t_end=300.0, snapshot_times=())
+    assert len(simulator._chunk_bounds(1, 5, 200, 1, simulator._planned_slots(p, 5))) > 2
+    monkeypatch.setattr(simulator, "_simulate_rows", never_simulated)
+    with pytest.raises(ConfigError, match=message):
+        simulator.map_chunks(p, 200, 1, chunk_sizes, n_jobs=n_jobs, initials=initials)
+    with pytest.raises(ConfigError, match=message):
+        simulate(p, 1, initial_positions=last)
 
 
 # -- single steps -------------------------------------------------------------------
