@@ -8,9 +8,9 @@ parser that holds the field's constraint, and a default (or REQUIRED).
 `resolve` walks a table once. It rejects missing and unknown fields and any
 value of the wrong type, and fills in the defaults. Integers must be integral
 numbers, reals finite numbers, and flags JSON true/false; no value is coerced.
-The resolved values feed the cross-field checks that `validate` reports, the
-run, and manifest.json, which echoes them with the package version; feeding a
-manifest back as --config reproduces the run byte-for-byte.
+The resolved values feed the library's list of violations, which `validate`
+reports, the run, and manifest.json, which echoes them with the package
+version; feeding a manifest back as --config reproduces the run byte-for-byte.
 
 --seed and --threads (simulate, scale-sweep) and the horizon flags --theta0,
 --alpha, --cphi, --theta and --t override the config field of the same name;
@@ -35,10 +35,10 @@ from .errors import (BudgetError, ConfigError, KawasakiError, NumericError,
                      collect_violations)
 from .estimator import check_pair_bins, chunk_parts, fold_estimates
 from .fields import DensityField
-from .horizon import contraction_factor, horizon_report
-from .kernels import KernelSpec, PotentialSpec, alpha, mean_phi
-from .kinetic import (check_dt, monitor_bounds, picard_solve, snapshot_steps,
-                      solve_kinetic)
+from .horizon import horizon_report, violations as horizon_violations
+from .kernels import KernelSpec, PotentialSpec
+from .kinetic import (monitor_bounds, picard_solve, snapshot_steps, solve_kinetic,
+                      violations as kinetic_violations)
 from .scaling import SweepSpec, convergence_report, run_sweep, write_sweep_outputs
 from .simulator import SimulationParams, map_chunks
 from .torus import Torus
@@ -161,15 +161,6 @@ _SPEC = (Field("family", lambda v, ctx: v), Field("dim", _count),
          *(Field(k, _optional(_real), None) for k in ("radius", "sigma", "rate", "kappa")))
 
 
-def _spec(cls):
-    def parse(v, ctx):
-        spec = cls(**resolve(_SPEC, v))
-        if spec.dim != ctx["torus"].dim:
-            _fail(f"dimension {spec.dim} does not match the torus")
-        return spec
-    return parse
-
-
 def _grid(v, ctx):
     try:
         arr = np.asarray(v)
@@ -202,8 +193,8 @@ _ESTIMATOR = (
 
 _MODEL = (
     Field("torus", lambda v, ctx: Torus(**resolve(_TORUS, v))),
-    Field("kernel", _spec(KernelSpec)),
-    Field("potential", _spec(PotentialSpec)),
+    Field("kernel", lambda v, ctx: KernelSpec(**resolve(_SPEC, v))),
+    Field("potential", lambda v, ctx: PotentialSpec(**resolve(_SPEC, v))),
 )
 
 
@@ -238,8 +229,7 @@ def _pair_edges(est_cfg):
 
 def _check_simulate(v):
     est_cfg = v["estimator"]
-    return collect_violations(
-        _sim_params(v).validate,
+    return _sim_params(v).violations() + collect_violations(
         lambda: est_cfg and check_pair_bins(_pair_edges(est_cfg), v["torus"]))
 
 
@@ -321,26 +311,8 @@ _KINETIC = _MODEL + (
 
 
 def _check_kinetic(v):
-    half = v["torus"].side / 2
-    diags = [f"minimal-image ambiguity: {name} support radius "
-             f"{v[name].support_radius:g} >= L/2" for name in ("kernel", "potential")
-             if v[name].family != "local" and v[name].support_radius >= half]
-    a = alpha(v["kernel"])
-    diags += collect_violations(lambda: check_dt(v["dt"], a),
-                                lambda: snapshot_steps(v["snapshots"], v["t_end"], v["dt"]))
-    if v["method"] == "picard" and not v["t_end"] > 0:
-        diags.append(f"Picard window needs t_end > 0, got {v['t_end']:g}")
-    elif v["method"] == "picard":
-        try:
-            q = contraction_factor(v["rho0"].sup, a, mean_phi(v["potential"]),
-                                   v["t_end"])
-        except NumericError as exc:
-            diags.append(f"Picard window not certified: {exc}")
-        else:
-            if q >= 1.0:
-                diags.append(f"Picard window not certified: contraction factor "
-                             f"q(T)={q:.4f} >= 1 on [0, {v['t_end']:g}]")
-    return diags
+    return kinetic_violations(v["rho0"], v["kernel"], v["potential"], v["dt"],
+                              v["t_end"], v["snapshots"], v["method"])
 
 
 def _run_kinetic(v, out_dir):
@@ -381,17 +353,17 @@ _HORIZON = (
 )
 
 
+def _horizon_args(v):
+    return {("times" if name == "t" else name): value for name, value in v.items()}
+
+
 def _check_horizon(v):
-    if v["theta"] is not None and v["theta"] > v["theta0"]:
-        return ["theta must be <= theta0"]
-    return []
+    return horizon_violations(**_horizon_args(v))
 
 
 def _run_horizon(v, out_dir):
-    rep = horizon_report(v["theta0"], v["alpha"], v["c_phi"], mean_phi=v["mean_phi"],
-                         theta=v["theta"], times=v["t"], u0=v["u0"],
-                         windows=v["windows"])
-    rep.write_json(os.path.join(out_dir, "report.json"))
+    _write_json(os.path.join(out_dir, "report.json"),
+                horizon_report(**_horizon_args(v)).to_json())
 
 
 # -- scale-sweep -------------------------------------------------------------
@@ -442,7 +414,7 @@ def _run_sweep(v, out_dir):
 
 class Command(NamedTuple):
     table: tuple
-    check: Callable  # resolved values -> cross-field violations: ConfigErrors or messages
+    check: Callable  # resolved values -> the library's list of violations
     run: Callable  # (resolved values, out_dir) -> None
 
 

@@ -4,6 +4,7 @@ Exit-code mapping used by the command line tool: ConfigError -> 1,
 NumericError -> 2, BudgetError -> 3.
 """
 
+import math
 import numbers
 
 
@@ -49,14 +50,21 @@ class BoundViolation(NumericError):
 
 
 def collect_violations(*checks):
-    """The ConfigErrors that the callables `checks` raise, in order."""
+    """The broken rules, ConfigErrors and HorizonErrors, that the callables
+    `checks` raise, in order."""
     found = []
     for check in checks:
         try:
             check()
-        except ConfigError as exc:
+        except (ConfigError, HorizonError) as exc:
             found.append(exc)
     return found
+
+
+def raise_first(found):
+    """Raise the first of the errors `found`, if there is one."""
+    if found:
+        raise found[0]
 
 
 def _require_count(name, value, least=0):
@@ -66,3 +74,10 @@ def _require_count(name, value, least=0):
                                        and float(value).is_integer()):
         raise ConfigError(f"{name} must be a whole number >= {least}, got {value!r}")
     return int(value)
+
+
+def _require_positive(name, value, error=ConfigError):
+    """Raise `error` unless value is a finite real > 0 (a bool is not)."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and math.isfinite(value) and value > 0):
+        raise error(f"{name} must be finite and positive, got {value!r}")

@@ -36,7 +36,7 @@ O(h) approximation for ideal data.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -187,13 +187,15 @@ class EstimateParts(NamedTuple):
 
 
 def check_pair_bins(r_edges, torus) -> np.ndarray:
-    """The pair bin edges as floats; ConfigError unless every bin is at least
-    1e-9 wide, the position resolution, and the last edge is at most L/2,
-    as minimal-image distances are."""
+    """The pair bin edges as floats; ConfigError unless there is at least one
+    bin, every bin is at least 1e-9 wide, the position resolution, and the
+    last edge is at most L/2, as minimal-image distances are."""
     r_edges = np.asarray(r_edges, dtype=float)
-    if np.any(np.diff(r_edges) < 1e-9):
+    if r_edges.ndim != 1 or r_edges.size < 2:
+        raise ConfigError("pair bins need at least one bin: a list of two or more edges")
+    if not np.all(np.diff(r_edges) >= 1e-9):
         raise ConfigError("pair bins thinner than the position resolution")
-    if r_edges[-1] > 0.5 * torus.side + 1e-12:
+    if not r_edges[-1] <= 0.5 * torus.side + 1e-12:
         raise ConfigError("pair bins must stay below L/2 (minimal image)")
     return r_edges
 
@@ -427,13 +429,7 @@ class SubPoissonReport:
     factorization_bin: int
 
     def to_json(self) -> dict:
-        return {
-            "theta": self.theta, "nu1": self.nu1, "nu2": self.nu2,
-            "norm_estimate": self.norm_estimate,
-            "factorization_residual": self.factorization_residual,
-            "factorization_se": self.factorization_se,
-            "factorization_bin": self.factorization_bin,
-        }
+        return asdict(self)
 
 
 def sub_poisson_report(estimate: CorrelationEstimate, theta: float) -> SubPoissonReport:

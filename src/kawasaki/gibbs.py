@@ -58,18 +58,13 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, _require_count
+from .errors import ConfigError, _require_count, _require_positive
 from .kernels import PotentialSpec
 from .simulator import _profile
 from .torus import Torus
 
 
 _BLOCK = 1024  # variates per draw from the chain's rng
-
-
-def _require_positive(name, value):
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 def _stream(draw):  # the values of draw(_BLOCK), draw(_BLOCK), ... one per call
@@ -151,6 +146,7 @@ class GibbsSampler:
         if potential.family == "local":
             raise ConfigError("local(kappa) has no finite-volume Gibbs measure")
         r_sup = potential.support_radius
+        torus.require_dim(potential)
         torus.require_fits(r_sup)
         _require_positive("activity", activity)
         _require_positive("epsilon", epsilon)

@@ -25,13 +25,17 @@ theta_* is where dT/dtheta changes sign: it is bisected on the sign of
 to its last bits although T is flat at its maximum. theta(t) and the window
 of find_T_for_q are bisected down to adjacent floats too, through the same
 helper.
+
+`violations` lists every rule a `horizon_report` request breaks (theta <=
+theta0, t >= 0, and q(T) windows T >= 0 with e^{alpha T} < 2 and a <phi>);
+`horizon_report` raises the first of them before it computes anything.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, HorizonError, NumericError
+from .errors import (ConfigError, HorizonError, NumericError, collect_violations,
+                     raise_first)
 
 
 def _bisect(below, lo, hi):
@@ -47,9 +51,14 @@ def _bisect(below, lo, hi):
             hi = mid
 
 
+def _check_time(name, t):
+    if not t >= 0:
+        raise ConfigError(f"{name} must be >= 0, got {t}")
+
+
 def existence_horizon(theta0: float, theta: float, alpha: float, c_phi: float) -> float:
     """Guaranteed lifetime T(theta) of the evolution entering the theta-space."""
-    if theta > theta0:
+    if not theta <= theta0:
         raise ConfigError(f"theta ({theta}) must be <= theta0 ({theta0})")
     if alpha <= 0:
         raise ConfigError(f"alpha must be positive, got {alpha}")
@@ -84,8 +93,7 @@ def t_star(theta0: float, alpha: float, c_phi: float):
 
 def theta_of_t(theta0: float, alpha: float, c_phi: float, t: float):
     """sup{theta <= theta0 : t < T(theta)}, or None when t >= T_*."""
-    if t < 0:
-        raise ConfigError(f"t must be >= 0, got {t}")
+    _check_time("t", t)
     if t == 0.0:
         return theta0
     if c_phi == 0.0:
@@ -114,8 +122,7 @@ def op_norm_bound(theta_pp: float, theta_p: float, alpha: float, c: float) -> fl
 
 def contraction_factor(u0: float, alpha: float, mean_phi: float, T: float) -> float:
     """Picard contraction factor q(T) on [0, T]; requires e^{alpha T} < 2."""
-    if T < 0:
-        raise ConfigError(f"T must be >= 0, got {T}")
+    _check_time("T", T)
     if u0 < 0 or mean_phi < 0 or alpha <= 0:
         raise ConfigError("need u0 >= 0, <phi> >= 0, alpha > 0")
     if alpha * T >= math.log(2.0):
@@ -164,18 +171,24 @@ class HorizonReport:
     q_of_T: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        out = {}
-        for k, v in self.__dict__.items():
-            if isinstance(v, dict):
-                out[k] = {str(kk): vv for kk, vv in v.items()}
-            elif v is None or isinstance(v, (int, float)):
-                out[k] = v
-        return out
+        return {k: {str(kk): vv for kk, vv in v.items()} if isinstance(v, dict) else v
+                for k, v in self.__dict__.items()}
 
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+
+def violations(theta0, alpha, c_phi, mean_phi=None, theta=None, times=(), u0=1.0,
+               windows=()) -> list:
+    """An error for every rule the `horizon_report` request breaks, in order:
+    those of T(theta) (of T(theta0) with no theta), t >= 0, and for q(T)
+    windows a mean_phi and the rules of contraction_factor at the first bad one."""
+    found = collect_violations(
+        lambda: existence_horizon(theta0, theta0 if theta is None else theta, alpha, c_phi),
+        lambda: [_check_time("t", t) for t in times])
+    if windows and mean_phi is None:
+        found.append(ConfigError("q(T) windows need mean_phi"))
+    elif windows:
+        found += collect_violations(
+            lambda: [contraction_factor(u0, alpha, mean_phi, T) for T in windows])
+    return found
 
 
 def horizon_report(theta0, alpha, c_phi, mean_phi=None, theta=None, times=(),
@@ -184,8 +197,10 @@ def horizon_report(theta0, alpha, c_phi, mean_phi=None, theta=None, times=(),
 
     `times` requests theta(t) entries; `windows` requests q(T) entries (these
     need mean_phi). The norm bound is reported for the gap (theta0 - 1, theta0)
-    in the bare variant.
+    in the bare variant. Raises the first of `violations`.
     """
+    raise_first(violations(theta0, alpha, c_phi, mean_phi=mean_phi, theta=theta,
+                           times=times, u0=u0, windows=windows))
     rep = HorizonReport(theta0=theta0, alpha=alpha, c_phi=c_phi, mean_phi=mean_phi,
                         theta=theta, u0=u0)
     T_max, th_max = t_star(theta0, alpha, c_phi)
@@ -195,7 +210,6 @@ def horizon_report(theta0, alpha, c_phi, mean_phi=None, theta=None, times=(),
     for t in times:
         rep.theta_of_t[t] = theta_of_t(theta0, alpha, c_phi, t)
     rep.norm_bound = op_norm_bound(theta0, theta0 - 1.0, alpha, c_phi)
-    if mean_phi is not None:
-        for T in windows:
-            rep.q_of_T[T] = contraction_factor(u0, alpha, mean_phi, T)
+    for T in windows:
+        rep.q_of_T[T] = contraction_factor(u0, alpha, mean_phi, T)
     return rep

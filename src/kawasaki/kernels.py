@@ -33,38 +33,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError, NumericError
+from .errors import InvalidSpecError, NumericError, _require_positive
 
 # Radial value below height * SUPPORT_CUTOFF is treated as zero; this sets the
 # support radius, and so the simulator's cell width, of the unbounded families.
 SUPPORT_CUTOFF = 1e-12
 
+# the parameter that shapes each family's profile (local(kappa): its integral)
+_SHAPE = {"top_hat": "radius", "gaussian": "sigma", "exponential": "rate", "local": "kappa"}
+
 
 def ball_volume(dim: int, radius: float) -> float:
-    """Volume of the d-ball (closed forms for d <= 3)."""
+    """Volume of the d-ball, d = 1, 2 or 3 (the dimensions a spec allows)."""
     if dim == 1:
         return 2.0 * radius
     if dim == 2:
         return math.pi * radius * radius
-    if dim == 3:
-        return 4.0 * math.pi * radius**3 / 3.0
-    return math.pi ** (dim / 2.0) * radius ** dim / math.gamma(dim / 2.0 + 1.0)
+    return 4.0 * math.pi * radius**3 / 3.0
 
 
 def sphere_area(dim: int) -> float:
-    """Surface area of the unit (d-1)-sphere (closed forms for d <= 3)."""
+    """Surface area of the unit (d-1)-sphere, d = 1, 2 or 3."""
     if dim == 1:
         return 2.0
     if dim == 2:
         return 2.0 * math.pi
-    if dim == 3:
-        return 4.0 * math.pi
-    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-
-
-def _check_positive(name, value):
-    if not (value > 0 and math.isfinite(value)):
-        raise InvalidSpecError(f"{name} must be strictly positive, got {value!r}")
+    return 4.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -83,25 +77,20 @@ class RadialSpec:
         if self.dim not in (1, 2, 3):
             raise InvalidSpecError(f"dimension must be 1, 2 or 3, got {self.dim}")
         fam = self.family
-        if fam == "top_hat":
-            _check_positive("radius", self.radius)
-        elif fam == "gaussian":
-            _check_positive("sigma", self.sigma)
-        elif fam == "exponential":
-            _check_positive("rate", self.rate)
-        elif fam == "local":
+        if fam not in _SHAPE:
+            raise InvalidSpecError(f"unknown family {fam!r}")
+        if fam == "local":
             if not allow_local:
                 raise InvalidSpecError("local(kappa) is only valid as a potential")
-            if self.kappa is None or self.kappa < 0:
+            if self.kappa is None or not self.kappa >= 0:
                 raise InvalidSpecError(f"kappa must be >= 0, got {self.kappa!r}")
             return
-        else:
-            raise InvalidSpecError(f"unknown family {fam!r}")
+        _require_positive(_SHAPE[fam], getattr(self, _SHAPE[fam]), InvalidSpecError)
         if allow_zero_height:
-            if self.height < 0:
+            if not self.height >= 0:
                 raise InvalidSpecError(f"height must be >= 0, got {self.height!r}")
         else:
-            _check_positive("height", self.height)
+            _require_positive("height", self.height, InvalidSpecError)
 
     # -- radial profile ----------------------------------------------------
 
@@ -177,32 +166,20 @@ class RadialSpec:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        obj = {"family": self.family, "dim": self.dim}
-        if self.family == "top_hat":
-            obj.update(radius=self.radius, height=self.height)
-        elif self.family == "gaussian":
-            obj.update(sigma=self.sigma, height=self.height)
-        elif self.family == "exponential":
-            obj.update(rate=self.rate, height=self.height)
-        else:
-            obj.update(kappa=self.kappa)
-        return obj
+        names = (_SHAPE[self.family],) + (() if self.family == "local" else ("height",))
+        return {"family": self.family, "dim": self.dim, **{k: getattr(self, k) for k in names}}
 
     @classmethod
     def from_json(cls, obj: dict):
         obj = dict(obj)
         try:
-            family = obj.pop("family")
-            dim = int(obj.pop("dim"))
+            family, dim = obj.pop("family"), int(obj.pop("dim"))
         except KeyError as exc:
             raise InvalidSpecError(f"spec missing field {exc}") from None
-        fields = {}
-        for key in ("radius", "sigma", "rate", "height", "kappa"):
-            if key in obj:
-                fields[key] = float(obj.pop(key))
-        if obj:
-            raise InvalidSpecError(f"unknown spec fields {sorted(obj)}")
-        return cls(family=family, dim=dim, **fields)
+        unknown = sorted(set(obj) - {"radius", "sigma", "rate", "height", "kappa"})
+        if unknown:
+            raise InvalidSpecError(f"unknown spec fields {unknown}")
+        return cls(family=family, dim=dim, **{k: float(v) for k, v in obj.items()})
 
 
 @dataclass(frozen=True)
@@ -307,8 +284,7 @@ def c_phi(potential: PotentialSpec, epsilon: float = 1.0) -> float:
     -> <phi> as eps -> 0. For the local family the defining limit is 0 for
     every eps. eps must be finite and positive (InvalidSpecError).
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise InvalidSpecError(f"epsilon must be finite and positive, got {epsilon}")
+    _require_positive("epsilon", epsilon, InvalidSpecError)
     if potential.family == "local" or potential.is_zero:
         return 0.0
     dim = potential.dim

@@ -30,16 +30,20 @@ size (pocketfft is O(n log n) for any n); the solvers transform rho once and
 invert a * rho and phi * rho in one batched call. `vlasov_first_order` alone
 sums over minimal images, so the product-state identity rhs == first-order
 hierarchy action is a genuine cross-check of two code paths.
+
+`violations` lists every rule a solve breaks (specs of the grid's dimension
+with supports below L/2, the RK4 step guard, the time grid and a Picard window
+with q(T) < 1); both solvers raise the first of them before any work.
 """
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (BoundViolation, ConfigError, GeometryError, HorizonError,
-                     NumericError, StepSizeError)
+from .errors import (BoundViolation, ConfigError, HorizonError,
+                     NumericError, StepSizeError, collect_violations, raise_first)
 from .fields import DensityField
 from .horizon import contraction_factor
 from .kernels import KernelSpec, PotentialSpec, alpha as kernel_alpha, mean_phi
@@ -64,6 +68,13 @@ def _irfft(spectrum, n, d):
                          axes=tuple(range(spectrum.ndim - d, spectrum.ndim)))
 
 
+def check_support(spec, torus: Torus):
+    """Raise GeometryError unless the spec has the torus's dimension and support < L/2."""
+    torus.require_dim(spec)
+    name = "potential" if isinstance(spec, PotentialSpec) else "kernel"
+    torus.require_fits(spec.support_radius, f"{name} support", margin=2.0)
+
+
 class TabulatedKernel:
     """A radial spec sampled on the grid, renormalized to its exact integral."""
 
@@ -74,11 +85,7 @@ class TabulatedKernel:
         d = torus.dim
         h = torus.side / self.n
         self.cell_volume = h ** d
-        if spec.family != "local" and spec.support_radius >= 0.5 * torus.side:
-            raise GeometryError(
-                f"kernel support radius {spec.support_radius:g} must be below "
-                f"half the torus side {torus.side:g}"
-            )
+        check_support(spec, torus)
         offs = (np.arange(self.n) * h + 0.5 * torus.side) % torus.side - 0.5 * torus.side
         grids = np.meshgrid(*([offs] * d), indexing="ij")
         dist = np.sqrt(sum(g * g for g in grids))
@@ -102,8 +109,7 @@ class TabulatedKernel:
         `values` may carry extra leading axes (e.g. a time stack); the
         convolution acts on the trailing spatial axes.
         """
-        d = self.torus.dim
-        return _irfft(_rfft(values, d) * self.fft, self.n, d) * self.cell_volume
+        return _convolved(values, self, self.fft)
 
 
 def _convolve_direct(tab: TabulatedKernel, values):
@@ -200,19 +206,45 @@ def check_dt(dt: float, alpha: float):
 def snapshot_steps(times, t_end: float, dt: float) -> list:
     """Step index k of each time s on the grid both solvers march on.
 
-    The grid has n = max(1, round(t_end / dt)) steps of t_end / n; s must lie
-    within 1e-9 of k * t_end / n with 0 <= k <= n, else ConfigError.
+    The grid has n = max(1, round(t_end / dt)) steps of t_end / n, t_end finite
+    and >= 0; s must lie within 1e-9 of k * t_end / n with 0 <= k <= n.
     """
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ConfigError(f"t_end must be finite and >= 0, got {t_end}")
     n_steps = max(1, int(round(t_end / dt)))
     h = t_end / n_steps
     steps = []
     for s in times:
-        k = int(round(s / h)) if h else 0
-        if abs(k * h - s) > 1e-9 or not 0 <= k <= n_steps:
+        k = int(round(s / h)) if h and math.isfinite(s / h) else 0
+        if not math.isfinite(s) or abs(k * h - s) > 1e-9 or not 0 <= k <= n_steps:
             raise ConfigError(
                 f"snapshot time {s} is not on the dt grid over [0, {t_end:g}]")
         steps.append(k)
     return steps
+
+
+def violations(rho0: DensityField, kernel: KernelSpec, potential: PotentialSpec,
+               dt: float, t_end: float, snapshot_times=(), method: str = "rk4") -> list:
+    """An error for every rule a solve from rho0 on [0, t_end] breaks, in order:
+    check_support of both specs (GeometryError), check_dt, snapshot_steps, and
+    for Picard t_end > 0 and q(t_end) < 1 (HorizonError); a rule whose inputs
+    an earlier one rejected is skipped."""
+    a = kernel_alpha(kernel)
+    found = collect_violations(lambda: check_support(kernel, rho0.torus),
+                               lambda: check_support(potential, rho0.torus),
+                               lambda: check_dt(dt, a))
+    if dt > 0:
+        found += collect_violations(lambda: snapshot_steps(snapshot_times, t_end, dt))
+    if method == "picard" and not t_end > 0:
+        found.append(ConfigError(f"Picard window needs t_end > 0, got {t_end:g}"))
+    elif method == "picard" and math.isfinite(t_end):
+        try:
+            q = contraction_factor(rho0.sup, a, mean_phi(potential), t_end)
+            if q >= 1.0:
+                raise HorizonError(f"contraction factor q(T)={q:.4f} >= 1 on [0, {t_end:g}]")
+        except HorizonError as exc:
+            found.append(HorizonError(f"Picard window not certified: {exc}"))
+    return found
 
 
 def _rk4_once(values, dt, ops):
@@ -240,10 +272,6 @@ class KineticTrajectory:
     snapshot_fields: list
     final: DensityField
 
-    @property
-    def local_mode(self) -> bool:
-        return self.potential.family == "local"
-
     def snapshot_at(self, time: float) -> DensityField:
         for s, f in zip(self.snapshot_times, self.snapshot_fields):
             if abs(s - time) <= 1e-9:
@@ -256,12 +284,10 @@ def solve_kinetic(rho0: DensityField, kernel: KernelSpec, potential: PotentialSp
     """March the kinetic equation with RK4 on a uniform grid.
 
     dt is adjusted to the nearest value dividing t_end exactly; snapshot
-    times must lie on the resulting grid (to 1e-9).
+    times must lie on the resulting grid (to 1e-9). Raises the first of `violations`.
     """
+    raise_first(violations(rho0, kernel, potential, dt, t_end, snapshot_times))
     a = kernel_alpha(kernel)
-    check_dt(dt, a)
-    if t_end < 0:
-        raise ConfigError("t_end must be >= 0")
     n_steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
     dt_eff = t_end / n_steps if n_steps else dt
     ops = _tabs_for(rho0, kernel, potential)
@@ -331,8 +357,7 @@ class BoundReport:
             )
 
     def to_json(self) -> dict:
-        return {"ok": self.ok, "u0": self.u0, "alpha": self.alpha,
-                "local_mode": self.local_mode, "violations": self.violations}
+        return asdict(self)
 
 
 def monitor_bounds(traj: KineticTrajectory, rtol: float = 1e-9) -> BoundReport:
@@ -342,7 +367,8 @@ def monitor_bounds(traj: KineticTrajectory, rtol: float = 1e-9) -> BoundReport:
         raise ConfigError("empty trajectory")
     u0 = float(traj.sup_norms[0])
     a = traj.alpha
-    report = BoundReport(ok=True, u0=u0, alpha=a, local_mode=traj.local_mode)
+    local = traj.potential.family == "local"
+    report = BoundReport(ok=True, u0=u0, alpha=a, local_mode=local)
 
     def violate(kind, time, margin):
         report.ok = False
@@ -358,7 +384,7 @@ def monitor_bounds(traj: KineticTrajectory, rtol: float = 1e-9) -> BoundReport:
             inv = u0 / (2.0 - eat) * (1.0 + rtol)
             if u > inv:
                 violate("invariant-region", t, u - inv)
-        if traj.local_mode and u > u0 + 1e-6:
+        if local and u > u0 + 1e-6:
             violate("maximum-principle", t, u - (u0 + 1e-6))
         if low < _CLAMP_FLOOR:
             violate("positivity", t, _CLAMP_FLOOR - low)
@@ -413,23 +439,16 @@ def picard_solve(rho0: DensityField, T: float, kernel: KernelSpec,
                  dt: float = None, max_iter: int = 200) -> PicardResult:
     """Iterate the integral form on [0, T]; requires a certified window.
 
-    The contraction factor q(T) for sup-norm-u0 data must be below one
-    (checked via the analytic certificate; raises HorizonError otherwise).
+    Raises the first of `violations`: q(T) for sup-norm-u0 data must be below
+    one, and dt (by default min(0.1 / alpha, T / 16)) within the RK4 guard.
     Iteration stops once the sup-over-time sup-norm update is below
     `tolerance`; the update sizes and their successive ratios are reported.
     """
-    if not T > 0 or (dt is not None and not dt > 0):
-        raise ConfigError(f"Picard needs T > 0 and dt > 0, got T = {T}, dt = {dt}")
     a = kernel_alpha(kernel)
-    u0 = rho0.sup
-    mphi = mean_phi(potential)
-    q = contraction_factor(u0, a, mphi, T)  # raises for exp(alpha T) >= 2
-    if q >= 1.0:
-        raise HorizonError(
-            f"Picard window not certified: q(T) = {q:.4f} >= 1 for T = {T:g}"
-        )
     if dt is None:
-        dt = min(0.1 / a, T / 16.0)
+        dt = min(0.1 / a, T / 16.0) if T > 0 else 0.1 / a
+    raise_first(violations(rho0, kernel, potential, dt, T, method="picard"))
+    q = contraction_factor(rho0.sup, a, mean_phi(potential), T)
     n_steps = max(1, int(round(T / dt)))
     dt = T / n_steps
     tab_a, spectra, kappa = _tabs_for(rho0, kernel, potential, lead=1)

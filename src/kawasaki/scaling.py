@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, collect_violations
+from .errors import (BudgetError, ConfigError, _require_positive, collect_violations,
+                     raise_first)
 from .estimator import (CorrelationEstimate, check_pair_bins, chunk_parts,
                         fold_estimates, radial_product_profile)
 from .fields import DensityField
@@ -67,7 +68,7 @@ class SweepSpec:
             found.append(ConfigError("epsilons must lie in (0, 1]"))
         elif len(set(eps)) != len(eps) or list(eps) != sorted(eps, reverse=True):
             found.append(ConfigError("epsilons must be strictly decreasing"))
-        times_ok = len(times) >= 1 and not any(t < 0 for t in times)
+        times_ok = len(times) >= 1 and all(t >= 0 for t in times)
         if not times_ok:
             found.append(ConfigError("comparison times must be >= 0"))
         if self.n_traj is not None and len(self.n_traj) != len(eps):
@@ -89,9 +90,7 @@ class SweepSpec:
     def validate(self):
         """Raise the first violation; with none, BudgetError when the expected
         particle count at the smallest eps exceeds the budget."""
-        found = self.violations()
-        if found:
-            raise found[0]
+        raise_first(self.violations())
         worst = self.limit_field().mass / min(self.epsilons)
         if worst > self.budget_max_particles:
             raise BudgetError(
@@ -151,8 +150,7 @@ class SweepResult:
 def renormalize(estimate: CorrelationEstimate, epsilon: float) -> CorrelationEstimate:
     """Scale k1 by eps and k2 by eps^2 (standard errors likewise); eps must
     be finite and positive (ConfigError)."""
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ConfigError(f"epsilon must be finite and positive, got {epsilon}")
+    _require_positive("epsilon", epsilon)
     out = CorrelationEstimate(
         torus=estimate.torus, time=estimate.time, n_traj=estimate.n_traj,
         mean_count=estimate.mean_count, n_cells=estimate.n_cells,
@@ -210,14 +208,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             e2_se[i, j] = float(est.k2_se[b2])
         estimates.append(row)
 
-    verdict = {}
-    for j, t in enumerate(spec.times):
-        ok = True
-        for i in range(n_eps - 1):
-            slack = 2.0 * math.hypot(e1_se[i, j], e1_se[i + 1, j])
-            if e1[i + 1, j] > e1[i, j] + slack:
-                ok = False
-        verdict[t] = ok
+    def rises(i, j):  # from eps_i to eps_{i+1}, by more than twice the combined stderr
+        return e1[i + 1, j] > e1[i, j] + 2.0 * math.hypot(e1_se[i, j], e1_se[i + 1, j])
+
+    verdict = {t: not any(rises(i, j) for i in range(n_eps - 1))
+               for j, t in enumerate(spec.times)}
 
     return SweepResult(epsilons=tuple(spec.epsilons), times=tuple(spec.times),
                        n_traj=tuple(n_traj_used), e1=e1, e1_se=e1_se,

@@ -67,7 +67,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvalidSpecError, NumericError, _require_count
+from .errors import (ConfigError, InvalidSpecError, NumericError, _require_count,
+                     _require_positive, collect_violations, raise_first)
 from .fields import DensityField
 from .kernels import KernelSpec, PotentialSpec, alpha, sample_displacement
 from .torus import Torus
@@ -106,8 +107,9 @@ def _require_microscopic(potential):
 
 
 def check_model(torus: Torus, kernel: KernelSpec, potential: PotentialSpec):
-    """Raise ConfigError unless the model has a particle realization on the
-    torus: both radii pass the minimal-image rule and phi is not local(kappa)."""
+    """Raise ConfigError unless the model has a particle realization on the torus:
+    specs of its dimension, radii within the minimal-image rule, phi not local."""
+    torus.require_dim(kernel, potential)
     torus.require_fits(max(kernel.support_radius, potential.support_radius))
     _require_microscopic(potential)
 
@@ -211,16 +213,23 @@ class SimulationParams:
     record_events: bool = True
     exclude_mover: bool = False
 
+    def violations(self) -> list:
+        """A ConfigError for every rule broken, in order; with a bad t_end, no snapshot rule."""
+        found = collect_violations(
+            lambda: check_model(self.torus, self.kernel, self.potential),
+            lambda: _require_positive("epsilon", self.epsilon))
+        t_end_ok = math.isfinite(self.t_end) and self.t_end >= 0
+        if not t_end_ok:
+            found.append(ConfigError(f"t_end must be finite and >= 0, got {self.t_end}"))
+        found += collect_violations(lambda: check_density(self.torus, self.rho0))
+        outside = [s for s in self.snapshot_times if not 0 <= s <= self.t_end]
+        if t_end_ok and outside:
+            found.append(ConfigError(f"snapshot time {outside[0]} outside [0, {self.t_end}]"))
+        return found
+
     def validate(self):
-        check_model(self.torus, self.kernel, self.potential)
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if not (math.isfinite(self.t_end) and self.t_end >= 0):
-            raise ConfigError(f"t_end must be finite and >= 0, got {self.t_end}")
-        check_density(self.torus, self.rho0)
-        for s in self.snapshot_times:
-            if not 0 <= s <= self.t_end:
-                raise ConfigError(f"snapshot time {s} outside [0, {self.t_end}]")
+        """Raise the first of `violations()`."""
+        raise_first(self.violations())
 
 
 @dataclass(eq=False)

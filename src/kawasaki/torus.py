@@ -40,12 +40,20 @@ class Torus:
         out = np.mod(x, self.side)
         return np.where(out >= self.side, 0.0, out)
 
-    def require_fits(self, radius: float, what: str = "interaction"):
-        """Raise unless L > 4 * radius (the minimal-image safety margin)."""
-        if not self.side > 4.0 * radius:
+    def require_dim(self, *specs):
+        """Raise unless every kernel or potential spec has the torus's dimension."""
+        for spec in specs:
+            if spec.dim != self.dim:
+                raise GeometryError(f"{type(spec).__name__} dimension {spec.dim} does not "
+                                    f"match the torus dimension {self.dim}")
+
+    def require_fits(self, radius: float, what: str = "interaction", margin: float = 4.0):
+        """Raise unless L > margin * radius: 4 for the particle dynamics' safety
+        margin, 2 for a unique minimal image."""
+        if not self.side > margin * radius:
             raise GeometryError(
                 f"minimal-image ambiguity: {what} radius {radius:g} requires "
-                f"side > {4.0 * radius:g}, got {self.side:g}"
+                f"side > {margin * radius:g}, got {self.side:g}"
             )
 
     def to_json(self) -> dict:

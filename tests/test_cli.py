@@ -146,6 +146,42 @@ def test_validate_reports_every_sweep_violation(tmp_path, capsys, change, violat
     assert capsys.readouterr() == ("".join(f"violation: {v}\n" for v in violations), "")
 
 
+def test_validate_reports_every_simulate_violation(tmp_path, capsys):
+    cfg = sim_config(kernel=WIDE_KERNEL, snapshots=[0.25, 0.75],
+                     estimator={"n_cells": 10, "r_max": 10.5}, subcommand="simulate")
+    path = write_json(tmp_path / "bad.json", cfg)
+    assert main(["validate", "--config", path]) == 1
+    assert capsys.readouterr() == (
+        "violation: minimal-image ambiguity: interaction radius 10 requires side > 40, got 20\n"
+        "violation: snapshot time 0.75 outside [0, 0.5]\n"
+        "violation: pair bins must stay below L/2 (minimal image)\n", "")
+
+
+def test_validate_reports_every_kinetic_violation(tmp_path, capsys):
+    # <phi> = 1 and rho0 = 1: q(0.6) is far above 1; alpha = 1, so dt <= 0.1
+    wide = {"family": "top_hat", "radius": 10.0, "height": 0.05, "dim": 1}
+    cfg = kinetic_config(potential=wide, rho0=1.0, dt=0.2, t_end=0.6, method="picard",
+                         snapshots=[0.3], subcommand="kinetic")
+    path = write_json(tmp_path / "bad.json", cfg)
+    assert main(["validate", "--config", path]) == 1
+    assert capsys.readouterr() == (
+        "violation: minimal-image ambiguity: potential support radius 10 requires side > 20, "
+        "got 20\n"
+        "violation: dt=0.2 violates the stability guard dt <= 0.1/alpha = 0.1\n"
+        "violation: snapshot time 0.3 is not on the dt grid over [0, 0.6]\n"
+        "violation: Picard window not certified: contraction factor q(T)=63.8004 >= 1 "
+        "on [0, 0.6]\n", "")
+
+
+def test_validate_reports_every_horizon_violation(tmp_path, capsys):
+    cfg = horizon_config(theta=1.0, t=[0.1, -1.0], windows=[0.01], subcommand="horizon")
+    path = write_json(tmp_path / "bad.json", cfg)
+    assert main(["validate", "--config", path]) == 1
+    assert capsys.readouterr() == ("violation: theta (1.0) must be <= theta0 (0.0)\n"
+                                   "violation: t must be >= 0, got -1.0\n"
+                                   "violation: q(T) windows need mean_phi\n", "")
+
+
 def test_validate_flags_uncertified_picard_window(tmp_path, capsys):
     # pick T with q(T) about 1.2 for u0 = alpha = <phi> = 1
     lo, hi = 0.0, math.log(2.0) * 0.999
@@ -493,6 +529,16 @@ BAD_CONFIGS = {
     "sweep-r_max-beyond-half": ("scale-sweep", {"r_max": 10.5}),
     "picard-t_end-zero": ("kinetic", {"method": "picard", "t_end": 0.0,
                                       "snapshots": [0.0]}),
+    # the library rejects a spec of another dimension; resolve no longer does
+    "potential-dim-not-torus": ("simulate", {"potential": {"family": "top_hat", "radius": 1.0,
+                                                           "height": 0.5, "dim": 2}}),
+    # a spec without its shape parameter raised a TypeError
+    "kernel-radius-missing": ("kinetic", {"kernel": {"family": "top_hat", "dim": 1}}),
+    # horizon rules that failed only after writing the manifest, or not at all
+    "horizon-t-negative": ("horizon", {"t": [-1.0]}),
+    "horizon-window-too-long": ("horizon", {"mean_phi": 1.0, "windows": [5.0]}),
+    "horizon-mean_phi-negative": ("horizon", {"mean_phi": -1.0, "windows": [0.01]}),
+    "horizon-windows-without-mean_phi": ("horizon", {"windows": [0.01]}),
 }
 
 

@@ -229,6 +229,9 @@ def test_pair_bins_validation():
         estimate_pair_correlation(snaps, 0.0, [0.0, 1e-12, 1.0], torus=TORUS)
     with pytest.raises(ConfigError):
         estimate_pair_correlation(snaps, 0.0, [0.0, 11.0], torus=TORUS)
+    for edges in ([], [1.0], [0.0, math.nan]):
+        with pytest.raises(ConfigError):
+            estimate_pair_correlation(snaps, 0.0, edges, torus=TORUS)
 
 
 # -- product profile ---------------------------------------------------------------

@@ -294,10 +294,11 @@ def test_sparse_box_has_no_more_cells_than_starting_particles():
     ({"displacement_scale": float("inf")}, ConfigError),
     ({"initial_count": float("nan")}, ConfigError),
     ({"initial_count": -5.0}, ConfigError),
+    ({"potential": PotentialSpec.top_hat(1.0, 0.7, dim=2)}, GeometryError),
 ], ids=["torus too small", "activity nan", "activity inf", "epsilon nan",
         "epsilon zero", "p_displace above 1", "p_displace nan",
         "displacement_scale negative", "displacement_scale inf",
-        "initial_count nan", "initial_count negative"])
+        "initial_count nan", "initial_count negative", "potential of another dimension"])
 def test_sampler_validates_inputs(kwargs, error):
     args = {"torus": TORUS, "potential": POT, "activity": 1.0,
             "rng": np.random.default_rng(0), **kwargs}

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 import kawasaki
+from kawasaki import horizon
 from kawasaki import (ConfigError, HorizonError, NumericError,
                       contraction_factor, existence_horizon, find_T_for_q,
                       horizon_report, op_norm_bound, t_star, theta_of_t)
@@ -206,6 +207,34 @@ def test_find_T_for_q_rejects_targets_outside_unit():
 
 
 # -- report ------------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kwargs, error", [
+    (dict(theta=1.0), ConfigError),
+    (dict(times=(0.01, -1.0)), ConfigError),
+    (dict(times=(math.nan,)), ConfigError),
+    (dict(mean_phi=1.0, windows=(5.0,)), HorizonError),
+    (dict(mean_phi=1.0, windows=(-1.0,)), ConfigError),
+    (dict(mean_phi=-1.0, windows=(0.01,)), ConfigError),
+    (dict(windows=(0.01,)), ConfigError),  # computed nothing before
+], ids=["theta above theta0", "negative t", "nan t", "window too long", "negative window",
+        "negative mean_phi", "windows without mean_phi"])
+def test_horizon_report_raises_each_rule_before_computing(kwargs, error):
+    with pytest.raises(error) as err:
+        horizon_report(0.0, 1.0, 1.0, **kwargs)
+    assert type(err.value) is error
+    assert [str(e) for e in horizon.violations(0.0, 1.0, 1.0, **kwargs)] == [str(err.value)]
+
+
+def test_horizon_violations_lists_every_rule():
+    found = horizon.violations(0.0, 1.0, 1.0, mean_phi=1.0, theta=0.5, times=(-1.0,),
+                               windows=(0.01, 5.0, 6.0))
+    assert [type(e) for e in found] == [ConfigError, ConfigError, HorizonError]
+    assert [str(e) for e in found[:2]] == ["theta (0.5) must be <= theta0 (0.0)",
+                                           "t must be >= 0, got -1.0"]
+    assert str(found[2]).startswith("window too long: exp(alpha T) = 148.413 >= 2")
+    assert horizon.violations(0.0, 1.0, 1.0, mean_phi=1.0, theta=-1.0, times=(0.01,),
+                              windows=(0.01,)) == []
+
 
 def test_horizon_report_roundtrip():
     rep = horizon_report(0.0, 1.0, 1.0, mean_phi=1.0, theta=-1.0,

@@ -246,6 +246,19 @@ def test_spec_json_rejects_unknown_fields():
                               "height": 1.0, "wobble": 3})
 
 
+@pytest.mark.parametrize("make", [
+    lambda: KernelSpec(family="top_hat", dim=1),
+    lambda: PotentialSpec(family="gaussian", dim=1, height=0.5),
+    lambda: PotentialSpec.top_hat(1.0, math.nan),
+    lambda: PotentialSpec.local(math.nan),
+    lambda: PotentialSpec.local(-1.0),
+], ids=["kernel without radius", "potential without sigma", "nan height", "nan kappa",
+        "negative kappa"])
+def test_specs_reject_missing_and_nan_parameters(make):
+    with pytest.raises(InvalidSpecError):
+        make()
+
+
 def test_local_only_valid_for_potentials():
     with pytest.raises(InvalidSpecError):
         KernelSpec.from_json({"family": "local", "dim": 1, "kappa": 1.0})

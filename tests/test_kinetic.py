@@ -474,9 +474,12 @@ def test_snapshot_steps_grid_rule():
     # t_end = 1, dt = 0.3 gives 3 steps of 1/3
     assert snapshot_steps([0.0, 1 / 3, 2 / 3 + 5e-10, 1.0], 1.0, 0.3) == [0, 1, 2, 3]
     assert snapshot_steps([0.0], 0.0, 0.1) == [0]
-    for s in (0.5, 4 / 3, -1 / 3):
+    for s in (0.5, 4 / 3, -1 / 3, math.nan, math.inf, -math.inf, 1e300):
         with pytest.raises(ConfigError):
             snapshot_steps([s], 1.0, 0.3)
+    for t_end in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="t_end must be finite"):
+            snapshot_steps([], t_end, 0.3)
 
 
 # -- conservation and monitors --------------------------------------------------------
@@ -608,6 +611,75 @@ def test_snapshots_on_grid_only():
     with pytest.raises(ConfigError):
         solve_kinetic(rho, KERNEL, FREE, dt=1e-2, t_end=1.0,
                       snapshot_times=(0.0155,))
+    # non-finite times are rules broken, not bare numeric exceptions
+    for t_end, snaps in ((1.0, (math.nan,)), (1.0, (math.inf,)), (math.nan, ()),
+                         (math.inf, ())):
+        with pytest.raises(ConfigError):
+            solve_kinetic(rho, KERNEL, FREE, dt=1e-2, t_end=t_end, snapshot_times=snaps)
+
+
+WIDE_POT = PotentialSpec.top_hat(5.0, 0.01, dim=1)  # support L/2 on TORUS1
+
+
+# each input breaks one rule; the solver raises the class it raised before
+@pytest.mark.parametrize("call, error", [
+    (lambda rho: solve_kinetic(rho, ALPHA1, WIDE_POT, dt=0.01, t_end=0.1), GeometryError),
+    (lambda rho: solve_kinetic(rho, ALPHA1, MPHI1, dt=0.2, t_end=1.0), ConfigError),
+    (lambda rho: solve_kinetic(rho, ALPHA1, MPHI1, dt=0.01, t_end=-1.0), ConfigError),
+    (lambda rho: solve_kinetic(rho, ALPHA1, MPHI1, dt=0.01, t_end=0.1,
+                               snapshot_times=(0.015,)), ConfigError),
+    (lambda rho: picard_solve(rho, 0.01, ALPHA1, WIDE_POT), GeometryError),
+    (lambda rho: picard_solve(rho, 0.0, ALPHA1, MPHI1), ConfigError),
+    (lambda rho: picard_solve(rho, 0.01, ALPHA1, MPHI1, dt=-1e-3), ConfigError),
+    (lambda rho: picard_solve(rho, 1.0, ALPHA1, MPHI1), HorizonError),
+    (lambda rho: picard_solve(rho.with_values(2 * rho.values), 0.6, ALPHA1, MPHI1),
+     HorizonError),
+], ids=["rk4 support", "rk4 dt guard", "rk4 t_end", "rk4 snapshot", "picard support",
+        "picard empty window", "picard dt", "picard window too long", "picard q above 1"])
+def test_single_rule_raises_its_class(call, error):
+    rho = DensityField.constant(TORUS1, 32, 0.5)
+    with pytest.raises(error) as err:
+        call(rho)
+    assert type(err.value) is error
+
+
+def test_specs_of_another_dimension_rejected():
+    # a 2-d kernel on a 1-d grid used to run with alpha = pi r^2
+    rho = DensityField.constant(TORUS1, 32, 0.5)
+    kernel2 = KernelSpec.top_hat(0.5, 1.0, dim=2)
+    with pytest.raises(GeometryError, match="KernelSpec dimension 2"):
+        solve_kinetic(rho, kernel2, MPHI1, dt=0.01, t_end=0.1)
+    with pytest.raises(GeometryError, match="PotentialSpec dimension 2"):
+        picard_solve(rho, 0.01, ALPHA1, PotentialSpec.local(1.0, dim=2))
+    with pytest.raises(GeometryError):
+        convolve(rho, kernel2)
+
+
+def test_violations_lists_every_rule_and_solvers_raise_the_first():
+    # alpha = 1 (guard 0.1), <phi> = 0.1 and u0 = 1: q(0.6) is above 1
+    rho = DensityField.constant(TORUS1, 32, 1.0)
+    found = kinetic.violations(rho, ALPHA1, WIDE_POT, 0.2, 0.6, (0.3,), "picard")
+    assert [(type(e), str(e)) for e in found] == [
+        (GeometryError, "minimal-image ambiguity: potential support radius 5 requires "
+                        "side > 10, got 10"),
+        (ConfigError, "dt=0.2 violates the stability guard dt <= 0.1/alpha = 0.1"),
+        (ConfigError, "snapshot time 0.3 is not on the dt grid over [0, 0.6]"),
+        (HorizonError, "Picard window not certified: contraction factor q(T)=1.1391 >= 1 "
+                       "on [0, 0.6]")]
+    assert [str(e) for e in kinetic.violations(rho, ALPHA1, WIDE_POT, 0.2, 0.6, (0.3,))] == [
+        str(e) for e in found[:3]]
+    with pytest.raises(GeometryError, match="potential support"):
+        picard_solve(rho, 0.6, ALPHA1, WIDE_POT, dt=0.2)
+    with pytest.raises(ConfigError, match="stability guard"):
+        solve_kinetic(rho, ALPHA1, MPHI1, dt=0.2, t_end=0.6, snapshot_times=(0.3,))
+
+
+def test_picard_applies_the_rk4_dt_guard():
+    # a certified window: an explicit dt beyond 0.1 / alpha is refused, as in the CLI
+    rho = DensityField.constant(TORUS1, 32, 0.5)
+    picard_solve(rho, 0.02, ALPHA1, MPHI1, dt=0.02)
+    with pytest.raises(ConfigError, match="stability guard"):
+        picard_solve(rho, 0.02, ALPHA1, MPHI1, dt=0.5)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

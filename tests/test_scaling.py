@@ -106,8 +106,12 @@ def test_spec_validation():
     ({"rho0": DensityField.constant(Torus(1, 30.0), 32, 0.5)}, "different torus"),
     ({"rho0": DensityField.constant(TORUS, 16, 0.5)}, "rho0 grid must match n_cells"),
     ({"rho0": -1.0}, "rho0 must be a finite number >= 0"),
+    ({"r_edges": ()}, "at least one bin"),
+    ({"times": (0.5, math.nan)}, "comparison times must be >= 0"),
+    ({"times": (math.inf,)}, "t_end must be finite"),
 ], ids=["beyond half the side", "thinner than 1e-9", "rho0 on another torus",
-        "rho0 grid not n_cells", "negative rho0"])
+        "rho0 grid not n_cells", "negative rho0", "no pair bins", "nan time",
+        "infinite time"])
 def test_pair_bins_checked_before_any_solve_or_simulation(monkeypatch, change, message):
     def never(*args, **kwargs):
         raise AssertionError("the sweep ran before its inputs were checked")

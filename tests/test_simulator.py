@@ -834,6 +834,48 @@ def test_params_reject_non_finite_values(bad):
         simulate(p, 1)
 
 
+# each input breaks one rule; validate raises the class it raised before
+@pytest.mark.parametrize("bad, error", [
+    (dict(kernel=KernelSpec.top_hat(5.0, 1.0)), GeometryError),
+    (dict(potential=PotentialSpec.local(1.0)), InvalidSpecError),
+    (dict(epsilon=0.0), ConfigError),
+    (dict(t_end=-1.0), ConfigError),
+    (dict(rho0=-1.0), ConfigError),
+    (dict(snapshot_times=(0.5, 2.0)), ConfigError),
+], ids=["model radius", "local potential", "epsilon", "t_end", "rho0", "snapshot"])
+def test_params_single_rule_raises_its_class(bad, error):
+    p = params(**bad)
+    with pytest.raises(error) as err:
+        p.validate()
+    assert type(err.value) is error
+    assert [str(e) for e in p.violations()] == [str(err.value)]
+
+
+@pytest.mark.parametrize("model", [dict(kernel=KernelSpec.top_hat(1.0, 1.0, dim=2)),
+                                   dict(potential=PotentialSpec.gaussian(0.5, 1.0, dim=3))],
+                         ids=["2-d kernel", "3-d potential"])
+def test_params_reject_specs_of_another_dimension(model):
+    # such a model used to run, with the hop law of the spec's dimension
+    p = params(**model)
+    with pytest.raises(GeometryError, match="does not match the torus dimension 1"):
+        p.validate()
+    with pytest.raises(GeometryError):
+        simulate_ensemble(p, 2, base_seed=1)
+
+
+def test_params_violations_lists_every_rule():
+    p = params(kernel=KernelSpec.top_hat(5.0, 1.0), epsilon=math.nan, rho0=-1.0,
+               snapshot_times=(0.5, 2.0, 3.0))
+    assert [str(e) for e in p.violations()] == [
+        "minimal-image ambiguity: interaction radius 5 requires side > 20, got 20",
+        "epsilon must be finite and positive, got nan",
+        "rho0 must be a finite number >= 0 or a DensityField, got -1.0",
+        f"snapshot time 2.0 outside [0, {p.t_end}]"]
+    # a bad t_end skips the snapshot rule, which it would break for every time
+    assert [str(e) for e in params(t_end=-1.0, snapshot_times=(0.5,)).violations()] == [
+        "t_end must be finite and >= 0, got -1.0"]
+
+
 @pytest.mark.parametrize("counts", [
     dict(n_trajectories=2.5), dict(n_trajectories=True), dict(n_trajectories=0),
     dict(n_trajectories=math.nan), dict(n_jobs=1.5), dict(n_jobs=0), dict(n_jobs=-2),
