@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .errors import (BudgetError, ConfigError, KawasakiError, NumericError,
                      collect_violations)
-from .estimator import check_pair_bins, chunk_parts, fold_estimates
+from .estimator import check_pair_bins, chunk_parts, fold_estimates, write_json
 from .fields import DensityField
 from .horizon import horizon_report, violations as horizon_violations
 from .kernels import KernelSpec, PotentialSpec
@@ -321,17 +321,16 @@ def _run_kinetic(v, out_dir):
         traj = solve_kinetic(v["rho0"], v["kernel"], v["potential"], dt=v["dt"],
                              t_end=v["t_end"], snapshot_times=sts)
         fields = [(s, traj.snapshot_at(s).values) for s in sts]
-        _write_json(os.path.join(out_dir, "bounds.json"),
-                    monitor_bounds(traj).to_json())
+        write_json(os.path.join(out_dir, "bounds.json"), monitor_bounds(traj).to_json())
     else:
         res = picard_solve(v["rho0"], v["t_end"], v["kernel"], v["potential"],
                            tolerance=v["picard_tolerance"], dt=v["dt"],
                            max_iter=v["picard_max_iter"])
         steps = snapshot_steps(sts, v["t_end"], v["dt"])
         fields = [(s, res.fields[k]) for s, k in zip(sts, steps)]
-        _write_json(os.path.join(out_dir, "picard.json"),
-                    {"q_bound": res.q_bound, "iterations": res.iterations,
-                     "deltas": res.deltas, "ratios": res.ratios})
+        write_json(os.path.join(out_dir, "picard.json"),
+                   {"q_bound": res.q_bound, "iterations": res.iterations,
+                    "deltas": res.deltas, "ratios": res.ratios})
     with open(os.path.join(out_dir, "rho.csv"), "w") as fh:
         fh.write("time,cell_index,value\n")
         for s, vals in fields:
@@ -362,8 +361,8 @@ def _check_horizon(v):
 
 
 def _run_horizon(v, out_dir):
-    _write_json(os.path.join(out_dir, "report.json"),
-                horizon_report(**_horizon_args(v)).to_json())
+    write_json(os.path.join(out_dir, "report.json"),
+               horizon_report(**_horizon_args(v)).to_json())
 
 
 # -- scale-sweep -------------------------------------------------------------
@@ -424,12 +423,6 @@ COMMANDS = {
     "horizon": Command(_HORIZON, _check_horizon, _run_horizon),
     "scale-sweep": Command(_SWEEP, _check_sweep, _run_sweep),
 }
-
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
 
 def _load_config(path):
     try:
@@ -513,9 +506,9 @@ def main(argv=None) -> int:
         if diags:
             _fail("; ".join(diags))
         os.makedirs(args.out, exist_ok=True)
-        _write_json(os.path.join(args.out, "manifest.json"),
-                    {"subcommand": sub, "version": __version__,
-                     "config": manifest_config(vals)})
+        write_json(os.path.join(args.out, "manifest.json"),
+                   {"subcommand": sub, "version": __version__,
+                    "config": manifest_config(vals)})
         command.run(vals, args.out)
         return 0
     except BudgetError as exc:

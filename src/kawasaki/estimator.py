@@ -117,8 +117,7 @@ class CorrelationEstimate:
         """k1 per cell, keyed by its center for d = 1 and by its row-major
         cell index, as in the kinetic rho.csv, for d >= 2."""
         if self.torus.dim == 1:
-            h = self.torus.side / self.n_cells
-            key, index = "bin_center", ((np.arange(self.k1.size) + 0.5) * h).tolist()
+            key, index = "bin_center", self.torus.cell_centers(self.n_cells).tolist()
         else:
             key, index = "cell_index", range(self.k1.size)
         _write_profile_csv(path, key, index, self.k1.ravel(), self.k1_se.ravel())
@@ -137,9 +136,14 @@ class CorrelationEstimate:
         }
 
     def write_meta_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.meta_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.meta_json())
+
+
+def write_json(path, obj):
+    """The one JSON layout of every output: indented, keys sorted, a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_profile_csv(path, key, index, values, stderr):
@@ -188,11 +192,13 @@ class EstimateParts(NamedTuple):
 
 def check_pair_bins(r_edges, torus) -> np.ndarray:
     """The pair bin edges as floats; ConfigError unless there is at least one
-    bin, every bin is at least 1e-9 wide, the position resolution, and the
-    last edge is at most L/2, as minimal-image distances are."""
+    bin, the first edge is >= 0, every bin is at least 1e-9 wide, the position
+    resolution, and the last edge is at most L/2, as minimal-image distances are."""
     r_edges = np.asarray(r_edges, dtype=float)
     if r_edges.ndim != 1 or r_edges.size < 2:
         raise ConfigError("pair bins need at least one bin: a list of two or more edges")
+    if not r_edges[0] >= 0:
+        raise ConfigError(f"pair bins must start at r >= 0, got {r_edges[0]:g}")
     if not np.all(np.diff(r_edges) >= 1e-9):
         raise ConfigError("pair bins thinner than the position resolution")
     if not r_edges[-1] <= 0.5 * torus.side + 1e-12:
@@ -319,16 +325,17 @@ def _triangular_cdf(w, h):
                     1.0 - (h - w) ** 2 / (2 * h * h))
 
 
-def _pc_pair_weights_1d(n, L, r_edges):
-    """Exact measure of {(x, y) in cell_i x cell_j : |x - y|_mi in bin}.
+def _pc_pair_weights_1d(torus, n, r_edges):
+    """Exact measure of {(x, y) in cell_i x cell_j : |x - y|_mi in bin} on the
+    n cells of a 1-d torus.
 
     Returns W with shape (n, n_bins); W[m, b] is the measure for cell offset
     m = (j - i) mod n. Summing W over m and multiplying by n recovers
     V * shell_measure(bin) exactly.
     """
+    L = torus.side
     h = L / n
-    m = np.arange(n)
-    delta = (m * h + 0.5 * L) % L - 0.5 * L  # minimal image of the center offset
+    delta = torus.cell_offsets(n)  # minimal image of the center offset
     nb = len(r_edges) - 1
     W = np.zeros((n, nb))
 
@@ -362,7 +369,7 @@ def radial_product_profile(field: DensityField, r_edges, k1_se=None):
     vals = field.values
     if torus.dim == 1:
         n = field.n_cells
-        W = _pc_pair_weights_1d(n, torus.side, r_edges)
+        W = _pc_pair_weights_1d(torus, n, r_edges)
         corr = np.empty(n)
         for m in range(n):
             corr[m] = float(vals @ np.roll(vals, -m))
@@ -383,17 +390,11 @@ def radial_product_profile(field: DensityField, r_edges, k1_se=None):
     # sub-cell offset pairs falling in each bin (a discrete pair average, so
     # constant fields are exact; smooth fields are O(h/q)-accurate)
     q = 4
-    d = torus.dim
     fine = vals
-    for ax in range(d):
+    for ax in range(torus.dim):
         fine = np.repeat(fine, q, axis=ax)
-    nf = fine.shape[0]
-    hf = torus.side / nf
     prof = np.full(len(norm), np.nan)
-    offs = (np.arange(nf) * hf + 0.5 * torus.side) % torus.side - 0.5 * torus.side
-    grids = np.meshgrid(*([offs] * d), indexing="ij")
-    dist = np.sqrt(sum(g * g for g in grids))
-    bin_of = np.digitize(dist.ravel(), r_edges) - 1
+    bin_of = np.digitize(torus.offset_distances(fine.shape[0]).ravel(), r_edges) - 1
     corr = np.fft.ifftn(np.abs(np.fft.fftn(fine)) ** 2).real.ravel()
     n_sites = fine.size
     for b in range(len(norm)):

@@ -57,8 +57,7 @@ class DensityField:
         return float(self.values.max())
 
     def centers(self) -> np.ndarray:
-        h = self.spacing
-        return (np.arange(self.n_cells) + 0.5) * h
+        return self.torus.cell_centers(self.n_cells)
 
     def with_values(self, values) -> "DensityField":
         return DensityField(self.torus, values)
@@ -71,9 +70,7 @@ class DensityField:
     @classmethod
     def from_function(cls, torus: Torus, n_cells: int, fn) -> "DensityField":
         """Sample fn at cell centers; fn takes one (..., dim) array of points."""
-        h = torus.side / n_cells
-        axes = [(np.arange(n_cells) + 0.5) * h for _ in range(torus.dim)]
-        grids = np.meshgrid(*axes, indexing="ij")
+        grids = np.meshgrid(*([torus.cell_centers(n_cells)] * torus.dim), indexing="ij")
         pts = np.stack(grids, axis=-1)
         if torus.dim == 1:
             vals = np.asarray(fn(pts[..., 0]), dtype=float)

@@ -38,8 +38,8 @@ Each chain builds its energy query once, a closure over its own position and
 neighbour lists, which it mutates in place and never rebinds, and over L,
 L/2, the cutoff, the height and whether the potential is smooth. `run` is the
 one move loop: once per call it binds the streams, the lists, the query, L,
-the volume, p_displace, the displacement scale, epsilon and the activity, so
-an activity set between calls, as `calibrate_activity` sets it, is honoured.
+the volume, the displacement scale, epsilon and the activity, so an activity
+set between calls, as `calibrate_activity` sets it, is honoured.
 It keeps the draw order and the evaluation order of every acceptance
 expression, and adds the moves it made and those it accepted, per type, to
 `moves` and `accepted` once per call.
@@ -141,7 +141,6 @@ class GibbsSampler:
 
     def __init__(self, torus: Torus, potential: PotentialSpec, activity: float,
                  rng: np.random.Generator, epsilon: float = 1.0,
-                 displacement_scale: float = None, p_displace: float = 0.5,
                  initial_count: float = None):
         if potential.family == "local":
             raise ConfigError("local(kappa) has no finite-volume Gibbs measure")
@@ -150,18 +149,12 @@ class GibbsSampler:
         torus.require_fits(r_sup)
         _require_positive("activity", activity)
         _require_positive("epsilon", epsilon)
-        if not 0.0 <= p_displace <= 1.0:
-            raise ConfigError(f"p_displace must lie in [0, 1], got {p_displace}")
-        if displacement_scale is None:
-            displacement_scale = r_sup or torus.side / 10.0
-        _require_positive("displacement_scale", displacement_scale)
         self.torus = torus
         self.potential = potential
         self.activity = float(activity)
         self.epsilon = float(epsilon)
         self.rng = rng
-        self.p_displace = float(p_displace)
-        self.scale = float(displacement_scale)
+        self.scale = float(r_sup or torus.side / 10.0)  # of a displacement's normal steps
         # the ideal-gas count at this activity badly overshoots the repulsive
         # equilibrium; callers who know the target density should pass it
         if initial_count is None:
@@ -176,21 +169,15 @@ class GibbsSampler:
         # _home[i] the cell of particle i, _near[c] the lists of the 3^d
         # cells around c. Cells are at least one support wide, and there are
         # no more of them than starting particles (but 3 per axis at least),
-        # so a large sparse box stays small; the margin keeps a point whose
-        # cell index rounds across a boundary inside the neighbour cells of
-        # every point within the support
-        d = torus.dim
+        # so a large sparse box stays small
         m = 1
         if r_sup > 0:
-            m = min(int(torus.side / (r_sup * (1.0 + 1e-9))),
-                    max(3, int(len(self._pos) ** (1.0 / d))))
+            m = min(torus.cells_per_axis(r_sup),
+                    max(3, int(len(self._pos) ** (1.0 / torus.dim))))
         self._m, self._inv_width = m, m / torus.side
-        self._cells = [[] for _ in range(m ** d)]
-        offsets = np.indices((3,) * d).reshape(d, -1).T - 1
-        index = np.indices((m,) * d).reshape(d, -1).T
-        near = ((index[:, None, :] + offsets) % m) @ (m ** np.arange(d - 1, -1, -1))
+        self._cells = [[] for _ in range(m ** torus.dim)]
         self._near = [tuple(self._cells[k] for k in sorted(set(row)))
-                      for row in near.tolist()]
+                      for row in torus.stencil(m)[1].tolist()]
         self._home = [self._cell(p) for p in self._pos]
         for i, c in enumerate(self._home):
             self._cells[c].append(i)
@@ -220,13 +207,12 @@ class GibbsSampler:
         pos, home, cells = self._pos, self._home, self._cells
         L, dim, zv = self.torus.side, self.torus.dim, self.activity * self.torus.volume
         m1, inv = self._m - 1, self._inv_width
-        p_displace, scale, epsilon = self.p_displace, self.scale, self.epsilon
-        p_insert = p_displace + 0.5 * (1.0 - p_displace)
+        scale, epsilon = self.scale, self.epsilon
         exp = math.exp
         displaced = inserted = deleted = 0
         for _ in range(n_moves):
             u = uniform()
-            if u < p_displace:
+            if u < 0.5:  # a displacement; an insertion or a deletion 1/4 each
                 if not pos:
                     continue
                 i = int(uniform() * len(pos))  # _index, inlined
@@ -256,7 +242,7 @@ class GibbsSampler:
                         cells[was].remove(i)
                         cells[cell].append(i)
                         home[i] = cell
-            elif u < p_insert:
+            elif u < 0.75:
                 if dim == 1:
                     a = uniform() * L
                     y, cell = (a,), int(a * inv)

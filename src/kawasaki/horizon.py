@@ -136,9 +136,8 @@ def contraction_factor(u0: float, alpha: float, mean_phi: float, T: float) -> fl
     )
 
 
-def find_T_for_q(q_target: float, u0: float, alpha: float, mean_phi: float,
-                 tol: float = 1e-10) -> float:
-    """Window length T with q(T) = q_target, by bisection; q_target in (0, 1)."""
+def find_T_for_q(q_target: float, u0: float, alpha: float, mean_phi: float) -> float:
+    """Window length T with q(T) = q_target to 1e-10, by bisection; q_target in (0, 1)."""
     if not 0.0 < q_target < 1.0:
         raise ConfigError(f"q_target must be in (0, 1), got {q_target}")
     lo = 0.0
@@ -148,7 +147,7 @@ def find_T_for_q(q_target: float, u0: float, alpha: float, mean_phi: float,
     lo, hi = _bisect(lambda T: contraction_factor(u0, alpha, mean_phi, T) < q_target,
                      lo, hi)
     T = 0.5 * (lo + hi)
-    if abs(contraction_factor(u0, alpha, mean_phi, T) - q_target) > tol:
+    if abs(contraction_factor(u0, alpha, mean_phi, T) - q_target) > 1e-10:
         raise NumericError("bisection for q(T) did not reach tolerance")
     return T
 

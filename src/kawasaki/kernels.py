@@ -302,15 +302,13 @@ def c_phi(potential: PotentialSpec, epsilon: float = 1.0) -> float:
 # -- displacement sampling --------------------------------------------------
 
 
-def sample_displacement(kernel: KernelSpec, rng: np.random.Generator, size=None):
-    """Draw displacement(s) with probability density a(.) / alpha.
-
-    Returns shape (dim,) for size=None, else (size, dim). Every family is
-    sampled exactly (no rejection): top-hat by a uniform ball draw, gaussian
-    by scaled normals, exponential by a Gamma(d) radius and a uniform
-    direction.
+def sample_displacement(kernel: KernelSpec, rng: np.random.Generator, size: int):
+    """Draw `size` displacements with probability density a(.) / alpha, shape
+    (size, dim). Every family is sampled exactly (no rejection): top-hat by a
+    uniform ball draw, gaussian by scaled normals, exponential by a Gamma(d)
+    radius and a uniform direction.
     """
-    n = 1 if size is None else int(size)
+    n = int(size)
     d = kernel.dim
     fam = kernel.family
     if fam == "gaussian":
@@ -326,7 +324,7 @@ def sample_displacement(kernel: KernelSpec, rng: np.random.Generator, size=None)
         radii = rng.gamma(shape=d, scale=1.0 / kernel.rate, size=n)
         dirs = _uniform_directions(rng, n, d)
         out = dirs * radii[:, None]
-    return out[0] if size is None else out
+    return out
 
 
 def _uniform_directions(rng, n, d):

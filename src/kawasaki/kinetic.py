@@ -83,12 +83,9 @@ class TabulatedKernel:
         self.torus = torus
         self.n = int(n_cells)
         d = torus.dim
-        h = torus.side / self.n
-        self.cell_volume = h ** d
+        self.cell_volume = (torus.side / self.n) ** d
         check_support(spec, torus)
-        offs = (np.arange(self.n) * h + 0.5 * torus.side) % torus.side - 0.5 * torus.side
-        grids = np.meshgrid(*([offs] * d), indexing="ij")
-        dist = np.sqrt(sum(g * g for g in grids))
+        dist = torus.offset_distances(self.n)
         tab = np.asarray(spec.radial(dist), dtype=float)
         tab[dist > spec.support_radius] = 0.0
         target = spec.integral
@@ -203,16 +200,23 @@ def check_dt(dt: float, alpha: float):
         )
 
 
-def snapshot_steps(times, t_end: float, dt: float) -> list:
-    """Step index k of each time s on the grid both solvers march on.
+def _time_grid(t_end: float, dt: float):
+    """(n, t_end / n) of the grid both solvers march on: n = max(1, round(t_end / dt))
+    steps; ConfigError when t_end / dt is not finite, as dt is too small."""
+    ratio = t_end / dt
+    if not math.isfinite(ratio):
+        raise ConfigError(f"dt={dt:g} is too small for t_end={t_end:g}")
+    n_steps = max(1, int(round(ratio)))
+    return n_steps, t_end / n_steps
 
-    The grid has n = max(1, round(t_end / dt)) steps of t_end / n, t_end finite
+
+def snapshot_steps(times, t_end: float, dt: float) -> list:
+    """Step index k of each time s on `_time_grid(t_end, dt)`, t_end finite
     and >= 0; s must lie within 1e-9 of k * t_end / n with 0 <= k <= n.
     """
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ConfigError(f"t_end must be finite and >= 0, got {t_end}")
-    n_steps = max(1, int(round(t_end / dt)))
-    h = t_end / n_steps
+    n_steps, h = _time_grid(t_end, dt)
     steps = []
     for s in times:
         k = int(round(s / h)) if h and math.isfinite(s / h) else 0
@@ -288,8 +292,7 @@ def solve_kinetic(rho0: DensityField, kernel: KernelSpec, potential: PotentialSp
     """
     raise_first(violations(rho0, kernel, potential, dt, t_end, snapshot_times))
     a = kernel_alpha(kernel)
-    n_steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
-    dt_eff = t_end / n_steps if n_steps else dt
+    n_steps, dt_eff = _time_grid(t_end, dt) if t_end > 0 else (0, dt)
     ops = _tabs_for(rho0, kernel, potential)
 
     sts = tuple(sorted(snapshot_times))
@@ -360,7 +363,10 @@ class BoundReport:
         return asdict(self)
 
 
-def monitor_bounds(traj: KineticTrajectory, rtol: float = 1e-9) -> BoundReport:
+_BOUND_RTOL = 1e-9  # relative slack of the growth and invariant-region bounds
+
+
+def monitor_bounds(traj: KineticTrajectory) -> BoundReport:
     """Check the growth, invariant-region, positivity, and (in local mode)
     maximum-principle bounds at every stored step."""
     if len(traj.times) == 0:
@@ -376,12 +382,12 @@ def monitor_bounds(traj: KineticTrajectory, rtol: float = 1e-9) -> BoundReport:
                                   "margin": float(margin)})
 
     for t, u, low in zip(traj.times, traj.sup_norms, traj.min_pre_clamp):
-        grow = u0 * math.exp(a * t) * (1.0 + rtol)
+        grow = u0 * math.exp(a * t) * (1.0 + _BOUND_RTOL)
         if u > grow:
             violate("growth", t, u - grow)
         eat = math.exp(a * t)
         if eat < 2.0:
-            inv = u0 / (2.0 - eat) * (1.0 + rtol)
+            inv = u0 / (2.0 - eat) * (1.0 + _BOUND_RTOL)
             if u > inv:
                 violate("invariant-region", t, u - inv)
         if local and u > u0 + 1e-6:
@@ -406,7 +412,6 @@ class PicardResult:
     ratios: list
     q_bound: float
     iterations: int
-    converged: bool
 
     @property
     def final(self) -> DensityField:
@@ -449,8 +454,7 @@ def picard_solve(rho0: DensityField, T: float, kernel: KernelSpec,
         dt = min(0.1 / a, T / 16.0) if T > 0 else 0.1 / a
     raise_first(violations(rho0, kernel, potential, dt, T, method="picard"))
     q = contraction_factor(rho0.sup, a, mean_phi(potential), T)
-    n_steps = max(1, int(round(T / dt)))
-    dt = T / n_steps
+    n_steps, dt = _time_grid(T, dt)
     tab_a, spectra, kappa = _tabs_for(rho0, kernel, potential, lead=1)
 
     times = np.arange(n_steps + 1) * dt
@@ -465,8 +469,6 @@ def picard_solve(rho0: DensityField, T: float, kernel: KernelSpec,
     buf = np.empty((min(rows, n_steps + 1),) + shape)
 
     deltas, ratios = [], []
-    converged = False
-    it = 0
     for it in range(1, max_iter + 1):
         # the one stack cur is updated in place a block of time rows at a time:
         # the integrand of the old rows is folded into the exact-decay trapezoid
@@ -495,14 +497,8 @@ def picard_solve(rho0: DensityField, T: float, kernel: KernelSpec,
         if len(deltas) > 1 and deltas[-2] > 0:
             ratios.append(deltas[-1] / deltas[-2])
         if delta < tolerance:
-            converged = True
-            break
-    if not converged:
-        err = NumericError(
-            f"Picard iteration did not reach {tolerance:g} in {max_iter} sweeps"
-        )
-        err.deltas = deltas
-        raise err
-    return PicardResult(torus=rho0.torus, dt=dt, times=times, fields=cur,
-                        deltas=deltas, ratios=ratios, q_bound=q,
-                        iterations=it, converged=converged)
+            return PicardResult(torus=rho0.torus, dt=dt, times=times, fields=cur,
+                                deltas=deltas, ratios=ratios, q_bound=q, iterations=it)
+    err = NumericError(f"Picard iteration did not reach {tolerance:g} in {max_iter} sweeps")
+    err.deltas = deltas
+    raise err

@@ -18,7 +18,6 @@ runs in the pool workers, and `fold_estimates` as the chunks arrive.
 """
 
 import functools
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ import numpy as np
 from .errors import (BudgetError, ConfigError, _require_positive, collect_violations,
                      raise_first)
 from .estimator import (CorrelationEstimate, check_pair_bins, chunk_parts,
-                        fold_estimates, radial_product_profile)
+                        fold_estimates, radial_product_profile, write_json)
 from .fields import DensityField
 from .kernels import KernelSpec, PotentialSpec, alpha as kernel_alpha
 from .kinetic import check_dt, snapshot_steps, solve_kinetic
@@ -265,9 +264,8 @@ def _loglog_slope(eps, e, se):
 
 
 def convergence_report(result: SweepResult) -> ConvergenceReport:
-    """Fit e1 ~ C eps^slope per time (weighted in log space)."""
-    if len(result.epsilons) < 2:
-        raise ConfigError("need at least two epsilon values for a slope")
+    """Fit e1 ~ C eps^slope per time (weighted in log space); a time whose
+    ladder has no slope, such as a one-epsilon ladder, gets None."""
     rep = ConvergenceReport(times=result.times)
     for j, t in enumerate(result.times):
         rep.slopes[t] = _loglog_slope(result.epsilons, result.e1[:, j],
@@ -275,7 +273,7 @@ def convergence_report(result: SweepResult) -> ConvergenceReport:
     return rep
 
 
-def write_sweep_outputs(result: SweepResult, out_dir, report=None):
+def write_sweep_outputs(result: SweepResult, out_dir, report: ConvergenceReport):
     """Write errors.csv, per-estimate CSVs, and report.json into out_dir."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "errors.csv"), "w") as fh:
@@ -293,9 +291,5 @@ def write_sweep_outputs(result: SweepResult, out_dir, report=None):
                 est.write_k1_csv(os.path.join(out_dir, f"{tag}_k1.csv"))
                 est.write_k2_csv(os.path.join(out_dir, f"{tag}_k2.csv"))
                 est.write_meta_json(os.path.join(out_dir, f"{tag}_meta.json"))
-    payload = result.to_json()
-    if report is not None:
-        payload["convergence"] = report.to_json()
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "report.json"),
+               {**result.to_json(), "convergence": report.to_json()})

@@ -362,9 +362,7 @@ def _cells_per_axis(torus, potential, n):
     and never paid in the measurements, so one cell is used."""
     if potential.is_zero:
         return 1
-    # the margin keeps a point whose cell index rounds across a boundary
-    # inside the neighbour cells of every point within the support
-    m = min(int(torus.side / (potential.support_radius * (1.0 + 1e-9))),
+    m = min(torus.cells_per_axis(potential.support_radius),
             int((n * 3 ** torus.dim / _STENCIL_PARTICLES) ** (1.0 / torus.dim)))
     return m if m >= 5 else 1
 
@@ -401,10 +399,7 @@ class _CellTable:
         cap = int(self.fill.max(initial=0))
         if m > 1:
             cap = _grown(cap)
-            offsets = np.indices((3,) * d).reshape(d, -1).T - 1
-            index = np.indices((m,) * d).reshape(d, -1).T
-            near = index[:, None, :] + offsets
-            self.neighbours = (near % m) @ self.strides
+            near, self.neighbours = torus.stencil(m)
             # from 5 cells per axis on, a neighbour's points lie within 2L/5
             # of the target, or beyond 3L/5 across the boundary, so
             # round(diff / L) is fixed by the cells: -floor(near / m)

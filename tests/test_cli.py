@@ -217,6 +217,15 @@ def test_validate_dt_guard_matches_solver(tmp_path, capsys):
     assert "stability guard" in capsys.readouterr().out
 
 
+def test_validate_flags_dt_too_small_for_t_end(tmp_path, capsys):
+    # t_end / dt overflows: one violation, not an OverflowError traceback
+    cfg = kinetic_config(dt=5e-324, subcommand="kinetic")
+    path = write_json(tmp_path / "kin.json", cfg)
+    assert main(["validate", "--config", path]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("violation: dt=4.94066e-324 is too small")
+
+
 @pytest.mark.parametrize("path", sorted(DEMO_CONFIGS.glob("*.json")),
                          ids=lambda p: p.stem)
 def test_demo_config_validates_and_resolves_to_a_fixed_point(path, capsys):
@@ -459,6 +468,16 @@ def test_scale_sweep_cli_small(tmp_path):
     assert (out / "errors.csv").exists()
     rep = json.loads((out / "report.json").read_text())
     assert "convergence" in rep and len(rep["e1"]) == 2
+
+
+def test_scale_sweep_of_one_epsilon_reports_a_null_slope(tmp_path):
+    path = write_json(tmp_path / "sweep.json",
+                      sweep_config(epsilons=[1.0], subcommand="scale-sweep"))
+    assert main(["validate", "--config", path]) == 0
+    out = tmp_path / "sout"
+    assert main(["scale-sweep", "--config", path, "--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["convergence"]["slopes"] == {"0.25": None}
 
 
 # -- exit codes -----------------------------------------------------------------------

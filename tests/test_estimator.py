@@ -232,6 +232,12 @@ def test_pair_bins_validation():
     for edges in ([], [1.0], [0.0, math.nan]):
         with pytest.raises(ConfigError):
             estimate_pair_correlation(snaps, 0.0, edges, torus=TORUS)
+    # a bin below r = 0 has no pairs: in 2-d its zero shell measure gave inf
+    # in k2, and in 1-d its negative measure mis-normalised the estimate
+    square = Torus(2, 10.0)
+    for ensemble, torus in ((snaps, TORUS), (poisson_snapshots(0.2, 3, 5, square), square)):
+        with pytest.raises(ConfigError, match="start at r >= 0"):
+            estimate_pair_correlation(ensemble, 0.0, [-1.0, 1.0, 2.0], torus=torus)
 
 
 # -- product profile ---------------------------------------------------------------
@@ -274,7 +280,7 @@ def test_pair_weight_coverage_identity():
     from kawasaki.estimator import _pc_pair_weights_1d
     for n, edges in ((16, np.linspace(0.0, 10.0, 9)),
                      (37, np.linspace(0.3, 9.7, 12))):
-        W = _pc_pair_weights_1d(n, 20.0, edges)
+        W = _pc_pair_weights_1d(Torus(1, 20.0), n, edges)
         total = W.sum(axis=0) * n
         expect = shell_measure(1, edges) * 20.0
         assert np.abs(total - expect).max() <= 1e-9 * expect.max()

@@ -288,17 +288,12 @@ def test_sparse_box_has_no_more_cells_than_starting_particles():
     ({"activity": float("inf")}, ConfigError),
     ({"epsilon": float("nan")}, ConfigError),
     ({"epsilon": 0.0}, ConfigError),
-    ({"p_displace": 1.7}, ConfigError),
-    ({"p_displace": float("nan")}, ConfigError),
-    ({"displacement_scale": -1.0}, ConfigError),
-    ({"displacement_scale": float("inf")}, ConfigError),
     ({"initial_count": float("nan")}, ConfigError),
     ({"initial_count": -5.0}, ConfigError),
     ({"potential": PotentialSpec.top_hat(1.0, 0.7, dim=2)}, GeometryError),
 ], ids=["torus too small", "activity nan", "activity inf", "epsilon nan",
-        "epsilon zero", "p_displace above 1", "p_displace nan",
-        "displacement_scale negative", "displacement_scale inf",
-        "initial_count nan", "initial_count negative", "potential of another dimension"])
+        "epsilon zero", "initial_count nan", "initial_count negative",
+        "potential of another dimension"])
 def test_sampler_validates_inputs(kwargs, error):
     args = {"torus": TORUS, "potential": POT, "activity": 1.0,
             "rng": np.random.default_rng(0), **kwargs}

@@ -220,12 +220,6 @@ def test_sample_determinism_fixed_seed():
     assert np.array_equal(a, b)
 
 
-def test_sample_single_draw_shape():
-    k = KernelSpec.top_hat(1.0, 1.0, dim=2)
-    out = sample_displacement(k, np.random.default_rng(0))
-    assert out.shape == (2,)
-
-
 # -- serialization --------------------------------------------------------------
 
 def test_spec_json_round_trip():

@@ -209,11 +209,11 @@ def test_report_degenerate_errors():
 
 
 def test_report_needs_two_epsilons():
+    # a one-epsilon ladder has no slope: it reports None rather than failing
     res = synthetic_result([0.1, 0.05, 0.025])
     res.epsilons = (1.0,)
-    res.e1 = res.e1[:1]
-    with pytest.raises(ConfigError):
-        convergence_report(res)
+    res.e1, res.e1_se = res.e1[:1], res.e1_se[:1]
+    assert convergence_report(res).slopes[1.0] is None
 
 
 def test_sweep_outputs_written(tmp_path):

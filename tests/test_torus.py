@@ -41,8 +41,9 @@ def test_require_fits_message_names_rule():
 def test_constructor_validation():
     with pytest.raises(GeometryError):
         Torus(4, 10.0)
-    with pytest.raises(GeometryError):
-        Torus(1, 0.0)
+    for side in (0.0, float("inf"), float("nan")):
+        with pytest.raises(GeometryError):
+            Torus(1, side)
 
 
 def test_json_round_trip():
