@@ -41,5 +41,5 @@ report = convergence_report(result)
 slope = report.slopes[1.0]
 if slope is not None:
     print(f"log-log slope of e1 vs eps: {slope[0]:.2f} +- {slope[1]:.2f}")
-write_sweep_outputs(result, "demo_out/sweep", report=report)
+write_sweep_outputs(result, "demo_out/sweep")
 print("wrote demo_out/sweep/errors.csv and report.json")

@@ -15,15 +15,14 @@ from .fields import DensityField
 from .kernels import (KernelSpec, PotentialSpec, alpha, c_phi, mean_phi,
                       sample_displacement)
 from .torus import Torus
-from .simulator import (SimulationParams, Trajectory, interaction_energy,
-                        map_chunks, sample_poisson_positions, simulate,
-                        simulate_ensemble)
+from .simulator import (SimulationParams, Trajectory, map_chunks,
+                        sample_poisson_positions, simulate, simulate_ensemble)
 from .estimator import (CorrelationEstimate, SubPoissonReport,
                         estimate_correlations, estimate_density,
                         estimate_pair_correlation, radial_product_profile,
                         sub_poisson_report)
-from .kinetic import (BoundReport, KineticTrajectory, PicardResult, convolve,
-                      kinetic_rhs, monitor_bounds, picard_solve, solve_kinetic,
+from .kinetic import (BoundReport, KineticTrajectory, PicardResult, kinetic_rhs,
+                      monitor_bounds, picard_solve, solve_kinetic,
                       vlasov_first_order)
 from .horizon import (HorizonReport, contraction_factor, existence_horizon,
                       find_T_for_q, horizon_report, op_norm_bound, t_star,

@@ -39,7 +39,7 @@ from .horizon import horizon_report, violations as horizon_violations
 from .kernels import KernelSpec, PotentialSpec
 from .kinetic import (monitor_bounds, picard_solve, snapshot_steps, solve_kinetic,
                       violations as kinetic_violations)
-from .scaling import SweepSpec, convergence_report, run_sweep, write_sweep_outputs
+from .scaling import SweepSpec, run_sweep, write_sweep_outputs
 from .simulator import SimulationParams, map_chunks
 from .torus import Torus
 
@@ -185,11 +185,9 @@ def _rho0(expand):
     return parse
 
 
-_ESTIMATOR = (
-    Field("n_cells", _count),
-    Field("r_max", _positive, lambda ctx: ctx["torus"].side / 4.0),
-    Field("n_bins", _count, 20),
-)
+_PAIR_BINS = (Field("r_max", _positive, lambda ctx: ctx["torus"].side / 4.0),
+              Field("n_bins", _count, 20))
+_ESTIMATOR = (Field("n_cells", _count), *_PAIR_BINS)
 
 _MODEL = (
     Field("torus", lambda v, ctx: Torus(**resolve(_TORUS, v))),
@@ -374,8 +372,7 @@ _SWEEP = _MODEL + (
     Field("times", _list(_real)),
     Field("n_traj_base", _count, 200),
     Field("n_traj", _optional(_list(_count)), None),
-    Field("r_max", _positive, lambda ctx: ctx["torus"].side / 4.0),
-    Field("n_bins", _count, 20),
+    *_PAIR_BINS,
     Field("dt", _optional(_positive), None),
     Field("budget_max_particles", _positive, 1e4),
     Field("seed", _seed),
@@ -405,7 +402,7 @@ def _check_sweep(v):
 
 def _run_sweep(v, out_dir):
     result = run_sweep(_sweep_spec(v))
-    write_sweep_outputs(result, out_dir, report=convergence_report(result))
+    write_sweep_outputs(result, out_dir)
 
 
 # -- shared driver ------------------------------------------------------------

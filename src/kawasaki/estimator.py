@@ -211,7 +211,7 @@ def _density_values(snaps, n_cells, torus):
     with a snapshot axis in front: one histogram per group of snapshots."""
     d = torus.dim
     edges = [np.linspace(0.0, torus.side, n_cells + 1)] * d
-    vol = (torus.side / n_cells) ** d
+    vol = torus.cell_volume(n_cells)
     per = max(1, _DENSITY_BINS // n_cells ** d)
     stacks = []
     for a in range(0, len(snaps), per):

@@ -45,7 +45,7 @@ class DensityField:
 
     @property
     def cell_volume(self) -> float:
-        return self.spacing ** self.torus.dim
+        return self.torus.cell_volume(self.n_cells)
 
     @property
     def mass(self) -> float:

@@ -137,11 +137,13 @@ def _energy_query(torus, potential, pos, near):
 
 
 class GibbsSampler:
-    """Metropolis chain targeting the grand-canonical pair-potential measure."""
+    """Metropolis chain targeting the grand-canonical pair-potential measure,
+    started from Poisson(initial_count) uniform points (the ideal-gas count
+    activity * volume badly overshoots a repulsive equilibrium)."""
 
     def __init__(self, torus: Torus, potential: PotentialSpec, activity: float,
-                 rng: np.random.Generator, epsilon: float = 1.0,
-                 initial_count: float = None):
+                 rng: np.random.Generator, epsilon: float = 1.0, *,
+                 initial_count: float):
         if potential.family == "local":
             raise ConfigError("local(kappa) has no finite-volume Gibbs measure")
         r_sup = potential.support_radius
@@ -155,10 +157,6 @@ class GibbsSampler:
         self.epsilon = float(epsilon)
         self.rng = rng
         self.scale = float(r_sup or torus.side / 10.0)  # of a displacement's normal steps
-        # the ideal-gas count at this activity badly overshoots the repulsive
-        # equilibrium; callers who know the target density should pass it
-        if initial_count is None:
-            initial_count = activity * torus.volume
         if not (math.isfinite(initial_count) and initial_count >= 0):
             raise ConfigError(f"initial_count must be finite and >= 0, got {initial_count}")
         start = rng.random((rng.poisson(initial_count), torus.dim)) * torus.side

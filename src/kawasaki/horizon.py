@@ -26,6 +26,10 @@ to its last bits although T is flat at its maximum. theta(t) and the window
 of find_T_for_q are bisected down to adjacent floats too, through the same
 helper.
 
+A product c e^x past the float range saturates to inf (`_scaled_exp`), so
+T(theta) is 0 where c_phi e^{-theta} overflows, and the norm bound and q(T)
+are inf where they overflow.
+
 `violations` lists every rule a `horizon_report` request breaks (theta <=
 theta0, t >= 0, and q(T) windows T >= 0 with e^{alpha T} < 2 and a <phi>);
 `horizon_report` raises the first of them before it computes anything.
@@ -51,6 +55,19 @@ def _bisect(below, lo, hi):
             hi = mid
 
 
+def _scaled_exp(c, x):
+    """c e^x for c >= 0: 0.0 for c = 0, and inf where it is past the float range."""
+    if c == 0.0:
+        return 0.0
+    try:
+        return c * math.exp(x)
+    except OverflowError:  # e^x is past the float range; c e^x need not be
+        try:
+            return math.exp(math.log(c) + x)
+        except OverflowError:
+            return math.inf
+
+
 def _check_time(name, t):
     if not t >= 0:
         raise ConfigError(f"{name} must be >= 0, got {t}")
@@ -64,7 +81,7 @@ def existence_horizon(theta0: float, theta: float, alpha: float, c_phi: float) -
         raise ConfigError(f"alpha must be positive, got {alpha}")
     if c_phi < 0:
         raise ConfigError(f"c_phi must be >= 0, got {c_phi}")
-    return (theta0 - theta) / (2.0 * alpha) * math.exp(-c_phi * math.exp(-theta))
+    return (theta0 - theta) / (2.0 * alpha) * math.exp(-_scaled_exp(c_phi, -theta))
 
 
 def t_star(theta0: float, alpha: float, c_phi: float):
@@ -78,7 +95,7 @@ def t_star(theta0: float, alpha: float, c_phi: float):
 
     def g(th):
         # has the sign of dT/dtheta and decreases in theta
-        return (theta0 - th) * c_phi * math.exp(-th) - 1.0
+        return _scaled_exp((theta0 - th) * c_phi, -th) - 1.0
 
     # expand left until the bracket contains the root
     width = 1.0
@@ -117,7 +134,8 @@ def op_norm_bound(theta_pp: float, theta_p: float, alpha: float, c: float) -> fl
         raise ConfigError(f"need theta'' > theta', got {theta_pp} <= {theta_p}")
     if alpha <= 0 or c < 0:
         raise ConfigError("need alpha > 0 and c >= 0")
-    return 2.0 * alpha / (math.e * (theta_pp - theta_p)) * math.exp(c * math.exp(-theta_pp))
+    return _scaled_exp(2.0 * alpha / (math.e * (theta_pp - theta_p)),
+                       _scaled_exp(c, -theta_pp))
 
 
 def contraction_factor(u0: float, alpha: float, mean_phi: float, T: float) -> float:
@@ -127,13 +145,14 @@ def contraction_factor(u0: float, alpha: float, mean_phi: float, T: float) -> fl
         raise ConfigError("need u0 >= 0, <phi> >= 0, alpha > 0")
     if alpha * T >= math.log(2.0):
         raise HorizonError(
-            f"window too long: exp(alpha T) = {math.exp(alpha * T):g} >= 2, "
+            f"window too long: exp(alpha T) = {_scaled_exp(1.0, alpha * T):g} >= 2, "
             "the invariant-region constant u0 / (2 - e^{alpha T}) degenerates"
         )
     eat = math.exp(alpha * T)
-    return 2.0 * (1.0 - math.exp(-alpha * T)) * (
-        1.0 + mean_phi * u0 * math.exp(alpha * T + 2.0 * mean_phi * u0 * eat)
-    )
+    growth = _scaled_exp(mean_phi * u0, alpha * T + 2.0 * mean_phi * u0 * eat)
+    if growth == math.inf:  # q saturates on every window but the empty one
+        return math.inf if T > 0 else 0.0
+    return 2.0 * (1.0 - math.exp(-alpha * T)) * (1.0 + growth)
 
 
 def find_T_for_q(q_target: float, u0: float, alpha: float, mean_phi: float) -> float:

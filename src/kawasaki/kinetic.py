@@ -83,7 +83,7 @@ class TabulatedKernel:
         self.torus = torus
         self.n = int(n_cells)
         d = torus.dim
-        self.cell_volume = (torus.side / self.n) ** d
+        self.cell_volume = torus.cell_volume(self.n)
         check_support(spec, torus)
         dist = torus.offset_distances(self.n)
         tab = np.asarray(spec.radial(dist), dtype=float)
@@ -122,11 +122,6 @@ def _convolve_direct(tab: TabulatedKernel, values):
 @functools.lru_cache(maxsize=64)
 def tabulate(spec, torus: Torus, n_cells: int) -> TabulatedKernel:
     return TabulatedKernel(spec, torus, n_cells)
-
-
-def convolve(rho: DensityField, spec) -> np.ndarray:
-    """Periodic convolution of a density field with a kernel/potential spec."""
-    return tabulate(spec, rho.torus, rho.n_cells).convolve(rho.values)
 
 
 # -- right-hand side ---------------------------------------------------------

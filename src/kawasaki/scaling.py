@@ -8,7 +8,8 @@ reference density rho_t solved once on the same grid. As eps decreases the
 discrepancies e1 (density level) and e2 (pair level) should shrink toward
 the Monte Carlo noise floor; the sweep records both with standard errors and
 a monotone-within-noise verdict, and the report fits a log-log slope of
-e1 versus eps.
+e1 versus eps. The spec names its pair-bin edges; `write_sweep_outputs`
+writes the discrepancies, the estimates and the report of one result.
 
 Trajectory counts default to n_traj(eps) ~ eps * n_traj_base, which keeps
 the total number of particle updates (and hence the renormalized estimator
@@ -47,10 +48,10 @@ class SweepSpec:
     epsilons: tuple
     rho0: object  # limit density: constant or DensityField on the sweep grid
     times: tuple
+    r_edges: tuple  # pair-bin edges of the k2 comparison
     n_traj_base: int = 200
     n_traj: tuple = None  # explicit per-eps override
     n_cells: int = 64
-    r_edges: tuple = None
     dt: float = None
     budget_max_particles: float = 1e4
     base_seed: int = 0
@@ -112,9 +113,7 @@ class SweepSpec:
         return max(2, int(round(self.n_traj_base * self.epsilons[i])))
 
     def pair_edges(self) -> np.ndarray:
-        if self.r_edges is not None:
-            return np.asarray(self.r_edges, dtype=float)
-        return np.linspace(0.0, self.torus.side / 4.0, 21)
+        return np.asarray(self.r_edges, dtype=float)
 
 
 @dataclass(eq=False)
@@ -273,8 +272,9 @@ def convergence_report(result: SweepResult) -> ConvergenceReport:
     return rep
 
 
-def write_sweep_outputs(result: SweepResult, out_dir, report: ConvergenceReport):
-    """Write errors.csv, per-estimate CSVs, and report.json into out_dir."""
+def write_sweep_outputs(result: SweepResult, out_dir):
+    """Write errors.csv, per-estimate CSVs, and report.json, which holds the
+    result and its `convergence_report`, into out_dir."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "errors.csv"), "w") as fh:
         fh.write("epsilon,time,e1,e1_stderr,e2,e2_stderr\n")
@@ -292,4 +292,4 @@ def write_sweep_outputs(result: SweepResult, out_dir, report: ConvergenceReport)
                 est.write_k2_csv(os.path.join(out_dir, f"{tag}_k2.csv"))
                 est.write_meta_json(os.path.join(out_dir, f"{tag}_meta.json"))
     write_json(os.path.join(out_dir, "report.json"),
-               {**result.to_json(), "convergence": report.to_json()})
+               {**result.to_json(), "convergence": convergence_report(result).to_json()})

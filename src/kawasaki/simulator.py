@@ -389,7 +389,7 @@ class _CellTable:
         self.side, self.m, self.inv_width = torus.side, m, m / torus.side
         self.potential = potential
         self.cut = potential.support_radius * potential.support_radius
-        self.strides = m ** np.arange(d - 1, -1, -1)
+        self.strides = torus.strides(m)
         rows, n_cells = len(starts), m ** d
         sizes = np.array([len(p) for p in starts], dtype=np.int64)
         owner = np.repeat(np.arange(rows), sizes)
@@ -648,7 +648,7 @@ def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
     particles per row.
     """
     torus, kernel, pot = params.torus, params.kernel, params.potential
-    d, side = torus.dim, torus.side
+    d = torus.dim
     rngs, starts = [], []
     for r, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
@@ -719,8 +719,7 @@ def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
         cross = clock > limit[:, None]
         mover = movs.ravel()[at]
         old = table.at(mover)
-        y = np.mod(old + disps.reshape(-1, d)[at], side)
-        y[y >= side] = 0.0
+        y = torus.wrap(old + disps.reshape(-1, d)[at])
         cells = table.cell(y) if table.m > 1 else None
         accept = ~cross
         if bound_at is not None:

@@ -7,10 +7,11 @@ interaction radius is below L/2 (the constructors of the dynamic objects
 enforce the stricter L > 4 * radius rule).
 
 The torus owns the grid and cell rules that several modules share:
-`cell_centers` (where fields and k1 estimates sit), `cell_offsets` and
-`offset_distances` (the minimal-image grid on which kernels are tabulated and
-k1 (x) k1 is binned), and `cells_per_axis` and `stencil` (the cell lists of
-the particle simulator and of the Gibbs sampler).
+`cell_centers` and `cell_volume` (where fields and k1 estimates sit, and the
+measure of one cell), `cell_offsets` and `offset_distances` (the
+minimal-image grid on which kernels are tabulated and k1 (x) k1 is binned),
+and `cells_per_axis`, `strides` and `stencil` (the cell lists of the particle
+simulator and of the Gibbs sampler).
 """
 
 import math
@@ -51,6 +52,10 @@ class Torus:
         """Centre of each of n cells per axis."""
         return (np.arange(n) + 0.5) * (self.side / n)
 
+    def cell_volume(self, n: int) -> float:
+        """Volume (L/n)^d of one cell of the n^d grid."""
+        return (self.side / n) ** self.dim
+
     def cell_offsets(self, n: int) -> np.ndarray:
         """Offset of each of n cells per axis from cell 0, as its minimal image in [-L/2, L/2)."""
         return (np.arange(n) * (self.side / n) + 0.5 * self.side) % self.side - 0.5 * self.side
@@ -66,6 +71,10 @@ class Torus:
         cells of every point within `width`."""
         return int(self.side / (width * (1.0 + 1e-9)))
 
+    def strides(self, m: int) -> np.ndarray:
+        """Row-major strides of the m^d cell grid: flat index = index per axis @ strides."""
+        return m ** np.arange(self.dim - 1, -1, -1)
+
     def stencil(self, m: int):
         """(near, flat) of the m^d cell grid: near[c, k] is the unwrapped index
         per axis of the k-th of the 3^d cells around cell c, -1 to m, and
@@ -73,7 +82,7 @@ class Torus:
         d = self.dim
         offsets = np.indices((3,) * d).reshape(d, -1).T - 1
         near = np.indices((m,) * d).reshape(d, -1).T[:, None, :] + offsets
-        return near, (near % m) @ (m ** np.arange(d - 1, -1, -1))
+        return near, (near % m) @ self.strides(m)
 
     def require_dim(self, *specs):
         """Raise unless every kernel or potential spec has the torus's dimension."""

@@ -8,7 +8,7 @@ import os
 import pytest
 
 import kawasaki
-from kawasaki import KernelSpec, Torus, simulator
+from kawasaki import KernelSpec, Torus, kinetic, simulator
 from kawasaki.kinetic import TabulatedKernel, tabulate
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -49,3 +49,11 @@ def test_tabulated_kernel_names_its_grid_for_the_tracer():
 def test_test_only_names_are_not_exported(name):
     assert not hasattr(kawasaki, name)
     assert not hasattr(simulator, name)
+
+
+def test_names_no_library_path_calls_are_not_exported():
+    # interaction_energy stays in kawasaki.simulator for tests/reference.py
+    assert not hasattr(kawasaki, "convolve")
+    assert not hasattr(kawasaki, "interaction_energy")
+    assert not hasattr(kinetic, "convolve")
+    assert callable(simulator.interaction_energy)

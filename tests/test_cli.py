@@ -258,6 +258,19 @@ def test_horizon_flags_without_config(tmp_path):
     assert rep["T_of_theta"] == pytest.approx(0.032994017922656254, abs=1e-7)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("c_phi", 1e-300), ("c_phi", 1e300), ("alpha", 1e300), ("windows", [1e300, 0.02]),
+    ("mean_phi", 1e300), ("u0", 1e300), ("theta", -1000.0),
+])
+def test_horizon_past_the_float_range_ends_without_a_traceback(tmp_path, field, value):
+    # each of these one-field edits of the demo config once raised a bare
+    # OverflowError, from validate itself or from the run
+    cfg = json.loads((DEMO_CONFIGS / "horizon.json").read_text())
+    path = write_json(tmp_path / "h.json", {**cfg, field: value})
+    assert main(["validate", "--config", path]) in (0, 1, 2, 3)
+    assert main(["horizon", "--config", path, "--out", str(tmp_path / "out")]) in (0, 1, 2, 3)
+
+
 # -- run / determinism ----------------------------------------------------------------
 
 def test_simulate_outputs_and_rerun_identical(tmp_path):

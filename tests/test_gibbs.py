@@ -56,7 +56,7 @@ def test_calibration_validates_target():
 def test_sampler_rejects_local_potential():
     with pytest.raises(ConfigError):
         GibbsSampler(TORUS, PotentialSpec.local(1.0, dim=1), 1.0,
-                     np.random.default_rng(0))
+                     np.random.default_rng(0), initial_count=20)
 
 
 def test_positions_stay_in_box():
@@ -276,7 +276,7 @@ def test_every_particle_sits_once_in_the_cell_of_its_position(torus, pot):
 def test_sparse_box_has_no_more_cells_than_starting_particles():
     torus = Torus(3, 100.0)  # 99 support-wide cells per axis
     chain = GibbsSampler(torus, PotentialSpec.top_hat(1.0, 1.0, dim=3), 1e-3,
-                         np.random.default_rng(6))
+                         np.random.default_rng(6), initial_count=1e-3 * torus.volume)
     assert 3 ** 3 <= len(chain._cells) <= chain.n
     chain.run(500)
     assert np.all((chain.positions() >= 0.0) & (chain.positions() < torus.side))
@@ -296,7 +296,7 @@ def test_sparse_box_has_no_more_cells_than_starting_particles():
         "potential of another dimension"])
 def test_sampler_validates_inputs(kwargs, error):
     args = {"torus": TORUS, "potential": POT, "activity": 1.0,
-            "rng": np.random.default_rng(0), **kwargs}
+            "rng": np.random.default_rng(0), "initial_count": TORUS.volume, **kwargs}
     with pytest.raises(error):
         GibbsSampler(**args)
 

@@ -118,6 +118,17 @@ def test_t_star_infinite_without_potential():
     assert math.isinf(T_max)
 
 
+def test_exponentials_past_the_float_range_saturate():
+    # e^{-theta} overflows: T(theta) is (theta0 - theta) / (2 alpha) without a
+    # potential, 0 where c_phi e^{-theta} overflows too, and exact where it does not
+    assert math.isfinite(t_star(0.0, 2.0, 1e-300)[0])
+    assert existence_horizon(0.0, -1000.0, 2.0, 0.0) == 250.0
+    assert existence_horizon(0.0, -1000.0, 2.0, 1.26) == 0.0
+    assert existence_horizon(0.0, -710.0, 2.0, 5e-324) == pytest.approx(177.5)
+    assert contraction_factor(1e300, 2.0, 2.0, 0.01) == math.inf
+    assert contraction_factor(1e300, 2.0, 2.0, 0.0) == 0.0
+
+
 def test_theta_of_t_at_zero_is_theta0():
     assert theta_of_t(0.7, 2.0, 1.3, 0.0) == 0.7
 

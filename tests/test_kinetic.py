@@ -10,7 +10,7 @@ import pytest
 
 from kawasaki import (ConfigError, GeometryError, HorizonError, KernelSpec,
                       NumericError, PotentialSpec, StepSizeError, Torus, alpha,
-                      contraction_factor, convolve, find_T_for_q, kinetic_rhs,
+                      contraction_factor, find_T_for_q, kinetic_rhs,
                       mean_phi, monitor_bounds, picard_solve, solve_kinetic,
                       vlasov_first_order)
 from kawasaki import kinetic
@@ -21,6 +21,11 @@ TORUS = Torus(1, 20.0)
 KERNEL = KernelSpec.top_hat(1.0, 1.0, dim=1)  # alpha = 2
 POT = PotentialSpec.top_hat(1.0, 0.5, dim=1)
 FREE = PotentialSpec.zero(dim=1)
+
+
+def convolve(rho, spec):
+    """Periodic convolution of a density field with a kernel or potential spec."""
+    return tabulate(spec, rho.torus, rho.n_cells).convolve(rho.values)
 
 
 def reference_tabulation(spec, torus, n):

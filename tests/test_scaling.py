@@ -219,9 +219,8 @@ def test_report_needs_two_epsilons():
 def test_sweep_outputs_written(tmp_path):
     spec = base_spec(times=(0.25,), n_traj_base=40)
     res = run_sweep(spec)
-    rep = convergence_report(res)
     from kawasaki import write_sweep_outputs
-    write_sweep_outputs(res, tmp_path, report=rep)
+    write_sweep_outputs(res, tmp_path)
     assert (tmp_path / "errors.csv").exists()
     assert (tmp_path / "report.json").exists()
     header = (tmp_path / "errors.csv").read_text().splitlines()[0]

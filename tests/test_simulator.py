@@ -7,11 +7,11 @@ import pytest
 
 from kawasaki import (ConfigError, GeometryError, InvalidSpecError,
                       KernelSpec, NumericError, PotentialSpec, SimulationParams,
-                      Torus, interaction_energy, sample_displacement,
-                      sample_poisson_positions, simulate, simulate_ensemble)
+                      Torus, sample_displacement, sample_poisson_positions,
+                      simulate, simulate_ensemble)
 from kawasaki import simulator
 from kawasaki.fields import DensityField
-from kawasaki.simulator import Trajectory
+from kawasaki.simulator import Trajectory, interaction_energy
 from reference import (Configuration, Simulation, detailed_balance_residual,
                        minimal_image, total_pair_energy)
 
