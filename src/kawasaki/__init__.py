@@ -8,9 +8,9 @@ scaling harness that verifies the mean-field limit empirically.
 
 import gc
 
-from .errors import (BoundViolation, BudgetError, ConfigError, GeometryError,
-                     HorizonError, InvalidSpecError, KawasakiError,
-                     NumericError, StepSizeError)
+from .errors import (BudgetError, ConfigError, GeometryError, HorizonError,
+                     InvalidSpecError, KawasakiError, NumericError,
+                     StepSizeError)
 from .fields import DensityField
 from .kernels import (KernelSpec, PotentialSpec, alpha, c_phi, mean_phi,
                       sample_displacement)

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all subsystems.
+"""Exception hierarchy shared by all subsystems: KawasakiError, and under it
+ConfigError (with InvalidSpecError and GeometryError), BudgetError and
+NumericError (with StepSizeError and HorizonError).
 
 Exit-code mapping used by the command line tool: ConfigError -> 1,
 NumericError -> 2, BudgetError -> 3.
@@ -38,15 +40,6 @@ class StepSizeError(NumericError):
 
 class HorizonError(NumericError):
     """Requested window violates an analytic certificate (e.g. q(T) >= 1)."""
-
-
-class BoundViolation(NumericError):
-    """A monitored a-priori bound failed along a solver trajectory."""
-
-    def __init__(self, message, time=None, margin=None):
-        super().__init__(message)
-        self.time = time
-        self.margin = margin
 
 
 def collect_violations(*checks):

@@ -65,6 +65,7 @@ from .torus import Torus
 
 
 _BLOCK = 1024  # variates per draw from the chain's rng
+_CALIBRATION_ROUNDS = 12  # calibrate_activity averages the z of the last 3
 
 
 def _stream(draw):  # the values of draw(_BLOCK), draw(_BLOCK), ... one per call
@@ -289,16 +290,15 @@ class GibbsSampler:
 
 def calibrate_activity(torus: Torus, potential: PotentialSpec, target_count: float,
                        rng: np.random.Generator, epsilon: float = 1.0,
-                       rounds: int = 12, moves_per_round: int = None) -> float:
+                       moves_per_round: int = None) -> float:
     """Activity z whose grand-canonical mean particle count is ~ target_count.
 
     Fixed-point iteration z <- z * target / observed along one persistent
     chain (the count relaxes between neighboring activities much faster than
-    from a cold start). Accuracy a couple of percent, which is all the
-    equilibrium tests need.
+    from a cold start), for 12 rounds; z is the mean of the last 3. Accuracy a
+    couple of percent, which is all the equilibrium tests need.
     """
     _require_positive("target_count", target_count)
-    rounds = _require_count("rounds", rounds, least=1)
     if moves_per_round is None:
         moves_per_round = int(60 * target_count)
     else:
@@ -307,7 +307,7 @@ def calibrate_activity(torus: Torus, potential: PotentialSpec, target_count: flo
     chain = GibbsSampler(torus, potential, z, rng, epsilon=epsilon,
                          initial_count=target_count)
     estimates = []
-    for r in range(rounds):
+    for r in range(_CALIBRATION_ROUNDS):
         chain.run(moves_per_round // 3)  # re-equilibrate after the z update
         counts = []
         for _ in range(50):
@@ -316,6 +316,6 @@ def calibrate_activity(torus: Torus, potential: PotentialSpec, target_count: flo
         observed = max(float(np.mean(counts)), 0.5)
         z *= target_count / observed
         chain.activity = z
-        if r >= rounds - 3:
+        if r >= _CALIBRATION_ROUNDS - 3:
             estimates.append(z)
     return float(np.mean(estimates))

@@ -17,7 +17,9 @@ weighted sup-norm spaces indexed by theta:
 * ``contraction_factor``: the Picard factor
   q(T) = 2 (1 - e^{-alpha T}) (1 + <phi> u0 exp(alpha T + 2 <phi> u0 e^{alpha T})),
   valid on windows with e^{alpha T} < 2; q(T) < 1 certifies geometric
-  convergence of the integral-equation iteration with sup-norm-u0 data.
+  convergence of the integral-equation iteration with sup-norm-u0 data. The
+  head 1 - e^{-alpha T} is taken as -expm1(-alpha T), which keeps it exact
+  where alpha T is below the float epsilon.
 
 All root finding is plain bisection on monotone branches. The maximizer
 theta_* is where dT/dtheta changes sign: it is bisected on the sign of
@@ -28,7 +30,9 @@ helper.
 
 A product c e^x past the float range saturates to inf (`_scaled_exp`), so
 T(theta) is 0 where c_phi e^{-theta} overflows, and the norm bound and q(T)
-are inf where they overflow.
+are inf where they overflow. Every check is written so that NaN fails it, and
+q(T) and find_T_for_q also need a finite u0, alpha and <phi>, so no
+certificate is NaN.
 
 `violations` lists every rule a `horizon_report` request breaks (theta <=
 theta0, t >= 0, and q(T) windows T >= 0 with e^{alpha T} < 2 and a <phi>);
@@ -77,9 +81,9 @@ def existence_horizon(theta0: float, theta: float, alpha: float, c_phi: float) -
     """Guaranteed lifetime T(theta) of the evolution entering the theta-space."""
     if not theta <= theta0:
         raise ConfigError(f"theta ({theta}) must be <= theta0 ({theta0})")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ConfigError(f"alpha must be positive, got {alpha}")
-    if c_phi < 0:
+    if not c_phi >= 0:
         raise ConfigError(f"c_phi must be >= 0, got {c_phi}")
     return (theta0 - theta) / (2.0 * alpha) * math.exp(-_scaled_exp(c_phi, -theta))
 
@@ -90,6 +94,7 @@ def t_star(theta0: float, alpha: float, c_phi: float):
     For c_phi = 0 the horizon grows without bound as theta decreases, so
     T_* = inf with no finite maximizer.
     """
+    existence_horizon(theta0, theta0, alpha, c_phi)  # its rules on the model
     if c_phi == 0.0:
         return math.inf, -math.inf
 
@@ -111,6 +116,7 @@ def t_star(theta0: float, alpha: float, c_phi: float):
 def theta_of_t(theta0: float, alpha: float, c_phi: float, t: float):
     """sup{theta <= theta0 : t < T(theta)}, or None when t >= T_*."""
     _check_time("t", t)
+    existence_horizon(theta0, theta0, alpha, c_phi)  # its rules on the model
     if t == 0.0:
         return theta0
     if c_phi == 0.0:
@@ -132,39 +138,42 @@ def op_norm_bound(theta_pp: float, theta_p: float, alpha: float, c: float) -> fl
     """
     if not theta_pp > theta_p:
         raise ConfigError(f"need theta'' > theta', got {theta_pp} <= {theta_p}")
-    if alpha <= 0 or c < 0:
+    if not (alpha > 0 and c >= 0):
         raise ConfigError("need alpha > 0 and c >= 0")
     return _scaled_exp(2.0 * alpha / (math.e * (theta_pp - theta_p)),
                        _scaled_exp(c, -theta_pp))
 
 
 def contraction_factor(u0: float, alpha: float, mean_phi: float, T: float) -> float:
-    """Picard contraction factor q(T) on [0, T]; requires e^{alpha T} < 2."""
+    """Picard contraction factor q(T) on [0, T]; requires e^{alpha T} < 2 and
+    finite u0, alpha and <phi>."""
     _check_time("T", T)
-    if u0 < 0 or mean_phi < 0 or alpha <= 0:
+    if not (u0 >= 0 and mean_phi >= 0 and alpha > 0):
         raise ConfigError("need u0 >= 0, <phi> >= 0, alpha > 0")
     if alpha * T >= math.log(2.0):
         raise HorizonError(
             f"window too long: exp(alpha T) = {_scaled_exp(1.0, alpha * T):g} >= 2, "
             "the invariant-region constant u0 / (2 - e^{alpha T}) degenerates"
         )
+    if not all(math.isfinite(v) for v in (u0, alpha, mean_phi)):
+        raise ConfigError(f"need finite u0, alpha and <phi>, got {u0}, {alpha}, {mean_phi}")
     eat = math.exp(alpha * T)
     growth = _scaled_exp(mean_phi * u0, alpha * T + 2.0 * mean_phi * u0 * eat)
     if growth == math.inf:  # q saturates on every window but the empty one
         return math.inf if T > 0 else 0.0
-    return 2.0 * (1.0 - math.exp(-alpha * T)) * (1.0 + growth)
+    return 2.0 * -math.expm1(-alpha * T) * (1.0 + growth)
 
 
 def find_T_for_q(q_target: float, u0: float, alpha: float, mean_phi: float) -> float:
     """Window length T with q(T) = q_target to 1e-10, by bisection; q_target in (0, 1)."""
     if not 0.0 < q_target < 1.0:
         raise ConfigError(f"q_target must be in (0, 1), got {q_target}")
-    lo = 0.0
+    contraction_factor(u0, alpha, mean_phi, 0.0)  # its rules on u0, alpha and <phi>
     hi = math.log(2.0) / alpha * (1.0 - 1e-12)
     if contraction_factor(u0, alpha, mean_phi, hi) < q_target:
         raise NumericError("q stays below the target on the admissible window")
     lo, hi = _bisect(lambda T: contraction_factor(u0, alpha, mean_phi, T) < q_target,
-                     lo, hi)
+                     0.0, hi)
     T = 0.5 * (lo + hi)
     if abs(contraction_factor(u0, alpha, mean_phi, T) - q_target) > 1e-10:
         raise NumericError("bisection for q(T) did not reach tolerance")

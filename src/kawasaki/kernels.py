@@ -107,13 +107,6 @@ class RadialSpec:
         # local: zero almost everywhere
         return np.zeros_like(r)
 
-    def value(self, x):
-        """Value at displacement(s) x; last axis is the coordinate axis for d > 1."""
-        x = np.asarray(x, dtype=float)
-        if self.dim == 1:
-            return self.radial(np.abs(x))
-        return self.radial(np.sqrt(np.sum(x * x, axis=-1)))
-
     @property
     def support_radius(self) -> float:
         """Radius beyond which the profile is below SUPPORT_CUTOFF * height."""

@@ -42,8 +42,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (BoundViolation, ConfigError, HorizonError,
-                     NumericError, StepSizeError, collect_violations, raise_first)
+from .errors import (ConfigError, HorizonError, NumericError, StepSizeError,
+                     collect_violations, raise_first)
 from .fields import DensityField
 from .horizon import contraction_factor
 from .kernels import KernelSpec, PotentialSpec, alpha as kernel_alpha, mean_phi
@@ -239,9 +239,9 @@ def violations(rho0: DensityField, kernel: KernelSpec, potential: PotentialSpec,
     elif method == "picard" and math.isfinite(t_end):
         try:
             q = contraction_factor(rho0.sup, a, mean_phi(potential), t_end)
-            if q >= 1.0:
+            if not q < 1.0:
                 raise HorizonError(f"contraction factor q(T)={q:.4f} >= 1 on [0, {t_end:g}]")
-        except HorizonError as exc:
+        except (ConfigError, HorizonError) as exc:  # ConfigError: <phi> overflowed
             found.append(HorizonError(f"Picard window not certified: {exc}"))
     return found
 
@@ -344,15 +344,6 @@ class BoundReport:
     alpha: float
     local_mode: bool
     violations: list = field(default_factory=list)
-
-    def raise_if_failed(self):
-        if not self.ok:
-            v = self.violations[0]
-            raise BoundViolation(
-                f"{v['kind']} bound violated at t={v['time']:g} "
-                f"(margin {v['margin']:.3e})",
-                time=v["time"], margin=v["margin"],
-            )
 
     def to_json(self) -> dict:
         return asdict(self)

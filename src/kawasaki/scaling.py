@@ -129,7 +129,6 @@ class SweepResult:
     e2_se: np.ndarray
     monotone_within_noise: dict = field(default_factory=dict)
     estimates: list = None  # estimates[i][j]: renormalized estimate at (eps_i, t_j)
-    reference: list = None  # kinetic DensityField per comparison time
 
     def to_json(self) -> dict:
         return {
@@ -215,7 +214,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(epsilons=tuple(spec.epsilons), times=tuple(spec.times),
                        n_traj=tuple(n_traj_used), e1=e1, e1_se=e1_se,
                        e2=e2, e2_se=e2_se, monotone_within_noise=verdict,
-                       estimates=estimates, reference=ref_fields)
+                       estimates=estimates)
 
 
 @dataclass
@@ -283,13 +282,11 @@ def write_sweep_outputs(result: SweepResult, out_dir):
                 fh.write(f"{float(eps)!r},{float(t)!r},"
                          f"{float(result.e1[i, j])!r},{float(result.e1_se[i, j])!r},"
                          f"{float(result.e2[i, j])!r},{float(result.e2_se[i, j])!r}\n")
-    if result.estimates is not None:
-        for i, eps in enumerate(result.epsilons):
-            for j, t in enumerate(result.times):
-                est = result.estimates[i][j]
-                tag = f"eps{i}_t{j}"
-                est.write_k1_csv(os.path.join(out_dir, f"{tag}_k1.csv"))
-                est.write_k2_csv(os.path.join(out_dir, f"{tag}_k2.csv"))
-                est.write_meta_json(os.path.join(out_dir, f"{tag}_meta.json"))
+    for i, row in enumerate(result.estimates):
+        for j, est in enumerate(row):
+            tag = f"eps{i}_t{j}"
+            est.write_k1_csv(os.path.join(out_dir, f"{tag}_k1.csv"))
+            est.write_k2_csv(os.path.join(out_dir, f"{tag}_k2.csv"))
+            est.write_meta_json(os.path.join(out_dir, f"{tag}_meta.json"))
     write_json(os.path.join(out_dir, "report.json"),
                {**result.to_json(), "convergence": convergence_report(result).to_json()})

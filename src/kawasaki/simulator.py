@@ -345,7 +345,7 @@ def _planned_slots(params, n):
     return min(_RNG_BLOCK, math.ceil(events) + _SLOT_MARGIN + len(_targets(params)[1]))
 
 
-def _chunk_bounds(dim, n, n_trajectories, workers, slots=_RNG_BLOCK):
+def _chunk_bounds(dim, n, n_trajectories, workers, slots):
     """Bounds of the pool units: balanced chunks of about _CHUNK_BYTES of
     variates and table each, for rows of `slots` slots, at least one per
     worker. The count is rounded, as a short last chunk would take as many

@@ -338,17 +338,12 @@ def test_whole_move_counts_of_any_number_type_run():
 @pytest.mark.parametrize("kwargs", [
     {"target_count": float("nan")},
     {"target_count": float("inf")},
-    {"rounds": 0},
     {"moves_per_round": 0},
-    {"rounds": 2.5},
     {"moves_per_round": 2.7},
-    {"rounds": True},
     {"moves_per_round": True},
-    {"rounds": float("nan")},
     {"moves_per_round": float("nan")},
-], ids=["target nan", "target inf", "no rounds", "no moves per round",
-        "fractional rounds", "fractional moves per round", "bool rounds",
-        "bool moves per round", "nan rounds", "nan moves per round"])
+], ids=["target nan", "target inf", "no moves per round", "fractional moves per round",
+        "bool moves per round", "nan moves per round"])
 def test_calibration_validates_inputs(kwargs):
     args = {"target_count": 10.0, **kwargs}
     with pytest.raises(ConfigError):
@@ -359,7 +354,7 @@ def test_calibration_takes_whole_counts_of_any_number_type():
     def z(**counts):
         return calibrate_activity(TORUS, POT, 10.0, np.random.default_rng(5), **counts)
 
-    assert z(rounds=3.0, moves_per_round=np.int64(300)) == z(rounds=3, moves_per_round=300)
+    assert z(moves_per_round=np.int64(300)) == z(moves_per_round=300)
 
 
 def test_equilibrium_check_demo_runs(tmp_path):

@@ -207,6 +207,13 @@ def test_q_window_too_long():
         contraction_factor(1.0, 1.0, 1.0, math.log(2.0))
 
 
+def test_q_head_is_exact_below_the_float_epsilon():
+    # 1 - e^{-alpha T} by subtraction is 0 for alpha T below ~1.1e-16, so q(T)
+    # would be 0 there whatever the data; the head is alpha T
+    assert contraction_factor(300.0, 1.0, 1.0, 1e-17) == pytest.approx(
+        2e-17 * (1.0 + 300.0 * math.exp(600.0)), rel=1e-14)
+
+
 def test_find_T_for_q_bisection():
     T = find_T_for_q(0.5, 1.0, 1.0, 1.0)
     assert abs(contraction_factor(1.0, 1.0, 1.0, T) - 0.5) <= 1e-10
@@ -215,6 +222,44 @@ def test_find_T_for_q_bisection():
 def test_find_T_for_q_rejects_targets_outside_unit():
     with pytest.raises(ConfigError):
         find_T_for_q(1.2, 1.0, 1.0, 1.0)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call, args", [
+    (existence_horizon, (0.0, -1.0, NAN, 1.0)),
+    (existence_horizon, (0.0, -1.0, 1.0, NAN)),
+    (t_star, (0.0, 1.0, NAN)),
+    (t_star, (0.0, NAN, 1.0)),
+    (theta_of_t, (0.0, NAN, 0.0, 0.1)),
+    (theta_of_t, (0.0, 1.0, NAN, 0.1)),
+    (theta_of_t, (0.0, NAN, 1.0, 0.0)),
+    (op_norm_bound, (0.0, -1.0, NAN, 1.0)),
+    (op_norm_bound, (0.0, -1.0, 1.0, NAN)),
+    (contraction_factor, (NAN, 1.0, 1.0, 0.01)),
+    (contraction_factor, (1.0, NAN, 1.0, 0.01)),
+    (contraction_factor, (1.0, 1.0, NAN, 0.01)),
+    (contraction_factor, (0.0, 1.0, INF, 0.01)),
+    (contraction_factor, (INF, 1.0, 1.0, 0.0)),
+    (contraction_factor, (1.0, INF, 1.0, 0.0)),
+    (find_T_for_q, (0.5, 1.0, 0.0, 1.0)),
+    (find_T_for_q, (0.5, 1.0, INF, 1.0)),
+    (find_T_for_q, (0.5, NAN, 1.0, 1.0)),
+    (find_T_for_q, (0.5, 1.0, 1.0, NAN)),
+    (horizon_report, (0.0, NAN, 1.0)),
+    (horizon_report, (0.0, 1.0, NAN)),
+], ids=["T alpha nan", "T c_phi nan", "T* c_phi nan", "T* alpha nan",
+        "theta(t) alpha nan without potential", "theta(t) c_phi nan",
+        "theta(0) alpha nan", "norm alpha nan", "norm c nan", "q u0 nan", "q alpha nan",
+        "q mean_phi nan", "q mean_phi inf without data", "q(0) u0 inf", "q(0) alpha inf",
+        "window alpha 0", "window alpha inf", "window u0 nan", "window mean_phi nan",
+        "report alpha nan", "report c_phi nan"])
+def test_nan_and_inf_give_no_certificate(call, args):
+    # computed, each would give a NaN, an infinite or a made-up certificate, or
+    # divide by zero
+    with pytest.raises(ConfigError):
+        call(*args)
 
 
 # -- report ------------------------------------------------------------------------------

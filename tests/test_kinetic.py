@@ -549,8 +549,6 @@ def test_monitor_flags_fabricated_violation():
     rep = monitor_bounds(traj)
     assert not rep.ok
     assert rep.violations[0]["kind"] in ("growth", "invariant-region")
-    with pytest.raises(Exception):
-        rep.raise_if_failed()
 
 
 # -- Picard certification ---------------------------------------------------------------
@@ -593,6 +591,24 @@ def test_picard_rejects_uncertified_window():
         picard_solve(rho, 0.6, ALPHA1, MPHI1)  # exp(alpha T) close to 2
     with pytest.raises(HorizonError):
         picard_solve(rho, math.log(2.0), ALPHA1, MPHI1)
+
+
+def test_picard_rejects_a_window_below_the_float_epsilon():
+    # q(1e-17) is ~2.3e246 for sup-norm 300 data; 1 - e^{-alpha T} by
+    # subtraction would make it 0 and certify the window
+    rho = DensityField.constant(TORUS1, 64, 300.0)
+    found = kinetic.violations(rho, ALPHA1, MPHI1, 1e-18, 1e-17, method="picard")
+    assert [type(e) for e in found] == [HorizonError]
+
+
+def test_picard_rejects_a_potential_whose_mean_overflows():
+    # <phi> = inf with zero data would make q(T) = 0 * inf = nan, which
+    # no comparison with 1 rejects
+    pot = PotentialSpec.exponential(1e-300, 1e300)
+    found = kinetic.violations(DensityField.constant(TORUS1, 32, 0.0), ALPHA1, pot,
+                               0.01, 0.1, method="picard")
+    assert [type(e) for e in found] == [GeometryError, HorizonError]
+    assert str(found[1]).startswith("Picard window not certified: need finite u0")
 
 
 @pytest.mark.parametrize("T, dt", [(0.0, None), (0.0, 1e-3), (-0.01, None),

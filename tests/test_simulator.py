@@ -13,7 +13,7 @@ from kawasaki import simulator
 from kawasaki.fields import DensityField
 from kawasaki.simulator import Trajectory, interaction_energy
 from reference import (Configuration, Simulation, detailed_balance_residual,
-                       minimal_image, total_pair_energy)
+                       distance, minimal_image, total_pair_energy)
 
 TORUS = Torus(1, 20.0)
 KERNEL = KernelSpec.top_hat(1.0, 1.0, dim=1)  # alpha = 2
@@ -98,8 +98,8 @@ def test_energy_rejects_local_potential():
 def jump_rate(x_index, y, config, kernel, potential, epsilon=1.0):
     """Hop rate a(x - y) * exp(-eps * E(y, gamma)) for moving particle x to y."""
     y = np.asarray(y, dtype=float).reshape(-1)
-    dx = minimal_image(config.torus, config.positions[x_index] - y)
-    a_val = float(np.atleast_1d(kernel.value(dx if kernel.dim > 1 else dx[0]))[0])
+    r = distance(config.torus, config.positions[x_index], y)
+    a_val = float(np.atleast_1d(kernel.radial(r))[0])
     if a_val == 0.0:
         return 0.0
     return a_val * math.exp(-epsilon * interaction_energy(y, config, potential))
@@ -805,7 +805,8 @@ def test_cell_table_energies_do_not_depend_on_other_rows():
 
 def test_lockstep_serial_and_parallel_identical_across_chunks(monkeypatch):
     n_traj = 45  # one chunk serially, two with two workers
-    assert [len(simulator._chunk_bounds(1, 10.0, n_traj, w)) for w in (1, 2)] == [2, 3]
+    assert [len(simulator._chunk_bounds(1, 10.0, n_traj, w, simulator._RNG_BLOCK))
+            for w in (1, 2)] == [2, 3]
     gauss = PotentialSpec.gaussian(0.3, 1.0, dim=1)
     for pot in (POT, gauss):
         p = params(potential=pot, t_end=0.5, snapshot_times=(0.25, 0.5),
