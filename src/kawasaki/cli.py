@@ -206,7 +206,6 @@ _SIMULATE = _MODEL + (
     Field("n_traj", _count),
     Field("seed", _seed),
     Field("record_events", _flag, False),
-    Field("exclude_mover", _flag, False),
     Field("estimator", _optional(lambda v, ctx: resolve(_ESTIMATOR, v, ctx)), None),
     Field("threads", _count, 1),
 )
@@ -217,7 +216,6 @@ def _sim_params(v):
         torus=v["torus"], kernel=v["kernel"], potential=v["potential"],
         epsilon=v["epsilon"], rho0=v["rho0"], t_end=v["t_end"],
         snapshot_times=tuple(v["snapshots"]), record_events=v["record_events"],
-        exclude_mover=v["exclude_mover"],
     )
 
 

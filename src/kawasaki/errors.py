@@ -19,7 +19,8 @@ class ConfigError(KawasakiError):
 
 
 class InvalidSpecError(ConfigError):
-    """Kernel/potential specification with non-positive or missing parameters."""
+    """Kernel/potential specification with non-positive or missing parameters,
+    or whose integral over R^d is not a finite number."""
 
 
 class GeometryError(ConfigError):

@@ -1,14 +1,14 @@
 """Grand-canonical Metropolis sampler for the pair-potential Gibbs measure.
 
 This is a test oracle, not part of the hop dynamics: the finite-volume Gibbs
-measure with activity z and pair energy E is reversible for the hopping
-process, so equilibrium statistics sampled here must be preserved by the
-simulator. Moves are the standard mix of single-particle displacements and
-insertion/deletion attempts with the usual grand-canonical acceptance rules
+measure with activity z and weight exp(-E) is reversible for the hopping
+process at eps = 1, so equilibrium statistics sampled here must be preserved
+by the simulator. Moves are the standard mix of single-particle displacements
+and insertion/deletion attempts with the usual grand-canonical acceptance rules
 (Norman & Filinov 1969)
 
-    insert:  min(1, z V exp(-eps dE) / (N + 1))
-    delete:  min(1, N exp(+eps dE) / (z V)).
+    insert:  min(1, z V exp(-dE) / (N + 1))
+    delete:  min(1, N exp(+dE) / (z V)).
 
 Energies use the simulator's minimal-image convention and support cutoff.
 Each chain keeps a cell list with cells at least one support wide (Allen &
@@ -38,7 +38,7 @@ Each chain builds its energy query once, a closure over its own position and
 neighbour lists, which it mutates in place and never rebinds, and over L,
 L/2, the cutoff, the height and whether the potential is smooth. `run` is the
 one move loop: once per call it binds the streams, the lists, the query, L,
-the volume, the displacement scale, epsilon and the activity, so an activity
+the volume, the displacement scale and the activity, so an activity
 set between calls, as `calibrate_activity` sets it, is honoured.
 It keeps the draw order and the evaluation order of every acceptance
 expression, and adds the moves it made and those it accepted, per type, to
@@ -143,19 +143,16 @@ class GibbsSampler:
     activity * volume badly overshoots a repulsive equilibrium)."""
 
     def __init__(self, torus: Torus, potential: PotentialSpec, activity: float,
-                 rng: np.random.Generator, epsilon: float = 1.0, *,
-                 initial_count: float):
+                 rng: np.random.Generator, *, initial_count: float):
         if potential.family == "local":
             raise ConfigError("local(kappa) has no finite-volume Gibbs measure")
         r_sup = potential.support_radius
         torus.require_dim(potential)
         torus.require_fits(r_sup)
         _require_positive("activity", activity)
-        _require_positive("epsilon", epsilon)
         self.torus = torus
         self.potential = potential
         self.activity = float(activity)
-        self.epsilon = float(epsilon)
         self.rng = rng
         self.scale = float(r_sup or torus.side / 10.0)  # of a displacement's normal steps
         if not (math.isfinite(initial_count) and initial_count >= 0):
@@ -206,7 +203,7 @@ class GibbsSampler:
         pos, home, cells = self._pos, self._home, self._cells
         L, dim, zv = self.torus.side, self.torus.dim, self.activity * self.torus.volume
         m1, inv = self._m - 1, self._inv_width
-        scale, epsilon = self.scale, self.epsilon
+        scale = self.scale
         exp = math.exp
         displaced = inserted = deleted = 0
         for _ in range(n_moves):
@@ -234,7 +231,7 @@ class GibbsSampler:
                     cell = cell_of(y)
                 was = home[i]
                 de = energy(y, cell, i) - energy(x, was, i)
-                if de <= 0 or uniform() < exp(-epsilon * de):
+                if de <= 0 or uniform() < exp(-de):
                     pos[i] = y
                     displaced += 1
                     if cell != was:
@@ -251,7 +248,7 @@ class GibbsSampler:
                     y = tuple(uniform() * L for _ in range(dim))
                     cell = cell_of(y)
                 n = len(pos)
-                if uniform() < zv * exp(-epsilon * energy(y, cell)) / (n + 1):
+                if uniform() < zv * exp(-energy(y, cell)) / (n + 1):
                     cells[cell].append(n)
                     pos.append(y)
                     home.append(cell)
@@ -261,7 +258,7 @@ class GibbsSampler:
                 if not n:
                     continue
                 i = int(uniform() * n)  # _index, inlined
-                if uniform() < n * exp(epsilon * energy(pos[i], home[i], i)) / zv:
+                if uniform() < n * exp(energy(pos[i], home[i], i)) / zv:
                     # the last particle takes index i
                     cells[home[i]].remove(i)
                     y, cell = pos.pop(), home.pop()
@@ -289,9 +286,8 @@ class GibbsSampler:
 
 
 def calibrate_activity(torus: Torus, potential: PotentialSpec, target_count: float,
-                       rng: np.random.Generator, epsilon: float = 1.0,
-                       moves_per_round: int = None) -> float:
-    """Activity z whose grand-canonical mean particle count is ~ target_count.
+                       rng: np.random.Generator, moves_per_round: int = None) -> float:
+    """Activity z at which a `GibbsSampler` chain's mean count is ~ target_count.
 
     Fixed-point iteration z <- z * target / observed along one persistent
     chain (the count relaxes between neighboring activities much faster than
@@ -304,8 +300,7 @@ def calibrate_activity(torus: Torus, potential: PotentialSpec, target_count: flo
     else:
         moves_per_round = _require_count("moves_per_round", moves_per_round, least=1)
     z = target_count / torus.volume  # ideal-gas guess
-    chain = GibbsSampler(torus, potential, z, rng, epsilon=epsilon,
-                         initial_count=target_count)
+    chain = GibbsSampler(torus, potential, z, rng, initial_count=target_count)
     estimates = []
     for r in range(_CALIBRATION_ROUNDS):
         chain.run(moves_per_round // 3)  # re-equilibrate after the z update

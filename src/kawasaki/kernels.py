@@ -82,15 +82,24 @@ class RadialSpec:
         if fam == "local":
             if not allow_local:
                 raise InvalidSpecError("local(kappa) is only valid as a potential")
-            if self.kappa is None or not self.kappa >= 0:
-                raise InvalidSpecError(f"kappa must be >= 0, got {self.kappa!r}")
+            if self.kappa is None or not 0 <= self.kappa < math.inf:
+                raise InvalidSpecError(f"kappa must be finite and >= 0, got {self.kappa!r}")
             return
-        _require_positive(_SHAPE[fam], getattr(self, _SHAPE[fam]), InvalidSpecError)
+        shape = _SHAPE[fam]
+        _require_positive(shape, getattr(self, shape), InvalidSpecError)
         if allow_zero_height:
             if not self.height >= 0:
                 raise InvalidSpecError(f"height must be >= 0, got {self.height!r}")
         else:
             _require_positive("height", self.height, InvalidSpecError)
+        try:
+            finite = math.isfinite(self.integral)
+        except (OverflowError, ZeroDivisionError):  # a power overflows, or underflows to 0
+            finite = False
+        if not finite:
+            raise InvalidSpecError(f"{shape} must give a finite integral over R^{self.dim}, "
+                                   f"got {shape}={getattr(self, shape)!r} "
+                                   f"with height={self.height!r}")
 
     # -- radial profile ----------------------------------------------------
 

@@ -6,15 +6,14 @@ jumps to y with rate
     c(x, y, gamma) = a(x - y) * exp(-eps * E(y, gamma)),
     E(y, gamma)    = sum over z in gamma of phi(y - z),
 
-where gamma is the configuration *before* the move (so the mover's own
-position contributes to E; the variant that excludes it sits behind the
-``exclude_mover`` flag and is non-default). Since phi >= 0, the total event
-rate is bounded by alpha * n with alpha the kernel integral, and the process
-is simulated exactly by thinning: waiting times are drawn at the envelope
-rate alpha * n, the mover is uniform, the displacement has density a / alpha,
-and the proposal is accepted with probability exp(-eps * E) in (0, 1].
-Rejected proposals are recorded as null events so the envelope argument can
-be audited from the event log.
+where gamma is the configuration *before* the move, so the mover's own
+position contributes to E. Since phi >= 0, the total event rate is bounded
+by alpha * n with alpha the kernel integral, and the process is simulated
+exactly by thinning: waiting times are drawn at the envelope rate alpha * n,
+the mover is uniform, the displacement has density a / alpha, and the
+proposal is accepted with probability exp(-eps * E) in (0, 1]. Rejected
+proposals are recorded as null events so the envelope argument can be
+audited from the event log.
 
 Hops neither create nor destroy particles, so the particle count is constant
 along every trajectory. The profile is treated as exactly zero beyond the
@@ -126,8 +125,8 @@ def _norm2(diff, side, image=None):
     return r2
 
 
-def interaction_energy(y, config, potential: PotentialSpec, exclude=None) -> float:
-    """Total potential energy sum_{z in gamma, z != excluded} phi(y - z), for
+def interaction_energy(y, config, potential: PotentialSpec) -> float:
+    """Total potential energy E(y, gamma) = sum_{z in gamma} phi(y - z), for
     gamma any object with a `torus` and an (n, d) array of `positions`.
 
     Distances are minimal-image and phi is cut off at its effective support.
@@ -137,11 +136,7 @@ def interaction_energy(y, config, potential: PotentialSpec, exclude=None) -> flo
         return 0.0
     y = np.asarray(y, dtype=float).reshape(-1)
     r2 = _norm2((config.positions - y).T, config.torus.side)
-    total = _sum_phi(potential, r2)
-    if exclude is not None:
-        r2x = _norm2((config.positions[exclude:exclude + 1] - y).T, config.torus.side)
-        total -= _sum_phi(potential, r2x)
-    return float(total)
+    return float(_sum_phi(potential, r2))
 
 
 # -- initial states ----------------------------------------------------------
@@ -211,7 +206,6 @@ class SimulationParams:
     t_end: float = 1.0
     snapshot_times: tuple = ()
     record_events: bool = True
-    exclude_mover: bool = False
 
     def violations(self) -> list:
         """A ConfigError for every rule broken, in order; with a bad t_end, no snapshot rule."""
@@ -445,22 +439,17 @@ class _CellTable:
         self.slot, self.fill = self.slot[rows], self.fill[rows]
         self.rows = np.arange(self.tab.shape[0])
 
-    def energies(self, y, cells, old=None):
+    def energies(self, y, cells):
         """E(y_r, gamma_r) for every target y_r of every row r, y of shape
         (rows, d) or (rows, targets, d) and y_r in cell cells[r], with the
-        arithmetic of `interaction_energy`: the term of the particle at
-        old[r] is subtracted when `old` is given."""
-        energy = self.potential.height * self.sums(y, cells)
-        if old is not None:
-            r2 = _norm2((old - y).T, self.side).T
-            energy -= self.potential.height * self._phi(r2)
-        return energy
+        arithmetic of `interaction_energy`."""
+        return self.potential.height * self.sums(y, cells)
 
     def sums(self, y, cells):
-        """E(y_r, gamma_r) / height for every target y_r of every row r, as
-        in `energies`. Terms are summed one after another in table order, so
-        the zeros of empty slots leave the sum unchanged; top-hat sums are
-        the integer neighbour counts."""
+        """E(y_r, gamma_r) / height for every target y_r of every row r, y
+        and cells as in `energies`. Terms are summed one after another in
+        table order, so the zeros of empty slots leave the sum unchanged;
+        top-hat sums are the integer neighbour counts."""
         rows, d, _ = self.tab.shape
         shape = y.shape[:-1]
         y = y.reshape(rows, -1, d).transpose(2, 0, 1)[..., None]  # (d, rows, targets, 1)
@@ -682,7 +671,7 @@ def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
     interacting = not pot.is_zero
     eps = float(params.epsilon)
     bound_at = None
-    if interacting and pot.family == "top_hat" and not params.exclude_mover:
+    if interacting and pot.family == "top_hat":
         # a top-hat energy is height * count: the acceptance bound that
         # math.exp gives below, for every count
         bound_at = np.array([math.exp(-eps * (pot.height * c))
@@ -725,7 +714,7 @@ def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
         if bound_at is not None:
             accept &= accs.ravel()[at] < bound_at[table.sums(y, cells)]
         elif interacting:
-            energy = table.energies(y, cells, old if params.exclude_mover else None)
+            energy = table.energies(y, cells)
             # scalar math.exp, whose last bit np.exp need not match, so the
             # decisions are reproducible one proposal at a time; an energy
             # <= 0 gives a bound >= 1, which always accepts

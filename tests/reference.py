@@ -79,14 +79,12 @@ class Simulation:
     configuration must hold at least one particle.
     """
 
-    def __init__(self, config: Configuration, kernel, potential, epsilon, rng,
-                 exclude_mover=False):
+    def __init__(self, config: Configuration, kernel, potential, epsilon, rng):
         self.config = config
         self.kernel = kernel
         self.potential = potential
         self.epsilon = float(epsilon)
         self.rng = rng
-        self.exclude_mover = exclude_mover
         self.t = 0.0
         self.interacting = not potential.is_zero
         self._k = _RNG_BLOCK  # force refill on first step
@@ -124,9 +122,7 @@ class Simulation:
         y[y >= side] = 0.0
         accepted = True
         if self.interacting:
-            energy = interaction_energy(
-                y, cfg, self.potential, exclude=i if self.exclude_mover else None
-            )
+            energy = interaction_energy(y, cfg, self.potential)
             if energy > 0.0:
                 accepted = bool(self._acc[k] < math.exp(-self.epsilon * energy))
         if accepted:

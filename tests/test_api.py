@@ -10,8 +10,8 @@ import os
 import pytest
 
 import kawasaki
-from kawasaki import (BoundReport, KernelSpec, SweepResult, Torus, calibrate_activity,
-                      errors, kinetic, simulator)
+from kawasaki import (BoundReport, GibbsSampler, KernelSpec, SimulationParams, SweepResult,
+                      Torus, calibrate_activity, errors, kinetic, simulator)
 from kawasaki.kernels import RadialSpec
 from kawasaki.kinetic import TabulatedKernel, tabulate
 
@@ -66,6 +66,10 @@ def test_names_no_library_path_calls_are_not_exported():
     assert not hasattr(RadialSpec, "value")
     assert "reference" not in {f.name for f in dataclasses.fields(SweepResult)}
     assert "rounds" not in inspect.signature(calibrate_activity).parameters
+    assert "exclude_mover" not in {f.name for f in dataclasses.fields(SimulationParams)}
+    assert "exclude" not in inspect.signature(simulator.interaction_energy).parameters
+    assert "epsilon" not in inspect.signature(GibbsSampler).parameters
+    assert "epsilon" not in inspect.signature(calibrate_activity).parameters
 
 
 def optional_parameters():
@@ -93,4 +97,4 @@ def test_public_optional_parameter_count():
     # each new default is a knob to document and test: this count moves only
     # on purpose, and ROADMAP.md quotes it
     found = optional_parameters()
-    assert len(found) == 78, sorted(found)
+    assert len(found) == 75, sorted(found)

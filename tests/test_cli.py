@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kawasaki import contraction_factor
+from kawasaki import InvalidSpecError, KernelSpec, PotentialSpec, contraction_factor
+from kawasaki import cli
 from kawasaki.cli import COMMANDS, main, manifest_config, resolve
 
 DEMO_CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -205,6 +206,36 @@ def test_validate_rejects_unknown_fields(tmp_path, capsys):
     cfg["subcommand"] = "simulate"
     path = write_json(tmp_path / "unknown.json", cfg)
     assert main(["validate", "--config", path]) == 1
+
+
+def test_validate_rejects_a_spec_without_a_finite_integral(tmp_path, capsys):
+    # each of these ended validate in a ZeroDivisionError or OverflowError
+    # traceback from the spec's integral
+    for make in (lambda: PotentialSpec.exponential(1e-300, 1.0, dim=3),
+                 lambda: KernelSpec.gaussian(1e300, 1.0, dim=3),
+                 lambda: KernelSpec.top_hat(1e300, 1.0, dim=3),
+                 lambda: KernelSpec.top_hat(1e200, 1e300, dim=1)):
+        with pytest.raises(InvalidSpecError, match="must give a finite integral"):
+            make()
+    cube = {"torus": {"dim": 3, "side": 20.0}}
+    hat = {"family": "top_hat", "radius": 0.5, "height": 1.0, "dim": 3}
+    configs = [
+        ("kinetic", kinetic_config(**cube, n_cells=8, kernel=hat, method="picard",
+                                   potential={"family": "exponential", "rate": 1e-300,
+                                              "height": 1.0, "dim": 3}),
+         "potential: rate must give a finite integral over R^3, got rate=1e-300 with height=1.0"),
+        ("kinetic", kinetic_config(**cube, n_cells=8, potential=hat,
+                                   kernel={"family": "gaussian", "sigma": 1e300,
+                                           "height": 1.0, "dim": 3}),
+         "kernel: sigma must give a finite integral over R^3, got sigma=1e+300 with height=1.0"),
+        ("scale-sweep", sweep_config(**cube, potential=hat,
+                                     kernel={**hat, "radius": 1e300}),
+         "kernel: radius must give a finite integral over R^3, got radius=1e+300 with height=1.0"),
+    ]
+    for sub, cfg, message in configs:
+        path = write_json(tmp_path / "spec.json", {"subcommand": sub, **cfg})
+        assert main(["validate", "--config", path]) == 1
+        assert capsys.readouterr().err == f"error (config): {sub} config: {message}\n"
 
 
 def test_validate_dt_guard_matches_solver(tmp_path, capsys):
@@ -502,6 +533,24 @@ def test_missing_config_exits_1(tmp_path, capsys):
 def test_schema_violation_exits_1(tmp_path):
     path = write_json(tmp_path / "bad.json", sim_config(mystery_knob=3))
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 1
+
+
+def test_simulate_rejects_the_deleted_exclude_mover_field(tmp_path, capsys):
+    # a manifest that still records the field is refused, not reinterpreted
+    path = write_json(tmp_path / "old.json", sim_config(exclude_mover=False))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "error (config): simulate config: unknown fields ['exclude_mover']\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_field_count():
+    # each new config field is a knob to document and test: this count moves
+    # only on purpose, and ROADMAP.md quotes it
+    tables = {**{name: command.table for name, command in COMMANDS.items()},
+              "torus": cli._TORUS, "spec": cli._SPEC, "estimator": cli._ESTIMATOR}
+    found = [f"{name}.{field.name}" for name, table in tables.items() for field in table]
+    assert len(found) == 58, found
 
 
 def test_numeric_failure_exits_2(tmp_path):

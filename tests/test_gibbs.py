@@ -286,13 +286,11 @@ def test_sparse_box_has_no_more_cells_than_starting_particles():
     ({"torus": Torus(1, 3.0)}, GeometryError),
     ({"activity": float("nan")}, ConfigError),
     ({"activity": float("inf")}, ConfigError),
-    ({"epsilon": float("nan")}, ConfigError),
-    ({"epsilon": 0.0}, ConfigError),
     ({"initial_count": float("nan")}, ConfigError),
     ({"initial_count": -5.0}, ConfigError),
     ({"potential": PotentialSpec.top_hat(1.0, 0.7, dim=2)}, GeometryError),
-], ids=["torus too small", "activity nan", "activity inf", "epsilon nan",
-        "epsilon zero", "initial_count nan", "initial_count negative",
+], ids=["torus too small", "activity nan", "activity inf",
+        "initial_count nan", "initial_count negative",
         "potential of another dimension"])
 def test_sampler_validates_inputs(kwargs, error):
     args = {"torus": TORUS, "potential": POT, "activity": 1.0,

@@ -237,8 +237,10 @@ def test_spec_json_rejects_unknown_fields():
     lambda: PotentialSpec.top_hat(1.0, math.nan),
     lambda: PotentialSpec.local(math.nan),
     lambda: PotentialSpec.local(-1.0),
+    lambda: PotentialSpec.local(math.inf),
+    lambda: PotentialSpec.top_hat(1.0, math.inf),
 ], ids=["kernel without radius", "potential without sigma", "nan height", "nan kappa",
-        "negative kappa"])
+        "negative kappa", "infinite kappa", "infinite height"])
 def test_specs_reject_missing_and_nan_parameters(make):
     with pytest.raises(InvalidSpecError):
         make()

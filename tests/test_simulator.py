@@ -21,13 +21,11 @@ POT = PotentialSpec.top_hat(1.0, 0.5, dim=1)
 FREE = PotentialSpec.zero(dim=1)
 
 
-def brute_energy(y, positions, torus, potential, exclude=None):
+def brute_energy(y, positions, torus, potential):
     """All-pairs oracle with minimal image and the same support cutoff."""
     total = 0.0
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    for i, z in enumerate(np.atleast_2d(positions)):
-        if exclude is not None and i == exclude:
-            continue
+    for z in np.atleast_2d(positions):
         d = minimal_image(torus, y - z)
         r = float(np.sqrt(np.sum(d * d)))
         if r <= potential.support_radius:
@@ -71,11 +69,10 @@ def test_energy_cell_list_equals_brute_force_on_random_configurations():
             brute_energy(y, pos, TORUS, pot), abs=1e-12)
 
 
-def test_energy_exclude_index():
+def test_energy_counts_every_particle():
     pos = np.array([[0.0], [0.4], [0.8]])
     config = Configuration(TORUS, pos)
     p = PotentialSpec.top_hat(1.0, 1.0, dim=1)
-    assert interaction_energy([0.1], config, p, exclude=0) == pytest.approx(2.0)
     assert interaction_energy([0.1], config, p) == pytest.approx(3.0)
 
 
@@ -278,14 +275,6 @@ def test_gillespie_single_particle_self_interaction():
     ens = simulate_ensemble(params(potential=p, t_end=10.0, snapshot_times=()),
                             200, base_seed=33, initials=lone_particles(200))
     assert within(sum(t.n_accepted for t in ens), sum(t.n_events for t in ens))
-
-
-def test_gillespie_exclude_mover_variant():
-    # a lone particle sees no one else, so every proposal is accepted
-    p = PotentialSpec.top_hat(2.0, 0.8, dim=1)
-    ens = simulate_ensemble(params(potential=p, exclude_mover=True, t_end=5.0),
-                            40, base_seed=34, initials=lone_particles(40))
-    assert all(t.n_accepted == t.n_events > 0 for t in ens)
 
 
 def test_accepted_rate_matches_direct_omega_oracle():
@@ -501,8 +490,7 @@ def scalar_trajectory(p, seed, initial=None):
     if config.n == 0:
         snapshots = [np.zeros((0, d)) for _ in sts]
     else:
-        sim = Simulation(config, p.kernel, p.potential, p.epsilon, rng,
-                         exclude_mover=p.exclude_mover)
+        sim = Simulation(config, p.kernel, p.potential, p.epsilon, rng)
         for i_t, target in enumerate(targets):
             while (ev := sim.step(t_limit=target)) is not None:
                 events.append(ev)
@@ -598,11 +586,10 @@ def table_params(dim, rho0, t_end, **kw):
     return params(torus=torus, kernel=kernel, potential=pot, **kw)
 
 
-@pytest.mark.parametrize("exclude", [False, True])
 @pytest.mark.parametrize("case", list(TABLE_CASES))
-def test_cell_table_top_hat_bit_identical_to_simulation(monkeypatch, case, exclude):
+def test_cell_table_top_hat_bit_identical_to_simulation(monkeypatch, case):
     dim, rho0, t_end, n_traj, cells = TABLE_CASES[case]
-    p = table_params(dim, rho0, t_end, exclude_mover=exclude)
+    p = table_params(dim, rho0, t_end)
     assert simulator._cells_per_axis(p.torus, p.potential, rho0 * p.torus.volume) == cells
     ens = across_batches(monkeypatch, lambda: simulate_ensemble(p, n_traj, base_seed=23))
     assert 0 < sum(t.n_accepted for t in ens) < sum(t.n_events for t in ens)
@@ -610,13 +597,12 @@ def test_cell_table_top_hat_bit_identical_to_simulation(monkeypatch, case, exclu
 
 
 def test_cell_table_three_dimensional_bit_identical_to_simulation(monkeypatch):
-    for exclude in (False, True):
-        p = table_params(3, 3.0, 0.04, exclude_mover=exclude)
-        assert simulator._cells_per_axis(p.torus, p.potential, 3.0 * 512.0) == 5
-        ens = across_batches(monkeypatch, lambda: simulate_ensemble(p, 3, base_seed=29))
-        assert sum(t.n_events for t in ens) > 500
-        assert 0 < sum(t.n_accepted for t in ens) < sum(t.n_events for t in ens)
-        assert_same_trajectories(ens, scalar_ensemble(p, 3, 29))
+    p = table_params(3, 3.0, 0.04)
+    assert simulator._cells_per_axis(p.torus, p.potential, 3.0 * 512.0) == 5
+    ens = across_batches(monkeypatch, lambda: simulate_ensemble(p, 3, base_seed=29))
+    assert sum(t.n_events for t in ens) > 500
+    assert 0 < sum(t.n_accepted for t in ens) < sum(t.n_events for t in ens)
+    assert_same_trajectories(ens, scalar_ensemble(p, 3, 29))
 
 
 def test_cell_table_overflow_rebuild_bit_identical(monkeypatch):
@@ -625,7 +611,7 @@ def test_cell_table_overflow_rebuild_bit_identical(monkeypatch):
     monkeypatch.setattr(simulator, "_STENCIL_PARTICLES", 4 * 9)
     monkeypatch.setattr(simulator, "_grown", lambda cap: cap + 1)
     grows = count_grows(monkeypatch)
-    p = table_params(2, 4 * 121 / 144.0, 0.2, exclude_mover=True)
+    p = table_params(2, 4 * 121 / 144.0, 0.2)
     lattice = (np.arange(22) + 0.5) * 12.0 / 22
     start = np.stack(np.meshgrid(lattice, lattice), axis=-1).reshape(-1, 2)
     rng = np.random.default_rng(31)
@@ -638,18 +624,17 @@ def test_cell_table_overflow_rebuild_bit_identical(monkeypatch):
     assert_same_trajectories(ens, scalar_ensemble(p, 3, 31, initials))
 
 
-@pytest.mark.parametrize("exclude", [False, True])
-def test_lockstep_given_initials_bit_identical(monkeypatch, exclude):
+def test_lockstep_given_initials_bit_identical(monkeypatch):
     rng = np.random.default_rng(4)
     initials = [rng.random((int(rng.integers(0, 40)), 1)) * 20.0 for _ in range(25)]
-    p = params(snapshot_times=(0.0, 1.0), record_events=True, exclude_mover=exclude)
+    p = params(snapshot_times=(0.0, 1.0), record_events=True)
     ens = across_batches(monkeypatch,
                          lambda: simulate_ensemble(p, 25, base_seed=6, initials=initials))
     assert_same_trajectories(ens, scalar_ensemble(p, 25, 6, initials))
 
 
-def test_lockstep_exclude_mover_bit_identical_from_poisson_start(monkeypatch):
-    p = params(rho0=1.5, exclude_mover=True, record_events=True)
+def test_lockstep_bit_identical_from_poisson_start(monkeypatch):
+    p = params(rho0=1.5, record_events=True)
     assert_same_trajectories(
         across_batches(monkeypatch, lambda: simulate_ensemble(p, 30, base_seed=12)),
         scalar_ensemble(p, 30, 12))
@@ -666,8 +651,7 @@ def test_lockstep_low_density_with_empty_trajectories(monkeypatch):
 
 
 @pytest.mark.parametrize("family", ["gaussian", "exponential"])
-@pytest.mark.parametrize("exclude", [False, True])
-def test_lockstep_smooth_energies_match_interaction_energy(monkeypatch, family, exclude):
+def test_lockstep_smooth_energies_match_interaction_energy(monkeypatch, family):
     torus = Torus(2, 30.0)
     pot = (PotentialSpec.gaussian(0.6, 1.3, dim=2) if family == "gaussian"
            else PotentialSpec.exponential(4.0, 2.0, dim=2))
@@ -677,34 +661,28 @@ def test_lockstep_smooth_energies_match_interaction_energy(monkeypatch, family, 
     counts[0] = 0
     starts = [rng.random((c, 2)) * 30.0 for c in counts]
     y = rng.random((rows, 2)) * 30.0
-    mover = np.array([int(rng.integers(0, max(c, 1))) for c in counts])
     wide = Torus(2, 40.0)  # room for 5 cells of the exponential's support
     for space, cells in ((torus, 1), (wide, simulator._cells_per_axis(wide, pot, 1e9))):
         scale = space.side / torus.side
         table = simulator._CellTable(space, pot, cells, [x * scale for x in starts])
-        got = table.energies(y * scale, table.cell(y * scale),
-                             table.at(mover) if exclude else None)
+        got = table.energies(y * scale, table.cell(y * scale))
         table._grow()  # more empty slots change no bit of the sums
-        assert np.array_equal(got, table.energies(y * scale, table.cell(y * scale),
-                                                  table.at(mover) if exclude else None))
+        assert np.array_equal(got, table.energies(y * scale, table.cell(y * scale)))
         for r in range(rows):
             want = interaction_energy(y[r] * scale, Configuration(space, starts[r] * scale),
-                                      pot, exclude=int(mover[r]) if exclude else None)
+                                      pot)
             assert got[r] == pytest.approx(want, rel=1e-12, abs=1e-300)
     assert cells >= 5
     p = SimulationParams(torus=torus, kernel=KERNEL2, potential=pot, rho0=0.15,
-                         t_end=0.5, snapshot_times=(0.0, 0.5), record_events=True,
-                         exclude_mover=exclude)
+                         t_end=0.5, snapshot_times=(0.0, 0.5), record_events=True)
     assert_same_trajectories(
         across_batches(monkeypatch, lambda: simulate_ensemble(p, 10, base_seed=5)),
         scalar_ensemble(p, 10, 5))
 
 
-@pytest.mark.parametrize("family, exclude, reach, epsilon", [
-    ("gaussian", False, 1.0, 1.0), ("exponential", True, 1.0, 1.0),
-    ("gaussian", False, 7.0, 0.1)])
-def test_smooth_many_cell_batches_bit_identical(monkeypatch, family, exclude, reach,
-                                                epsilon):
+@pytest.mark.parametrize("family, reach, epsilon", [
+    ("gaussian", 1.0, 1.0), ("exponential", 1.0, 1.0), ("gaussian", 7.0, 0.1)])
+def test_smooth_many_cell_batches_bit_identical(monkeypatch, family, reach, epsilon):
     # smooth sums follow slot order, so here a batch must also end before a
     # target whose 3^d cells an accepted move of the batch left or entered;
     # hops longer than a cell (with most of them accepted) let two moves of
@@ -718,7 +696,7 @@ def test_smooth_many_cell_batches_bit_identical(monkeypatch, family, exclude, re
     kernel = KernelSpec.top_hat(reach, 1.0 / reach**2, dim=2)  # alpha = pi
     p = SimulationParams(torus=torus, kernel=kernel, potential=pot, epsilon=epsilon,
                          rho0=rho0, t_end=0.3, snapshot_times=(0.0, 0.1, 0.3),
-                         record_events=True, exclude_mover=exclude)
+                         record_events=True)
     orders = {}  # a snapshot's positions -> the particles in slot order, per run
     positions = simulator._CellTable.positions
 
