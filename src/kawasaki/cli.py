@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (BudgetError, ConfigError, KawasakiError, NumericError,
-                     collect_violations)
+                     _require_fields, collect_violations)
 from .estimator import check_pair_bins, chunk_parts, fold_estimates, write_json
 from .fields import DensityField
 from .horizon import horizon_report, violations as horizon_violations
@@ -67,14 +67,8 @@ def resolve(table, cfg, outer=None):
     Parsers and default functions see the values resolved so far, backed by
     `outer`, the resolved values of the enclosing object.
     """
-    if not isinstance(cfg, dict):
-        _fail(f"must be a JSON object, got {type(cfg).__name__}")
-    missing = [f.name for f in table if f.default is REQUIRED and f.name not in cfg]
-    if missing:
-        _fail(f"missing fields {missing}")
-    unknown = sorted(set(cfg) - {f.name for f in table})
-    if unknown:
-        _fail(f"unknown fields {unknown}")
+    _require_fields(cfg, [f.name for f in table if f.default is REQUIRED],
+                    [f.name for f in table])
     vals = {}
     ctx = ChainMap(vals, outer or {})
     for name, parse, default in table:
@@ -369,9 +363,7 @@ _SWEEP = _MODEL + (
     Field("rho0", _rho0(expand=False)),
     Field("times", _list(_real)),
     Field("n_traj_base", _count, 200),
-    Field("n_traj", _optional(_list(_count)), None),
     *_PAIR_BINS,
-    Field("dt", _optional(_positive), None),
     Field("budget_max_particles", _positive, 1e4),
     Field("seed", _seed),
     Field("threads", _count, 1),
@@ -382,9 +374,7 @@ def _sweep_spec(v):
     return SweepSpec(
         torus=v["torus"], kernel=v["kernel"], potential=v["potential"],
         epsilons=tuple(v["epsilons"]), rho0=v["rho0"], times=tuple(v["times"]),
-        n_traj_base=v["n_traj_base"],
-        n_traj=None if v["n_traj"] is None else tuple(v["n_traj"]),
-        n_cells=v["n_cells"], r_edges=tuple(_pair_edges(v)), dt=v["dt"],
+        n_traj_base=v["n_traj_base"], n_cells=v["n_cells"], r_edges=tuple(_pair_edges(v)),
         budget_max_particles=v["budget_max_particles"], base_seed=v["seed"],
         n_jobs=v["threads"],
     )

@@ -61,13 +61,34 @@ def raise_first(found):
         raise found[0]
 
 
-def _require_count(name, value, least=0):
+def _require_fields(obj, required, known, error=ConfigError):
+    """Raise `error` unless obj is a dict that holds every name in `required`
+    and no name outside `known`."""
+    if not isinstance(obj, dict):
+        raise error(f"must be a JSON object, got {type(obj).__name__}")
+    missing = [name for name in required if name not in obj]
+    if missing:
+        raise error(f"missing fields {missing}")
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise error(f"unknown fields {unknown}")
+
+
+def _require_count(name, value, least=0, error=ConfigError):
     """value as an int when it is a whole number >= least, of any real type
-    but bool; ConfigError otherwise."""
+    but bool; `error` otherwise."""
     if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value >= least
                                        and float(value).is_integer()):
-        raise ConfigError(f"{name} must be a whole number >= {least}, got {value!r}")
+        raise error(f"{name} must be a whole number >= {least}, got {value!r}")
     return int(value)
+
+
+def _require_finite(name, value, error=ConfigError):
+    """value as a float when it is a finite real (a bool is not); `error` otherwise."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and math.isfinite(value)):
+        raise error(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _require_positive(name, value, error=ConfigError):

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError, NumericError, _require_positive
+from .errors import (InvalidSpecError, NumericError, _require_count, _require_fields,
+                     _require_finite, _require_positive)
 
 # Radial value below height * SUPPORT_CUTOFF is treated as zero; this sets the
 # support radius, and so the simulator's cell width, of the unbounded families.
@@ -77,7 +78,7 @@ class RadialSpec:
         if self.dim not in (1, 2, 3):
             raise InvalidSpecError(f"dimension must be 1, 2 or 3, got {self.dim}")
         fam = self.family
-        if fam not in _SHAPE:
+        if not isinstance(fam, str) or fam not in _SHAPE:
             raise InvalidSpecError(f"unknown family {fam!r}")
         if fam == "local":
             if not allow_local:
@@ -173,15 +174,14 @@ class RadialSpec:
 
     @classmethod
     def from_json(cls, obj: dict):
-        obj = dict(obj)
-        try:
-            family, dim = obj.pop("family"), int(obj.pop("dim"))
-        except KeyError as exc:
-            raise InvalidSpecError(f"spec missing field {exc}") from None
-        unknown = sorted(set(obj) - {"radius", "sigma", "rate", "height", "kappa"})
-        if unknown:
-            raise InvalidSpecError(f"unknown spec fields {unknown}")
-        return cls(family=family, dim=dim, **{k: float(v) for k, v in obj.items()})
+        """The spec of what the CLI's spec schema accepts; InvalidSpecError otherwise."""
+        _require_fields(obj, ("family", "dim"), ("family", "dim", "height", *_SHAPE.values()),
+                        InvalidSpecError)
+        dim = _require_count("dim", obj["dim"], 1, InvalidSpecError)
+        params = {k: None if v is None and k != "height" else  # height is never null
+                  _require_finite(k, v, InvalidSpecError)
+                  for k, v in obj.items() if k not in ("family", "dim")}
+        return cls(family=obj["family"], dim=dim, **params)
 
 
 @dataclass(frozen=True)

@@ -240,7 +240,8 @@ def violations(rho0: DensityField, kernel: KernelSpec, potential: PotentialSpec,
         try:
             q = contraction_factor(rho0.sup, a, mean_phi(potential), t_end)
             if not q < 1.0:
-                raise HorizonError(f"contraction factor q(T)={q:.4f} >= 1 on [0, {t_end:g}]")
+                shown = f"{q:.4e}" if q >= 1e6 else f"{q:.4f}"  # a huge q has 300 digits
+                raise HorizonError(f"contraction factor q(T)={shown} >= 1 on [0, {t_end:g}]")
         except HorizonError as exc:
             found.append(HorizonError(f"Picard window not certified: {exc}"))
     return found

@@ -11,9 +11,9 @@ a monotone-within-noise verdict, and the report fits a log-log slope of
 e1 versus eps. The spec names its pair-bin edges; `write_sweep_outputs`
 writes the discrepancies, the estimates and the report of one result.
 
-Trajectory counts default to n_traj(eps) ~ eps * n_traj_base, which keeps
-the total number of particle updates (and hence the renormalized estimator
-noise) roughly constant across the ladder. Each eps is estimated on the
+Trajectory counts are n_traj(eps) = max(2, round(eps * n_traj_base)), which
+keeps the total particle updates, hence the renormalized noise, about constant;
+the reference is solved at dt = 0.05 / alpha. Each eps is estimated on the
 path of the CLI `simulate`: `map_chunks` with the `chunk_parts` reducer, which
 runs in the pool workers, and `fold_estimates` as the chunks arrive.
 """
@@ -31,7 +31,7 @@ from .estimator import (CorrelationEstimate, check_pair_bins, chunk_parts,
                         fold_estimates, radial_product_profile, write_json)
 from .fields import DensityField
 from .kernels import KernelSpec, PotentialSpec, alpha as kernel_alpha
-from .kinetic import check_dt, snapshot_steps, solve_kinetic
+from .kinetic import snapshot_steps, solve_kinetic
 from .simulator import SimulationParams, check_density, check_model, map_chunks
 from .torus import Torus
 
@@ -50,9 +50,7 @@ class SweepSpec:
     times: tuple
     r_edges: tuple  # pair-bin edges of the k2 comparison
     n_traj_base: int = 200
-    n_traj: tuple = None  # explicit per-eps override
     n_cells: int = 64
-    dt: float = None
     budget_max_particles: float = 1e4
     base_seed: int = 0
     n_jobs: int = 1
@@ -68,15 +66,9 @@ class SweepSpec:
             found.append(ConfigError("epsilons must lie in (0, 1]"))
         elif len(set(eps)) != len(eps) or list(eps) != sorted(eps, reverse=True):
             found.append(ConfigError("epsilons must be strictly decreasing"))
-        times_ok = len(times) >= 1 and all(t >= 0 for t in times)
-        if not times_ok:
+        if not (len(times) >= 1 and all(t >= 0 for t in times)):
             found.append(ConfigError("comparison times must be >= 0"))
-        if self.n_traj is not None and len(self.n_traj) != len(eps):
-            found.append(ConfigError("n_traj must match the epsilon ladder"))
-        # the kinetic reference solve checks these too, but only after a run starts
-        dt_errors = collect_violations(lambda: check_dt(dt, kernel_alpha(self.kernel)))
-        found += dt_errors
-        if times_ok and not dt_errors:
+        else:  # the kinetic reference solve checks this too, but only after a run starts
             try:
                 snapshot_steps(times, max(times), dt)
             except ConfigError as exc:
@@ -99,8 +91,8 @@ class SweepSpec:
             )
 
     def reference_dt(self) -> float:
-        """Step of the kinetic reference solve: dt, by default 0.05 / alpha."""
-        return self.dt if self.dt is not None else 0.05 / kernel_alpha(self.kernel)
+        """Step of the kinetic reference solve: 0.05 / alpha, half the RK4 guard."""
+        return 0.05 / kernel_alpha(self.kernel)
 
     def limit_field(self) -> DensityField:
         if isinstance(self.rho0, DensityField):
@@ -108,8 +100,6 @@ class SweepSpec:
         return DensityField.constant(self.torus, self.n_cells, float(self.rho0))
 
     def trajectories_for(self, i: int) -> int:
-        if self.n_traj is not None:
-            return int(self.n_traj[i])
         return max(2, int(round(self.n_traj_base * self.epsilons[i])))
 
     def pair_edges(self) -> np.ndarray:

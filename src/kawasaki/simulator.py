@@ -466,7 +466,8 @@ class _CellTable:
             r2 = _norm2(diff, self.side, image).reshape(rows, y.shape[2], -1)
         if self.potential.family == "top_hat":
             return (r2 <= self.cut).sum(axis=-1).reshape(shape)
-        return np.cumsum(self._phi(r2), axis=-1)[..., -1].reshape(shape)
+        phi = np.where(r2 <= self.cut, _profile(self.potential, r2), 0.0)
+        return np.cumsum(phi, axis=-1)[..., -1].reshape(shape)
 
     def clashes(self, mover, old, y, accept):
         """Per row r, the first proposal j of its batch, the move of particle
@@ -497,13 +498,6 @@ class _CellTable:
         hit &= np.arange(hit.shape[1]) > i[:, None]
         np.minimum.at(first, r, np.where(hit.any(axis=1), hit.argmax(axis=1), first[r]))
         return first
-
-    def _phi(self, r2):
-        """phi / height at squared distances r2, cut off at the support: a
-        boolean for the top-hat."""
-        if self.potential.family == "top_hat":
-            return r2 <= self.cut
-        return np.where(r2 <= self.cut, _profile(self.potential, r2), 0.0)
 
     def move(self, hit, mover, y, cells):
         """Put particle mover[k] of row hit[k] at y[k], which lies in cell

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import GeometryError, _require_count, _require_fields, _require_positive
 
 
 @dataclass(frozen=True)
@@ -105,4 +105,7 @@ class Torus:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Torus":
-        return cls(dim=int(obj["dim"]), side=float(obj["side"]))
+        """The torus of what the CLI's torus schema accepts; GeometryError otherwise."""
+        _require_fields(obj, ("dim", "side"), ("dim", "side"), GeometryError)
+        _require_positive("side", obj["side"], GeometryError)
+        return cls(_require_count("dim", obj["dim"], 1, GeometryError), float(obj["side"]))

@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kawasaki import InvalidSpecError, KernelSpec, PotentialSpec, contraction_factor
+from kawasaki import (ConfigError, InvalidSpecError, KernelSpec, PotentialSpec, Torus,
+                      contraction_factor)
 from kawasaki import cli
 from kawasaki.cli import COMMANDS, main, manifest_config, resolve
 
@@ -130,16 +131,14 @@ WIDE_KERNEL = {"family": "top_hat", "radius": 10.0, "height": 1.0, "dim": 1}  # 
 
 
 @pytest.mark.parametrize("change, violations", [
-    ({"kernel": WIDE_KERNEL, "r_max": 10.5, "epsilons": [0.5, 1.0], "times": [-0.25],
-      "n_traj": [3]},
+    ({"kernel": WIDE_KERNEL, "r_max": 10.5, "epsilons": [0.5, 1.0], "times": [-0.25]},
      ["minimal-image ambiguity: interaction radius 10 requires side > 40, got 20",
       "pair bins must stay below L/2 (minimal image)",
       "epsilons must be strictly decreasing",
-      "comparison times must be >= 0",
-      "n_traj must match the epsilon ladder"]),
+      "comparison times must be >= 0"]),
     ({"times": []}, ["comparison times must be >= 0"]),
     ({"epsilons": []}, ["epsilons must lie in (0, 1]"]),
-], ids=["five rules", "no times", "no epsilons"])
+], ids=["four rules", "no times", "no epsilons"])
 def test_validate_reports_every_sweep_violation(tmp_path, capsys, change, violations):
     cfg = {"subcommand": "scale-sweep", **sweep_config(**change)}
     path = write_json(tmp_path / "bad.json", cfg)
@@ -340,7 +339,8 @@ def test_simulate_outputs_identical_serial_and_pooled(tmp_path):
 
 
 def test_scale_sweep_outputs_identical_serial_and_pooled(tmp_path):
-    cfg = sweep_config(n_traj=[5, 4], times=[0.5, 0.25], n_cells=7, r_max=3.3, n_bins=9)
+    # 9 and 4 trajectories: both workers get chunks
+    cfg = sweep_config(n_traj_base=9, times=[0.5, 0.25], n_cells=7, r_max=3.3, n_bins=9)
     assert_serial_and_pooled_identical(
         tmp_path, "scale-sweep", cfg,
         {"errors.csv", "report.json", "eps1_t1_k1.csv", "eps1_t1_k2.csv"})
@@ -396,9 +396,10 @@ def test_main_process_memory_flat_in_n_traj(tmp_path, monkeypatch, sub, threads)
             return {"subcommand": sub, **FREE, "t_end": 0.2, "snapshots": [0.1, 0.2],
                     "n_traj": n_traj, "seed": 3, "threads": threads,
                     "estimator": {"n_cells": 2048, "r_max": 4.0, "n_bins": 8}}
+        # alpha = 2: both times lie on the reference grid of dt 0.05 / alpha = 0.025
         return {"subcommand": sub, **FREE, "epsilons": [1.0, 0.5], "times": [0.1, 0.2],
-                "n_traj": [n_traj] * 2, "n_cells": 2048, "r_max": 4.0, "n_bins": 8,
-                "dt": 0.01, "seed": 3, "threads": threads}
+                "n_traj_base": n_traj, "n_cells": 2048, "r_max": 4.0, "n_bins": 8,
+                "seed": 3, "threads": threads}
 
     traced_peak(tmp_path / "warm", sub, config(3))
     small = traced_peak(tmp_path / "small", sub, config(3))
@@ -544,13 +545,24 @@ def test_simulate_rejects_the_deleted_exclude_mover_field(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("field", ["n_traj", "dt"])
+def test_scale_sweep_rejects_the_deleted_override_fields(tmp_path, capsys, field):
+    # the counts and the reference step are derived; an old manifest that
+    # still records an override is refused, not reinterpreted
+    path = write_json(tmp_path / "old.json", sweep_config(**{field: None}))
+    assert main(["scale-sweep", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error (config): scale-sweep config: unknown fields ['{field}']\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_field_count():
     # each new config field is a knob to document and test: this count moves
     # only on purpose, and ROADMAP.md quotes it
     tables = {**{name: command.table for name, command in COMMANDS.items()},
               "torus": cli._TORUS, "spec": cli._SPEC, "estimator": cli._ESTIMATOR}
     found = [f"{name}.{field.name}" for name, table in tables.items() for field in table]
-    assert len(found) == 58, found
+    assert len(found) == 56, found
 
 
 def test_numeric_failure_exits_2(tmp_path):
@@ -615,6 +627,9 @@ BAD_CONFIGS = {
                                                            "height": 0.5, "dim": 2}}),
     # a spec without its shape parameter raised a TypeError
     "kernel-radius-missing": ("kinetic", {"kernel": {"family": "top_hat", "dim": 1}}),
+    # an unhashable family raised a TypeError
+    "kernel-family-list": ("kinetic", {"kernel": {"family": ["top_hat"], "radius": 0.5,
+                                                  "dim": 1}}),
     # horizon rules that failed only after writing the manifest, or not at all
     "horizon-t-negative": ("horizon", {"t": [-1.0]}),
     "horizon-window-too-long": ("horizon", {"mean_phi": 1.0, "windows": [5.0]}),
@@ -633,6 +648,49 @@ def test_malformed_config_exits_1_before_any_output(tmp_path, capsys, sub, chang
     assert not (out / "manifest.json").exists()
     path = write_json(tmp_path / "validate.json", {"subcommand": sub, **cfg})
     assert main(["validate", "--config", path]) == 1
+
+
+DEMOS = {path.stem: json.loads(path.read_text()) for path in DEMO_CONFIGS.glob("*.json")}
+PARTS = {"torus": (Torus, cli._TORUS), "kernel": (KernelSpec, cli._SPEC),
+         "potential": (PotentialSpec, cli._SPEC)}
+TOP_HAT = {"family": "top_hat", "dim": 1, "radius": 1.0}
+FROM_JSON = {
+    **{f"{stem}-{key}": (cls, cfg[key], cls(**resolve(table, cfg[key])))
+       for stem, cfg in sorted(DEMOS.items()) for key, (cls, table) in PARTS.items()
+       if key in cfg},
+    "dim-integral-float": (KernelSpec, {**TOP_HAT, "dim": 3.0}, KernelSpec.top_hat(1.0, dim=3)),
+    "dim-fraction": (KernelSpec, {**TOP_HAT, "dim": 1.5}, None),
+    "dim-bool": (KernelSpec, {**TOP_HAT, "dim": True}, None),
+    "dim-and-radius-strings": (KernelSpec, {**TOP_HAT, "dim": "2", "radius": "1.0"}, None),
+    "sigma-bool": (KernelSpec, {"family": "gaussian", "dim": 1, "sigma": True}, None),
+    "radius-null": (PotentialSpec, {**TOP_HAT, "radius": None}, None),
+    "height-null": (PotentialSpec, {"family": "local", "dim": 1, "kappa": 1.0,
+                                    "height": None}, None),
+    "unused-rate-string": (KernelSpec, {**TOP_HAT, "rate": "2"}, None),
+    "family-list": (KernelSpec, {**TOP_HAT, "family": ["top_hat"]}, None),
+    "spec-list": (KernelSpec, ["top_hat", 1, 1.0], None),
+    "spec-missing-dim": (KernelSpec, {"family": "top_hat", "radius": 1.0}, None),
+    "spec-unknown-field": (KernelSpec, {**TOP_HAT, "wobble": 3.0}, None),
+    "torus-fractions": (Torus, {"dim": 2.7, "side": "20"}, None),
+    "torus-side-string": (Torus, {"dim": 2, "side": "20"}, None),
+    "torus-side-bool": (Torus, {"dim": 1, "side": True}, None),
+    "torus-list": (Torus, [1, 20.0], None),
+    "torus-missing-side": (Torus, {"dim": 1}, None),
+    "torus-unknown-field": (Torus, {"dim": 1, "side": 20.0, "shape": "cube"}, None),
+}
+
+
+@pytest.mark.parametrize("cls, obj, want", FROM_JSON.values(), ids=FROM_JSON.keys())
+def test_from_json_accepts_what_the_cli_schema_accepts(cls, obj, want):
+    # `want` is the CLI's spec or torus of obj, or None where the CLI refuses obj
+    table = cli._TORUS if cls is Torus else cli._SPEC
+    if want is None:
+        with pytest.raises(ConfigError):
+            cls(**resolve(table, obj))
+        with pytest.raises(ConfigError):
+            cls.from_json(obj)
+    else:
+        assert repr(cls.from_json(obj)) == repr(cls(**resolve(table, obj))) == repr(want)
 
 
 @pytest.mark.parametrize("method", ["rk4", "picard"])

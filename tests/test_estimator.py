@@ -478,19 +478,22 @@ def test_sweep_folds_uneven_chunks_to_the_one_pass_bits(monkeypatch):
     estimates keep the bits of one pass over the whole ensemble."""
     from kawasaki import simulator
 
-    n_traj, seed, times = 12, 7, (0.5, 0.2)
+    seed, times = 7, (0.5, 0.2)
     torus = Torus(1, 20.0)
     potential = PotentialSpec.top_hat(1.0, 0.5, dim=1)
     edges = np.linspace(0.0, 3.3, 10)
     spec = SweepSpec(torus=torus, kernel=KERNEL, potential=potential,
-                     epsilons=(1.0, 0.5), rho0=0.5, times=times, n_traj=(n_traj,) * 2,
+                     epsilons=(1.0, 0.5), rho0=0.5, times=times, n_traj_base=12,
                      n_cells=7, r_edges=tuple(edges), base_seed=seed)
-    monkeypatch.setattr(simulator, "_chunk_bounds", lambda *args: UNEVEN)
+    # 12 and 6 trajectories, each cut at the UNEVEN bounds below its count
+    monkeypatch.setattr(simulator, "_chunk_bounds", lambda dim, n, n_traj, *args:
+                        np.append(UNEVEN[UNEVEN < n_traj], n_traj))
     result = run_sweep(spec)
     monkeypatch.undo()
 
     rho0 = spec.limit_field()
     for i, eps in enumerate(spec.epsilons):
+        n_traj = spec.trajectories_for(i)
         params = SimulationParams(torus=torus, kernel=KERNEL, potential=potential,
                                   epsilon=eps, rho0=rho0.with_values(rho0.values / eps),
                                   t_end=0.5, snapshot_times=times)

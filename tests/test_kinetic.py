@@ -693,6 +693,13 @@ def test_violations_lists_every_rule_and_solvers_raise_the_first():
         solve_kinetic(rho, ALPHA1, MPHI1, dt=0.2, t_end=0.6, snapshot_times=(0.3,))
 
 
+def test_uncertified_q_of_a_huge_window_prints_in_short_form():
+    # u0 = 300: q(1e-17) is about 2e246, which .4f printed with 247 digits
+    rho = DensityField.constant(TORUS1, 32, 300.0)
+    (found,) = kinetic.violations(rho, ALPHA1, MPHI1, 1e-18, 1e-17, (), "picard")
+    assert len(str(found)) < 120 and "q(T)=2.2638e+246" in str(found)
+
+
 def test_picard_applies_the_rk4_dt_guard():
     # a certified window: an explicit dt beyond 0.1 / alpha is refused, as in the CLI
     rho = DensityField.constant(TORUS1, 32, 0.5)

@@ -95,8 +95,6 @@ def test_spec_validation():
         base_spec(epsilons=(1.0, 0.5, 0.5)).validate()
     with pytest.raises(ConfigError):
         base_spec(epsilons=(2.0,)).validate()
-    with pytest.raises(ConfigError):
-        base_spec(n_traj=(10,)).validate()  # wrong ladder length
     base_spec().validate()
 
 
@@ -128,8 +126,6 @@ def test_pair_bins_checked_before_any_solve_or_simulation(monkeypatch, change, m
 def test_trajectory_counts_scale_with_eps():
     spec = base_spec(epsilons=(1.0, 0.5, 0.25), n_traj_base=100)
     assert [spec.trajectories_for(i) for i in range(3)] == [100, 50, 25]
-    spec2 = base_spec(epsilons=(1.0, 0.5), n_traj=(7, 9))
-    assert [spec2.trajectories_for(i) for i in range(2)] == [7, 9]
 
 
 # -- sweeps ---------------------------------------------------------------------------
