@@ -6,8 +6,10 @@
 Each subcommand declares its config as one table of fields: a name, a typed
 parser that holds the field's constraint, and a default (or REQUIRED).
 `resolve` walks a table once. It rejects missing and unknown fields and any
-value of the wrong type, and fills in the defaults. Integers must be integral
-numbers, reals finite numbers, and flags JSON true/false; no value is coerced.
+value of the wrong type, and fills in the defaults. The value rules are the
+library's: `torus`, `kernel` and `potential` are parsed by the `from_json` of
+their class, and every scalar is checked by `errors._require_number` or
+`errors._require_flag`; no value is coerced.
 The resolved values feed the library's list of violations, which `validate`
 reports, the run, and manifest.json, which echoes them with the package
 version; feeding a manifest back as --config reproduces the run byte-for-byte.
@@ -22,7 +24,6 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import os
 import sys
 from collections import ChainMap
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (BudgetError, ConfigError, KawasakiError, NumericError,
-                     _require_fields, collect_violations)
+                     _require_fields, _require_flag, _require_number, collect_violations)
 from .estimator import check_pair_bins, chunk_parts, fold_estimates, write_json
 from .fields import DensityField
 from .horizon import horizon_report, violations as horizon_violations
@@ -95,32 +96,13 @@ def manifest_config(vals):
 # -- field parsers ------------------------------------------------------------
 
 
-def _number(lo=-math.inf, strict=False, integer=False):
-    """A JSON number (not a boolean) that is finite, >= lo (> lo if `strict`)
-    and, for an `integer`, integral; it is returned as an int or a float."""
-    what = "an integer" if integer else "a finite number"
-    bound = "" if lo == -math.inf else f" {'>' if strict else '>='} {lo:g}"
-
-    def parse(v, ctx):
-        if (isinstance(v, bool) or not isinstance(v, (int, float))
-                or not math.isfinite(v) or v < lo or strict and v == lo
-                or integer and not float(v).is_integer()):
-            _fail(f"must be {what}{bound}, got {v!r}")
-        return int(v) if integer else float(v)
-    return parse
-
-
-_real = _number()
-_nonneg = _number(0.0)
-_positive = _number(0.0, strict=True)
-_count = _number(1, integer=True)
-_seed = _number(0, integer=True)
-
-
-def _flag(v, ctx):
-    if not isinstance(v, bool):
-        _fail(f"must be true or false, got {v!r}")
-    return v
+# the library's value rules; `resolve` names the field
+_real = lambda v, ctx: _require_number(None, v)
+_nonneg = lambda v, ctx: _require_number(None, v, 0)
+_positive = lambda v, ctx: _require_number(None, v, 0, strict=True)
+_count = lambda v, ctx: _require_number(None, v, 1, integer=True)
+_seed = lambda v, ctx: _require_number(None, v, 0, integer=True)
+_flag = lambda v, ctx: _require_flag(None, v)
 
 
 def _choice(*options):
@@ -146,13 +128,6 @@ def _optional(parse):
 def _times(v, ctx):
     """A list of reals; the horizon --t flag gives a single number."""
     return _list(_real)(v if isinstance(v, list) else [v], ctx)
-
-
-_TORUS = (Field("dim", _count), Field("side", _positive))
-# the spec classes check the family and which parameters it needs
-_SPEC = (Field("family", lambda v, ctx: v), Field("dim", _count),
-         Field("height", _real, 1.0),
-         *(Field(k, _optional(_real), None) for k in ("radius", "sigma", "rate", "kappa")))
 
 
 def _grid(v, ctx):
@@ -184,9 +159,9 @@ _PAIR_BINS = (Field("r_max", _positive, lambda ctx: ctx["torus"].side / 4.0),
 _ESTIMATOR = (Field("n_cells", _count), *_PAIR_BINS)
 
 _MODEL = (
-    Field("torus", lambda v, ctx: Torus(**resolve(_TORUS, v))),
-    Field("kernel", lambda v, ctx: KernelSpec(**resolve(_SPEC, v))),
-    Field("potential", lambda v, ctx: PotentialSpec(**resolve(_SPEC, v))),
+    Field("torus", lambda v, ctx: Torus.from_json(v)),
+    Field("kernel", lambda v, ctx: KernelSpec.from_json(v)),
+    Field("potential", lambda v, ctx: PotentialSpec.from_json(v)),
 )
 
 
@@ -415,7 +390,7 @@ def _load_config(path):
             obj = json.load(fh)
     except OSError as exc:
         _fail(f"cannot read config {path}: {exc.strerror}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal past Python's digit limit
         _fail(f"config is not valid JSON: {exc}")
     if not isinstance(obj, dict):
         _fail("config must be a JSON object")

@@ -4,6 +4,9 @@ NumericError (with StepSizeError and HorizonError).
 
 Exit-code mapping used by the command line tool: ConfigError -> 1,
 NumericError -> 2, BudgetError -> 3.
+
+`_require_number` and `_require_flag` hold the value rules, what counts as a
+valid number or flag, for the library and the command line tool alike.
 """
 
 import math
@@ -74,25 +77,37 @@ def _require_fields(obj, required, known, error=ConfigError):
         raise error(f"unknown fields {unknown}")
 
 
-def _require_count(name, value, least=0, error=ConfigError):
-    """value as an int when it is a whole number >= least, of any real type
-    but bool; `error` otherwise."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value >= least
-                                       and float(value).is_integer()):
-        raise error(f"{name} must be a whole number >= {least}, got {value!r}")
-    return int(value)
+def _require_number(name, value, lo=-math.inf, strict=False, integer=False,
+                    error=ConfigError):
+    """value as an int (for an `integer`) or a float when it is a real number, not
+    a bool, that is finite, >= lo (> lo if `strict`) and, for an `integer`, whole;
+    `error` otherwise, its message naming `name` or, with None, starting at "must"."""
+    try:
+        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and math.isfinite(value) and (value > lo if strict else value >= lo)
+              and (not integer or float(value).is_integer()))
+    except OverflowError:  # an int past the float range
+        ok = False
+    if ok:
+        return int(value) if integer else float(value)
+    if integer:
+        rule = f"a whole number >= {lo}"
+    elif lo == -math.inf:
+        rule = "a finite number"
+    else:
+        rule = "finite and " + ("positive" if strict and lo == 0 else
+                                f"{'>' if strict else '>='} {lo:g}")
+    raise error(f"{name or ''} must be {rule}, got {value!r}".lstrip())
 
 
-def _require_finite(name, value, error=ConfigError):
-    """value as a float when it is a finite real (a bool is not); `error` otherwise."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                       and math.isfinite(value)):
-        raise error(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+def _require_flag(name, value, error=ConfigError):
+    """value when it is a bool; `error` otherwise, named as by `_require_number`."""
+    if not isinstance(value, bool):
+        raise error(f"{name or ''} must be true or false, got {value!r}".lstrip())
+    return value
 
 
-def _require_positive(name, value, error=ConfigError):
-    """Raise `error` unless value is a finite real > 0 (a bool is not)."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                       and math.isfinite(value) and value > 0):
-        raise error(f"{name} must be finite and positive, got {value!r}")
+def _require_dim(value, error):
+    """Raise `error` unless value is an integer 1, 2 or 3 (a bool is not)."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and 1 <= value <= 3):
+        raise error(f"dimension must be 1, 2 or 3, got {value!r}")

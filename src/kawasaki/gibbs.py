@@ -58,7 +58,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, _require_count, _require_positive
+from .errors import ConfigError, _require_number
 from .kernels import PotentialSpec
 from .simulator import _profile
 from .torus import Torus
@@ -149,14 +149,13 @@ class GibbsSampler:
         r_sup = potential.support_radius
         torus.require_dim(potential)
         torus.require_fits(r_sup)
-        _require_positive("activity", activity)
+        _require_number("activity", activity, 0, strict=True)
         self.torus = torus
         self.potential = potential
         self.activity = float(activity)
         self.rng = rng
         self.scale = float(r_sup or torus.side / 10.0)  # of a displacement's normal steps
-        if not (math.isfinite(initial_count) and initial_count >= 0):
-            raise ConfigError(f"initial_count must be finite and >= 0, got {initial_count}")
+        _require_number("initial_count", initial_count, 0)
         start = rng.random((rng.poisson(initial_count), torus.dim)) * torus.side
         self._pos = [tuple(p) for p in start.tolist()]
         self._uniform, self._normal = _stream(rng.random), _stream(rng.standard_normal)
@@ -198,7 +197,7 @@ class GibbsSampler:
     def run(self, n_moves: int):
         """Make n_moves moves. The chain's parameters, `activity` among them,
         are read once per call, so a change between calls is honoured."""
-        n_moves = _require_count("n_moves", n_moves)
+        n_moves = _require_number("n_moves", n_moves, 0, integer=True)
         uniform, normal, energy, cell_of = self._uniform, self._normal, self._energy, self._cell
         pos, home, cells = self._pos, self._home, self._cells
         L, dim, zv = self.torus.side, self.torus.dim, self.activity * self.torus.volume
@@ -275,8 +274,8 @@ class GibbsSampler:
 
     def sample(self, n_samples: int, thin_moves: int, burn_in_moves: int = 0):
         """Decorrelated configuration samples along one chain."""
-        n_samples = _require_count("n_samples", n_samples)
-        _require_count("thin_moves", thin_moves)
+        n_samples = _require_number("n_samples", n_samples, 0, integer=True)
+        _require_number("thin_moves", thin_moves, 0, integer=True)
         self.run(burn_in_moves)
         out = []
         for _ in range(n_samples):
@@ -294,11 +293,11 @@ def calibrate_activity(torus: Torus, potential: PotentialSpec, target_count: flo
     from a cold start), for 12 rounds; z is the mean of the last 3. Accuracy a
     couple of percent, which is all the equilibrium tests need.
     """
-    _require_positive("target_count", target_count)
+    _require_number("target_count", target_count, 0, strict=True)
     if moves_per_round is None:
         moves_per_round = int(60 * target_count)
     else:
-        moves_per_round = _require_count("moves_per_round", moves_per_round, least=1)
+        moves_per_round = _require_number("moves_per_round", moves_per_round, 1, integer=True)
     z = target_count / torus.volume  # ideal-gas guess
     chain = GibbsSampler(torus, potential, z, rng, initial_count=target_count)
     estimates = []

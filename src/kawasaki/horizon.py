@@ -42,8 +42,8 @@ theta0, t >= 0, and q(T) windows T >= 0 with e^{alpha T} < 2 and a <phi>);
 import math
 from dataclasses import dataclass, field
 
-from .errors import (ConfigError, HorizonError, NumericError, collect_violations,
-                     raise_first)
+from .errors import (ConfigError, HorizonError, NumericError, _require_number,
+                     collect_violations, raise_first)
 
 
 def _bisect(below, lo, hi):
@@ -81,10 +81,8 @@ def existence_horizon(theta0: float, theta: float, alpha: float, c_phi: float) -
     """Guaranteed lifetime T(theta) of the evolution entering the theta-space."""
     if not theta <= theta0:
         raise ConfigError(f"theta ({theta}) must be <= theta0 ({theta0})")
-    if not alpha > 0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
-    if not c_phi >= 0:
-        raise ConfigError(f"c_phi must be >= 0, got {c_phi}")
+    _require_number("alpha", alpha, 0, strict=True)
+    _require_number("c_phi", c_phi, 0)
     return (theta0 - theta) / (2.0 * alpha) * math.exp(-_scaled_exp(c_phi, -theta))
 
 

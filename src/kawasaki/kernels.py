@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidSpecError, NumericError, _require_count, _require_fields,
-                     _require_finite, _require_positive)
+from .errors import (InvalidSpecError, NumericError, _require_dim, _require_fields,
+                     _require_number)
 
 # Radial value below height * SUPPORT_CUTOFF is treated as zero; this sets the
 # support radius, and so the simulator's cell width, of the unbounded families.
@@ -75,24 +75,19 @@ class RadialSpec:
     kappa: float | None = None
 
     def _validate(self, allow_local, allow_zero_height):
-        if self.dim not in (1, 2, 3):
-            raise InvalidSpecError(f"dimension must be 1, 2 or 3, got {self.dim}")
+        _require_dim(self.dim, InvalidSpecError)
         fam = self.family
         if not isinstance(fam, str) or fam not in _SHAPE:
             raise InvalidSpecError(f"unknown family {fam!r}")
         if fam == "local":
             if not allow_local:
                 raise InvalidSpecError("local(kappa) is only valid as a potential")
-            if self.kappa is None or not 0 <= self.kappa < math.inf:
-                raise InvalidSpecError(f"kappa must be finite and >= 0, got {self.kappa!r}")
+            _require_number("kappa", self.kappa, 0, error=InvalidSpecError)
             return
         shape = _SHAPE[fam]
-        _require_positive(shape, getattr(self, shape), InvalidSpecError)
-        if allow_zero_height:
-            if not self.height >= 0:
-                raise InvalidSpecError(f"height must be >= 0, got {self.height!r}")
-        else:
-            _require_positive("height", self.height, InvalidSpecError)
+        _require_number(shape, getattr(self, shape), 0, strict=True, error=InvalidSpecError)
+        _require_number("height", self.height, 0, strict=not allow_zero_height,
+                        error=InvalidSpecError)
         try:
             finite = math.isfinite(self.integral)
         except (OverflowError, ZeroDivisionError):  # a power overflows, or underflows to 0
@@ -174,12 +169,13 @@ class RadialSpec:
 
     @classmethod
     def from_json(cls, obj: dict):
-        """The spec of what the CLI's spec schema accepts; InvalidSpecError otherwise."""
+        """The spec of a JSON object of the fields `to_json` writes, where a shape
+        parameter, but not height, may be null; InvalidSpecError otherwise."""
         _require_fields(obj, ("family", "dim"), ("family", "dim", "height", *_SHAPE.values()),
                         InvalidSpecError)
-        dim = _require_count("dim", obj["dim"], 1, InvalidSpecError)
+        dim = _require_number("dim", obj["dim"], 1, integer=True, error=InvalidSpecError)
         params = {k: None if v is None and k != "height" else  # height is never null
-                  _require_finite(k, v, InvalidSpecError)
+                  _require_number(k, v, error=InvalidSpecError)
                   for k, v in obj.items() if k not in ("family", "dim")}
         return cls(family=obj["family"], dim=dim, **params)
 
@@ -286,7 +282,7 @@ def c_phi(potential: PotentialSpec, epsilon: float = 1.0) -> float:
     -> <phi> as eps -> 0. For the local family the defining limit is 0 for
     every eps. eps must be finite and positive (InvalidSpecError).
     """
-    _require_positive("epsilon", epsilon, InvalidSpecError)
+    _require_number("epsilon", epsilon, 0, strict=True, error=InvalidSpecError)
     if potential.family == "local" or potential.is_zero:
         return 0.0
     dim = potential.dim

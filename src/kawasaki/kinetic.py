@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import (ConfigError, HorizonError, NumericError, StepSizeError,
-                     collect_violations, raise_first)
+                     _require_number, collect_violations, raise_first)
 from .fields import DensityField
 from .horizon import contraction_factor
 from .kernels import KernelSpec, PotentialSpec, alpha as kernel_alpha, mean_phi
@@ -209,8 +209,7 @@ def snapshot_steps(times, t_end: float, dt: float) -> list:
     """Step index k of each time s on `_time_grid(t_end, dt)`, t_end finite
     and >= 0; s must lie within 1e-9 of k * t_end / n with 0 <= k <= n.
     """
-    if not (math.isfinite(t_end) and t_end >= 0):
-        raise ConfigError(f"t_end must be finite and >= 0, got {t_end}")
+    _require_number("t_end", t_end, 0)
     n_steps, h = _time_grid(t_end, dt)
     steps = []
     for s in times:

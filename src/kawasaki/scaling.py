@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BudgetError, ConfigError, _require_positive, collect_violations,
+from .errors import (BudgetError, ConfigError, _require_number, collect_violations,
                      raise_first)
 from .estimator import (CorrelationEstimate, check_pair_bins, chunk_parts,
                         fold_estimates, radial_product_profile, write_json)
@@ -77,7 +77,11 @@ class SweepSpec:
         found += collect_violations(lambda: check_density(self.torus, self.rho0))
         if isinstance(self.rho0, DensityField) and self.rho0.n_cells != self.n_cells:
             found.append(ConfigError("rho0 grid must match n_cells"))
-        return found
+        return found + collect_violations(
+            *(lambda k=k, lo=lo: _require_number(k, getattr(self, k), lo, integer=True)
+              for k, lo in (("n_traj_base", 1), ("n_cells", 1), ("n_jobs", 1), ("base_seed", 0))),
+            lambda: _require_number("budget_max_particles", self.budget_max_particles, 0,
+                                    strict=True))
 
     def validate(self):
         """Raise the first violation; with none, BudgetError when the expected
@@ -97,7 +101,7 @@ class SweepSpec:
     def limit_field(self) -> DensityField:
         if isinstance(self.rho0, DensityField):
             return self.rho0
-        return DensityField.constant(self.torus, self.n_cells, float(self.rho0))
+        return DensityField.constant(self.torus, int(self.n_cells), float(self.rho0))
 
     def trajectories_for(self, i: int) -> int:
         return max(2, int(round(self.n_traj_base * self.epsilons[i])))
@@ -137,7 +141,7 @@ class SweepResult:
 def renormalize(estimate: CorrelationEstimate, epsilon: float) -> CorrelationEstimate:
     """Scale k1 by eps and k2 by eps^2 (standard errors likewise); eps must
     be finite and positive (ConfigError)."""
-    _require_positive("epsilon", epsilon)
+    _require_number("epsilon", epsilon, 0, strict=True)
     out = CorrelationEstimate(
         torus=estimate.torus, time=estimate.time, n_traj=estimate.n_traj,
         mean_count=estimate.mean_count, n_cells=estimate.n_cells,
@@ -170,7 +174,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     e2_se = np.zeros_like(e1)
     estimates = []
     n_traj_used = []
-    reduce = functools.partial(chunk_parts, spec.times, spec.n_cells, r_edges)
+    reduce = functools.partial(chunk_parts, spec.times, rho0.n_cells, r_edges)
 
     for i, eps in enumerate(spec.epsilons):
         n_traj = spec.trajectories_for(i)
@@ -180,10 +184,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             epsilon=eps, rho0=rho0.with_values(rho0.values / eps),
             t_end=t_end, snapshot_times=tuple(spec.times), record_events=False,
         )
-        chunks = map_chunks(params, n_traj, (spec.base_seed, i), reduce,
+        chunks = map_chunks(params, n_traj, (int(spec.base_seed), i), reduce,
                             n_jobs=spec.n_jobs)
         row = [renormalize(est, eps) for est in fold_estimates(
-            chunks, spec.torus, spec.times, spec.n_cells, r_edges)]
+            chunks, spec.torus, spec.times, rho0.n_cells, r_edges)]
         for j, est in enumerate(row):
             diff1 = np.abs(est.k1 - ref_fields[j].values)
             b1 = int(np.argmax(diff1))

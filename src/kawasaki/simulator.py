@@ -59,15 +59,14 @@ order, so they match one up to that summation order.
 import collections
 import logging
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, InvalidSpecError, NumericError, _require_count,
-                     _require_positive, collect_violations, raise_first)
+from .errors import (ConfigError, InvalidSpecError, NumericError, _require_flag,
+                     _require_number, collect_violations, raise_first)
 from .fields import DensityField
 from .kernels import KernelSpec, PotentialSpec, alpha, sample_displacement
 from .torus import Torus
@@ -148,8 +147,7 @@ def check_density(torus: Torus, rho0):
     if isinstance(rho0, DensityField):
         if rho0.torus != torus:
             raise ConfigError("density field lives on a different torus")
-    elif (isinstance(rho0, bool) or not isinstance(rho0, numbers.Real)
-          or not (math.isfinite(rho0) and rho0 >= 0)):
+    elif collect_violations(lambda: _require_number("rho0", rho0, 0)):
         raise ConfigError(f"rho0 must be a finite number >= 0 or a DensityField, "
                           f"got {rho0!r}")
 
@@ -211,15 +209,15 @@ class SimulationParams:
         """A ConfigError for every rule broken, in order; with a bad t_end, no snapshot rule."""
         found = collect_violations(
             lambda: check_model(self.torus, self.kernel, self.potential),
-            lambda: _require_positive("epsilon", self.epsilon))
-        t_end_ok = math.isfinite(self.t_end) and self.t_end >= 0
-        if not t_end_ok:
-            found.append(ConfigError(f"t_end must be finite and >= 0, got {self.t_end}"))
-        found += collect_violations(lambda: check_density(self.torus, self.rho0))
-        outside = [s for s in self.snapshot_times if not 0 <= s <= self.t_end]
-        if t_end_ok and outside:
+            lambda: _require_number("epsilon", self.epsilon, 0, strict=True))
+        bad_t_end = collect_violations(lambda: _require_number("t_end", self.t_end, 0))
+        found += bad_t_end + collect_violations(lambda: check_density(self.torus, self.rho0))
+        outside = [] if bad_t_end else [s for s in self.snapshot_times
+                                        if not 0 <= s <= self.t_end]
+        if outside:
             found.append(ConfigError(f"snapshot time {outside[0]} outside [0, {self.t_end}]"))
-        return found
+        return found + collect_violations(
+            lambda: _require_flag("record_events", self.record_events))
 
     def validate(self):
         """Raise the first of `violations()`."""
@@ -816,8 +814,8 @@ def map_chunks(params: SimulationParams, n_trajectories: int, base_seed: int,
     trajectory. Every input, each initial configuration included, is checked
     at the call, before any chunk runs.
     """
-    n_trajectories = _require_count("n_trajectories", n_trajectories, least=1)
-    n_jobs = _require_count("n_jobs", n_jobs, least=1)
+    n_trajectories = _require_number("n_trajectories", n_trajectories, 1, integer=True)
+    n_jobs = _require_number("n_jobs", n_jobs, 1, integer=True)
     params.validate()
     if initials is not None:
         if len(initials) != n_trajectories:

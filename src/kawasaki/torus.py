@@ -14,12 +14,11 @@ and `cells_per_axis`, `strides` and `stencil` (the cell lists of the particle
 simulator and of the Gibbs sampler).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, _require_count, _require_fields, _require_positive
+from .errors import GeometryError, _require_dim, _require_fields, _require_number
 
 
 @dataclass(frozen=True)
@@ -30,10 +29,8 @@ class Torus:
     side: float
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise GeometryError(f"dimension must be 1, 2 or 3, got {self.dim}")
-        if not (self.side > 0 and math.isfinite(self.side)):
-            raise GeometryError(f"side length must be finite and positive, got {self.side}")
+        _require_dim(self.dim, GeometryError)
+        _require_number("side", self.side, 0, strict=True, error=GeometryError)
 
     @property
     def volume(self) -> float:
@@ -105,7 +102,7 @@ class Torus:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Torus":
-        """The torus of what the CLI's torus schema accepts; GeometryError otherwise."""
+        """The torus of a JSON object of the fields `to_json` writes; GeometryError otherwise."""
         _require_fields(obj, ("dim", "side"), ("dim", "side"), GeometryError)
-        _require_positive("side", obj["side"], GeometryError)
-        return cls(_require_count("dim", obj["dim"], 1, GeometryError), float(obj["side"]))
+        return cls(_require_number("dim", obj["dim"], 1, integer=True, error=GeometryError),
+                   _require_number("side", obj["side"], 0, strict=True, error=GeometryError))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -245,6 +246,19 @@ def test_validate_dt_guard_matches_solver(tmp_path, capsys):
         path = write_json(tmp_path / "kin.json", cfg)
         assert main(["validate", "--config", path]) == code
     assert "stability guard" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("digits, message", [
+    (401, "kinetic config: n_cells: must be a whole number >= 1, got 1000"),
+    (5000, "config is not valid JSON: Exceeds the limit (4300 digits)"),
+], ids=["past the float range", "past the int-string limit"])
+def test_validate_refuses_an_integer_of_many_digits(tmp_path, capsys, digits, message):
+    # past the float range, an OverflowError; past Python's int-string limit, a
+    # ValueError from json.load: each ended validate in a traceback
+    text = json.dumps(kinetic_config(subcommand="kinetic", n_cells="N"))
+    (tmp_path / "kin.json").write_text(text.replace('"N"', "1" + "0" * (digits - 1)))
+    assert main(["validate", "--config", str(tmp_path / "kin.json")]) == 1
+    assert capsys.readouterr().err.startswith(f"error (config): {message}")
 
 
 def test_validate_flags_dt_too_small_for_t_end(tmp_path, capsys):
@@ -560,7 +574,8 @@ def test_config_field_count():
     # each new config field is a knob to document and test: this count moves
     # only on purpose, and ROADMAP.md quotes it
     tables = {**{name: command.table for name, command in COMMANDS.items()},
-              "torus": cli._TORUS, "spec": cli._SPEC, "estimator": cli._ESTIMATOR}
+              "torus": dataclasses.fields(Torus), "spec": dataclasses.fields(KernelSpec),
+              "estimator": cli._ESTIMATOR}
     found = [f"{name}.{field.name}" for name, table in tables.items() for field in table]
     assert len(found) == 56, found
 
@@ -651,12 +666,19 @@ def test_malformed_config_exits_1_before_any_output(tmp_path, capsys, sub, chang
 
 
 DEMOS = {path.stem: json.loads(path.read_text()) for path in DEMO_CONFIGS.glob("*.json")}
-PARTS = {"torus": (Torus, cli._TORUS), "kernel": (KernelSpec, cli._SPEC),
-         "potential": (PotentialSpec, cli._SPEC)}
+PARTS = {"torus": Torus, "kernel": KernelSpec, "potential": PotentialSpec}
+
+
+def cli_part(cls, obj):
+    """The CLI's torus or spec of obj, by the `cli._MODEL` field of its name."""
+    (field,) = [f for f in cli._MODEL if PARTS[f.name] is cls]
+    return resolve((field,), {field.name: obj})[field.name]
+
+
 TOP_HAT = {"family": "top_hat", "dim": 1, "radius": 1.0}
 FROM_JSON = {
-    **{f"{stem}-{key}": (cls, cfg[key], cls(**resolve(table, cfg[key])))
-       for stem, cfg in sorted(DEMOS.items()) for key, (cls, table) in PARTS.items()
+    **{f"{stem}-{key}": (cls, cfg[key], cli_part(cls, cfg[key]))
+       for stem, cfg in sorted(DEMOS.items()) for key, cls in PARTS.items()
        if key in cfg},
     "dim-integral-float": (KernelSpec, {**TOP_HAT, "dim": 3.0}, KernelSpec.top_hat(1.0, dim=3)),
     "dim-fraction": (KernelSpec, {**TOP_HAT, "dim": 1.5}, None),
@@ -683,14 +705,13 @@ FROM_JSON = {
 @pytest.mark.parametrize("cls, obj, want", FROM_JSON.values(), ids=FROM_JSON.keys())
 def test_from_json_accepts_what_the_cli_schema_accepts(cls, obj, want):
     # `want` is the CLI's spec or torus of obj, or None where the CLI refuses obj
-    table = cli._TORUS if cls is Torus else cli._SPEC
     if want is None:
         with pytest.raises(ConfigError):
-            cls(**resolve(table, obj))
+            cli_part(cls, obj)
         with pytest.raises(ConfigError):
             cls.from_json(obj)
     else:
-        assert repr(cls.from_json(obj)) == repr(cls(**resolve(table, obj))) == repr(want)
+        assert repr(cls.from_json(obj)) == repr(cli_part(cls, obj)) == repr(want)
 
 
 @pytest.mark.parametrize("method", ["rk4", "picard"])

@@ -230,7 +230,11 @@ NAN, INF = math.nan, math.inf
 @pytest.mark.parametrize("call, args", [
     (existence_horizon, (0.0, -1.0, NAN, 1.0)),
     (existence_horizon, (0.0, -1.0, 1.0, NAN)),
+    (existence_horizon, (0.0, -1.0, INF, 1.0)),
+    (existence_horizon, (0.0, -1.0, 1.0, INF)),
     (t_star, (0.0, 1.0, NAN)),
+    (t_star, (0.0, INF, 1.0)),
+    (t_star, (0.0, 1.0, INF)),
     (t_star, (0.0, NAN, 1.0)),
     (theta_of_t, (0.0, NAN, 0.0, 0.1)),
     (theta_of_t, (0.0, 1.0, NAN, 0.1)),
@@ -249,12 +253,14 @@ NAN, INF = math.nan, math.inf
     (find_T_for_q, (0.5, 1.0, 1.0, NAN)),
     (horizon_report, (0.0, NAN, 1.0)),
     (horizon_report, (0.0, 1.0, NAN)),
-], ids=["T alpha nan", "T c_phi nan", "T* c_phi nan", "T* alpha nan",
+    (horizon_report, (0.0, INF, 1.0)),
+], ids=["T alpha nan", "T c_phi nan", "T alpha inf", "T c_phi inf", "T* c_phi nan",
+        "T* alpha inf", "T* c_phi inf", "T* alpha nan",
         "theta(t) alpha nan without potential", "theta(t) c_phi nan",
         "theta(0) alpha nan", "norm alpha nan", "norm c nan", "q u0 nan", "q alpha nan",
         "q mean_phi nan", "q mean_phi inf without data", "q(0) u0 inf", "q(0) alpha inf",
         "window alpha 0", "window alpha inf", "window u0 nan", "window mean_phi nan",
-        "report alpha nan", "report c_phi nan"])
+        "report alpha nan", "report c_phi nan", "report alpha inf"])
 def test_nan_and_inf_give_no_certificate(call, args):
     # computed, each would give a NaN, an infinite or a made-up certificate, or
     # divide by zero

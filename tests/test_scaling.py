@@ -160,6 +160,15 @@ def test_sweep_conserves_particles_per_trajectory():
     assert m2 == pytest.approx(2.0 * m1, rel=0.2)
 
 
+def test_sweep_runs_whole_float_counts_and_seed_as_their_ints():
+    # a whole-float n_cells or base_seed raised a TypeError
+    def result(**kw):
+        return run_sweep(base_spec(rho0=0.5, epsilons=(1.0,), times=(0.25,),
+                                   n_traj_base=4, **kw)).to_json()
+
+    assert result(n_cells=16.0, base_seed=5.0) == result(n_cells=16, base_seed=5)
+
+
 def test_interacting_sweep_discrepancy_shrinks_with_eps():
     # small version of the mean-field convergence experiment
     kernel = KernelSpec.top_hat(2.0, 1.0, dim=1)
