@@ -5,8 +5,8 @@ NumericError (with StepSizeError and HorizonError).
 Exit-code mapping used by the command line tool: ConfigError -> 1,
 NumericError -> 2, BudgetError -> 3.
 
-`_require_number` and `_require_flag` hold the value rules, what counts as a
-valid number or flag, for the library and the command line tool alike.
+`_require_number`, `_require_reals` and `_require_flag` hold the value rules
+for the library and the command line tool alike.
 """
 
 import math
@@ -98,6 +98,14 @@ def _require_number(name, value, lo=-math.inf, strict=False, integer=False,
         rule = "finite and " + ("positive" if strict and lo == 0 else
                                 f"{'>' if strict else '>='} {lo:g}")
     raise error(f"{name or ''} must be {rule}, got {value!r}".lstrip())
+
+
+def _require_reals(name, values):
+    """Raise ConfigError naming `name` unless each of values is a real number,
+    not a bool; NaN and +-inf pass, for the field's own rule to word."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ConfigError(f"{name} must hold real numbers, got {v!r}")
 
 
 def _require_flag(name, value, error=ConfigError):

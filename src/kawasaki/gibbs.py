@@ -72,10 +72,6 @@ def _stream(draw):  # the values of draw(_BLOCK), draw(_BLOCK), ... one per call
     return itertools.chain.from_iterable(iter(lambda: draw(_BLOCK).tolist(), None)).__next__
 
 
-def _index(u, n):
-    return int(u * n)  # < n: see the module docstring
-
-
 def _energy_query(torus, potential, pos, near):
     """The chain's energy query energy(y, cell, skip=-1): the energy of a
     particle at y in cell `cell` against every particle but `skip`, the terms
@@ -210,7 +206,7 @@ class GibbsSampler:
             if u < 0.5:  # a displacement; an insertion or a deletion 1/4 each
                 if not pos:
                     continue
-                i = int(uniform() * len(pos))  # _index, inlined
+                i = int(uniform() * len(pos))  # < n: see the module docstring
                 x = pos[i]
                 # Python's % on floats is np.mod's arithmetic; L folds to 0.0
                 # as in Torus.wrap
@@ -256,7 +252,7 @@ class GibbsSampler:
                 n = len(pos)
                 if not n:
                     continue
-                i = int(uniform() * n)  # _index, inlined
+                i = int(uniform() * n)  # < n: see the module docstring
                 if uniform() < n * exp(energy(pos[i], home[i], i)) / zv:
                     # the last particle takes index i
                     cells[home[i]].remove(i)

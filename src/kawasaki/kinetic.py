@@ -186,10 +186,8 @@ _CLAMP_FLOOR = -1e-13
 
 
 def check_dt(dt: float, alpha: float):
-    """The RK4 stability guard: raise ConfigError unless 0 < dt <= 0.1 / alpha."""
-    if not 0 < dt:
-        raise ConfigError("dt must be positive")
-    if dt > 0.1 / alpha * (1. + 1e-12):
+    """The RK4 stability guard: raise ConfigError unless dt is finite, 0 < dt <= 0.1 / alpha."""
+    if _require_number("dt", dt, 0, strict=True) > 0.1 / alpha * (1. + 1e-12):
         raise ConfigError(
             f"dt={dt:g} violates the stability guard dt <= 0.1/alpha = {0.1 / alpha:g}"
         )
@@ -213,8 +211,9 @@ def snapshot_steps(times, t_end: float, dt: float) -> list:
     n_steps, h = _time_grid(t_end, dt)
     steps = []
     for s in times:
+        s = _require_number("snapshot_times", s)
         k = int(round(s / h)) if h and math.isfinite(s / h) else 0
-        if not math.isfinite(s) or abs(k * h - s) > 1e-9 or not 0 <= k <= n_steps:
+        if abs(k * h - s) > 1e-9 or not 0 <= k <= n_steps:
             raise ConfigError(
                 f"snapshot time {s} is not on the dt grid over [0, {t_end:g}]")
         steps.append(k)
@@ -231,7 +230,7 @@ def violations(rho0: DensityField, kernel: KernelSpec, potential: PotentialSpec,
     found = collect_violations(lambda: check_support(kernel, rho0.torus),
                                lambda: check_support(potential, rho0.torus),
                                lambda: check_dt(dt, a))
-    if dt > 0:
+    if not collect_violations(lambda: _require_number("dt", dt, 0, strict=True)):
         found += collect_violations(lambda: snapshot_steps(snapshot_times, t_end, dt))
     if method == "picard" and not t_end > 0:
         found.append(ConfigError(f"Picard window needs t_end > 0, got {t_end:g}"))
@@ -435,6 +434,8 @@ def picard_solve(rho0: DensityField, T: float, kernel: KernelSpec,
     Iteration stops once the sup-over-time sup-norm update is below
     `tolerance`; the update sizes and their successive ratios are reported.
     """
+    tolerance = _require_number("tolerance", tolerance, 0, strict=True)
+    max_iter = _require_number("max_iter", max_iter, 1, integer=True)
     a = kernel_alpha(kernel)
     if dt is None:
         dt = min(0.1 / a, T / 16.0) if T > 0 else 0.1 / a

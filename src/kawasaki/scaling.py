@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BudgetError, ConfigError, _require_number, collect_violations,
-                     raise_first)
+from .errors import (BudgetError, ConfigError, _require_number, _require_reals,
+                     collect_violations, raise_first)
 from .estimator import (CorrelationEstimate, check_pair_bins, chunk_parts,
                         fold_estimates, radial_product_profile, write_json)
 from .fields import DensityField
@@ -62,12 +62,14 @@ class SweepSpec:
         found = collect_violations(
             lambda: check_model(self.torus, self.kernel, self.potential),
             lambda: check_pair_bins(self.pair_edges(), self.torus))
-        if len(eps) < 1 or any(not (0 < e <= 1) for e in eps):
-            found.append(ConfigError("epsilons must lie in (0, 1]"))
+        bad_eps = collect_violations(lambda: _require_reals("epsilons", eps))
+        if bad_eps or len(eps) < 1 or any(not (0 < e <= 1) for e in eps):
+            found += bad_eps or [ConfigError("epsilons must lie in (0, 1]")]
         elif len(set(eps)) != len(eps) or list(eps) != sorted(eps, reverse=True):
             found.append(ConfigError("epsilons must be strictly decreasing"))
-        if not (len(times) >= 1 and all(t >= 0 for t in times)):
-            found.append(ConfigError("comparison times must be >= 0"))
+        bad_times = collect_violations(lambda: _require_reals("times", times))
+        if bad_times or not (len(times) >= 1 and all(t >= 0 for t in times)):
+            found += bad_times or [ConfigError("comparison times must be >= 0")]
         else:  # the kinetic reference solve checks this too, but only after a run starts
             try:
                 snapshot_steps(times, max(times), dt)

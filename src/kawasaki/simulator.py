@@ -29,8 +29,9 @@ is all-pairs.
 
 Each row draws its variates a block of _RNG_BLOCK slots at a time, in the
 order that `_draw_slots` defines, and keeps only the prefix of the block it
-will use: the waiting times never depend on an acceptance, so the slot at
-which a row passes its last limit is known once its block is drawn. Chunks
+will use: the waiting times never depend on an acceptance, so `_clock` sums
+them into event times once, as the block is drawn, and the slot at which a
+row passes its last limit is known then; the loop reads the times. Chunks
 are planned at about 2 MB of variates and tables from the slots a row is
 expected to use, alpha n t_end plus a margin, and every pool worker gets at
 least one chunk. `map_chunks` reduces each chunk where it ran, in the pool
@@ -66,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigError, InvalidSpecError, NumericError, _require_flag,
-                     _require_number, collect_violations, raise_first)
+                     _require_number, _require_reals, collect_violations, raise_first)
 from .fields import DensityField
 from .kernels import KernelSpec, PotentialSpec, alpha, sample_displacement
 from .torus import Torus
@@ -175,8 +176,6 @@ def sample_poisson_positions(torus: Torus, density, rng: np.random.Generator):
     if isinstance(density, DensityField):
         weights = density.values.ravel() * density.cell_volume
         mass = float(weights.sum())
-        if mass == 0.0:
-            return np.zeros((0, d))
         n = int(rng.poisson(mass))
         if n == 0:
             return np.zeros((0, d))
@@ -210,10 +209,10 @@ class SimulationParams:
         found = collect_violations(
             lambda: check_model(self.torus, self.kernel, self.potential),
             lambda: _require_number("epsilon", self.epsilon, 0, strict=True))
-        bad_t_end = collect_violations(lambda: _require_number("t_end", self.t_end, 0))
-        found += bad_t_end + collect_violations(lambda: check_density(self.torus, self.rho0))
-        outside = [] if bad_t_end else [s for s in self.snapshot_times
-                                        if not 0 <= s <= self.t_end]
+        skip = collect_violations(lambda: _require_number("t_end", self.t_end, 0),
+                                  lambda: _require_reals("snapshot_times", self.snapshot_times))
+        found += skip + collect_violations(lambda: check_density(self.torus, self.rho0))
+        outside = [] if skip else [s for s in self.snapshot_times if not 0 <= s <= self.t_end]
         if outside:
             found.append(ConfigError(f"snapshot time {outside[0]} outside [0, {self.t_end}]"))
         return found + collect_violations(
@@ -556,77 +555,77 @@ def _batch_width(rows, span, n):
                       _QUERY_TERMS // (rows * span)))
 
 
-def _slots_used(gaps, t, target, limits):
-    """Slots of a row's block of waiting times that the row, at clock t and
-    short of limits[target], uses up to the step that passes its last limit;
-    all of them when it does not get there. The clock is summed as the loop
-    sums it, t + gap one slot after another (np.add.accumulate runs in
-    order), a window of slots at a time, and a crossing sets it to the limit,
-    so the count is exact."""
+def _clock(gaps, t, target, limits):
+    """Turn a row's block of waiting times into event times, in place, for a
+    row at clock t short of limits[target]: each time is the one before plus
+    its gap, summed in slot order (np.add.accumulate runs in order) a window
+    of slots at a time, and a slot that passes a limit sets the clock to it.
+    Returns the slots the row uses, up to the one that passes its last limit
+    or all of them, and the clock its next block starts from."""
     used, width = 0, 128  # the window doubles while the clock falls short
-    while target < len(limits):
+    while target < len(limits) and used < gaps.size:
         clock = gaps[used:used + width].copy()
-        if not clock.size:
-            break
         clock[0] += t
         np.add.accumulate(clock, out=clock)
         passed = int(clock.searchsorted(limits[target], side="right"))
         if passed < clock.size:
-            used += passed + 1
+            clock = clock[:passed + 1]
             t, target = limits[target], target + 1
         else:
-            used += clock.size
             t, width = clock[-1], 2 * width
-    return used
+        gaps[used:used + clock.size] = clock
+        used += clock.size
+    return used, t
 
 
-def _draw_slots(rngs, counts, inv_rate, t, target, limits, kernel, interacting):
-    """The next block of (waiting time, mover, displacement, acceptance)
-    slots of each row, and the number of slots each row keeps.
+def _draw_slots(rngs, counts, t, target, limits, kernel, interacting):
+    """The next block of (event time, mover, displacement, acceptance) slots
+    of each row at clock t[r], the slots each row keeps, and its next clock.
 
     This is the draw order of every stream: per block, _RNG_BLOCK standard
-    exponentials, then _RNG_BLOCK movers in [0, n), then _RNG_BLOCK
-    displacements, then, for an interacting potential, _RNG_BLOCK uniforms.
-    A row's block is trimmed to the slots it will use before the next row
-    draws; the rows are padded with zeros to the longest, and a zero waiting
-    time never passes a limit."""
+    exponentials, times 1 / (alpha n), then _RNG_BLOCK movers in [0, n), then
+    _RNG_BLOCK displacements, then, for an interacting potential, _RNG_BLOCK
+    uniforms. `_clock` sums a row's block into event times and the block is
+    trimmed to the slots the row will use, before the next row draws; the
+    rows are padded with zeros to the longest, and a zero never passes a limit."""
     block, kept = _RNG_BLOCK, []
-    stop = np.empty(len(rngs), dtype=np.int64)
+    stop, resume = np.empty(len(rngs), dtype=np.int64), np.empty(len(rngs))
     for r, rng in enumerate(rngs):
-        gaps = rng.standard_exponential(block) * inv_rate[r]
+        times = rng.standard_exponential(block) * (1.0 / (alpha(kernel) * counts[r]))
         movs = rng.integers(0, counts[r], size=block)
         disps = sample_displacement(kernel, rng, size=block)
         accs = rng.random(block) if interacting else None
-        stop[r] = used = _slots_used(gaps, t[r], target[r], limits)
-        kept.append([x[:used].copy() for x in (gaps, movs, disps, accs)
+        stop[r], resume[r] = _clock(times, t[r], target[r], limits)
+        kept.append([x[:stop[r]].copy() for x in (times, movs, disps, accs)
                      if x is not None])
     rows, width = len(rngs), int(stop.max())
-    gaps = np.zeros((rows, width))
+    times = np.zeros((rows, width))
     movs = np.zeros((rows, width), dtype=np.int32)
     disps = np.zeros((rows, width, kernel.dim))
     accs = np.zeros((rows, width)) if interacting else None
     for r, row in enumerate(kept):
-        for x, part in zip((gaps, movs, disps, accs), row):
+        for x, part in zip((times, movs, disps, accs), row):
             x[r, :len(part)] = part
-    return gaps, movs, disps, accs, stop
+    return times, movs, disps, accs, stop, resume
 
 
 def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
     """Run one trajectory per seed, in lockstep; return them in order.
 
-    Each active trajectory keeps its own index into its block of (waiting
+    Each active trajectory keeps its own index into its block of (event
     time, mover, displacement, acceptance) slots, and takes a batch of them
     per iteration, `_batch_width` wide: one energy query decides them all
     against the table as it stands, and they are committed in slot order up
     to the first one that an accepted move of the batch could affect (see
     `_CellTable.clashes`), or through the row's next snapshot or t_end
-    crossing, which is a slot too. Every committed decision thus sees the
-    bits a one-at-a-time step would see, and each stream is consumed in the
-    order `_draw_slots` defines, whatever the width. A row refills its block
-    when it has taken its kept slots, and raises NumericError if it gets
-    there short of t_end. `initials`, when given, is aligned with `seeds`
-    and holds checked (n, d) arrays; the cell table is sized for `n_planned`
-    particles per row.
+    crossing, which is a slot too; the loop reads the slot's event time and
+    keeps no clock. Every committed decision thus sees the bits a
+    one-at-a-time step would see, and each stream is consumed in the order
+    `_draw_slots` defines, whatever the width. A row refills its block when
+    it has taken its kept slots, and raises NumericError if it gets there
+    short of t_end. `initials`, when given, is aligned with `seeds` and holds
+    checked (n, d) arrays; the cell table is sized for `n_planned` particles
+    per row.
     """
     torus, kernel, pot = params.torus, params.kernel, params.potential
     d = torus.dim
@@ -650,14 +649,12 @@ def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
     active = np.flatnonzero(counts)  # active row -> stream; empty ones never step
     table = _CellTable(torus, pot, _cells_per_axis(torus, pot, n_planned),
                        [starts[j] for j in active])
-    inv_rate = 1.0 / (alpha(kernel) * np.asarray(counts, dtype=np.int64)[active])
-    t = np.zeros(active.size)
+    t = np.zeros(active.size)  # the clock each row's next block starts from
     target = np.zeros(active.size, dtype=np.int64)
     accepts = np.zeros(active.size, dtype=np.int64)
     used = np.zeros(active.size, dtype=np.int64)  # slots taken, over all blocks
     k = np.full(active.size, _RNG_BLOCK)  # next slot of each row's block
     stop = np.full(active.size, _RNG_BLOCK)  # slots each row keeps of its block
-    limit = np.full(active.size, limits[0])
     rows = np.arange(active.size)  # active row -> row of the variate arrays
 
     interacting = not pot.is_zero
@@ -668,7 +665,7 @@ def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
         # math.exp gives below, for every count
         bound_at = np.array([math.exp(-eps * (pot.height * c))
                              for c in range(max(counts) + 1)])
-    gaps = None
+    times = None
     iterations = 0
     n_max = max(counts, default=0)
     while active.size:
@@ -678,26 +675,22 @@ def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
                 raise NumericError("a row ran past the slots kept for it")
             block = _draw_slots(
                 [rngs[j] for j in active[empty]], [counts[j] for j in active[empty]],
-                inv_rate[empty], t[empty], target[empty], limits, kernel, interacting)
-            if gaps is None:
-                gaps, movs, disps, accs, stop = block
+                t[empty], target[empty], limits, kernel, interacting)
+            if times is None:
+                times, movs, disps, accs, stop, t = block
             else:
                 # a refilling row had kept a whole block, so the arrays are
                 # _RNG_BLOCK wide already
-                for x, part in zip((gaps, movs, disps, accs), block[:4]):
+                for x, part in zip((times, movs, disps, accs), block[:4]):
                     if part is not None:
                         x[rows[empty], :part.shape[1]] = part
-                stop[empty] = block[4]
+                stop[empty], t[empty] = block[4:]
             k[empty] = 0
-        width = gaps.shape[1]
+        width = times.shape[1]
         batch = np.arange(_batch_width(active.size, table.span, n_max))
         at = (rows * width)[:, None] + np.minimum(k[:, None] + batch, width - 1)
-        # the clock summed slot by slot as a one-at-a-time step sums it; it
-        # never falls, so a row's crossings follow its first one
-        clock = gaps.ravel()[at]
-        clock[:, 0] += t
-        np.add.accumulate(clock, axis=1, out=clock)
-        cross = clock > limit[:, None]
+        clock = times.ravel()[at]
+        cross = clock > limits[target][:, None]
         mover = movs.ravel()[at]
         old = table.at(mover)
         y = torus.wrap(old + disps.reshape(-1, d)[at])
@@ -712,10 +705,11 @@ def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
             # <= 0 gives a bound >= 1, which always accepts
             accept &= accs.ravel()[at] < [[math.exp(-eps * e) for e in row]
                                           for row in energy.tolist()]
-        # a batch ends through its first crossing, at the last kept slot, and
-        # before the first proposal an accepted one of it could affect
-        end = np.minimum(np.minimum(batch.size + 1 - cross.sum(axis=1), stop - k),
-                         table.clashes(mover, old, y, accept))
+        # a batch ends through its first crossing, after which times restart
+        # at the limit, at the last kept slot, and before the first proposal
+        # an accepted one of it could affect
+        first = np.where(cross.any(axis=1), cross.argmax(axis=1) + 1, batch.size)
+        end = np.minimum(np.minimum(first, stop - k), table.clashes(mover, old, y, accept))
         taken = batch < end[:, None]
         accept &= taken
         r, j = accept.nonzero()
@@ -739,7 +733,6 @@ def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
         iterations += 1
         last = np.arange(rows.size), end - 1
         crossed = cross[last]
-        t = np.where(crossed, limit, clock[last])
         if not crossed.any():
             continue
         for r in crossed.nonzero()[0]:
@@ -754,11 +747,10 @@ def _simulate_rows(params: SimulationParams, seeds, initials, n_planned):
                 # every slot of a row is an event except its boundary crossings
                 n_events[j], n_accepted[j] = int(used[r]) - len(limits), int(accepts[r])
             keep = ~done
-            rows, active, t, target, accepts, used, k, stop, inv_rate = (
+            rows, active, t, target, accepts, used, k, stop = (
                 rows[keep], active[keep], t[keep], target[keep], accepts[keep],
-                used[keep], k[keep], stop[keep], inv_rate[keep])
+                used[keep], k[keep], stop[keep])
             table.keep(keep)
-        limit = limits[target]
 
     if log:
         cols = [np.concatenate(c) for c in zip(*log)]

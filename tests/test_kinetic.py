@@ -551,6 +551,27 @@ def test_monitor_flags_fabricated_violation():
     assert rep.violations[0]["kind"] in ("growth", "invariant-region")
 
 
+# at t = 0.1 with alpha = 2 and u0 = 0.5, the growth bound is 0.5 e^0.2 = 0.611
+# and the invariant region's 0.5 / (2 - e^0.2) = 0.642
+@pytest.mark.parametrize("potential, field, value, kinds", [
+    (FREE, "sup_norms", 0.62, ["growth"]),
+    (FREE, "sup_norms", 0.7, ["growth", "invariant-region"]),
+    (PotentialSpec.local(1.0), "sup_norms", 0.501, ["maximum-principle"]),
+    (FREE, "min_pre_clamp", -1e-12, ["positivity"]),
+], ids=["growth", "invariant-region", "maximum-principle", "positivity"])
+def test_monitor_reports_each_kind_at_its_time(potential, field, value, kinds):
+    flat = DensityField.constant(TORUS, 32, 0.5)
+    traj = solve_kinetic(flat, KERNEL, potential, dt=5e-3, t_end=0.5)
+    assert monitor_bounds(traj).ok
+    setattr(traj, field, getattr(traj, field).copy())
+    getattr(traj, field)[20] = value
+    rep = monitor_bounds(traj)
+    assert not rep.ok
+    assert [(v["kind"], v["time"]) for v in rep.violations] == [
+        (kind, traj.times[20]) for kind in kinds]
+    assert traj.times[20] == pytest.approx(0.1)
+
+
 # -- Picard certification ---------------------------------------------------------------
 
 ALPHA1 = KernelSpec.top_hat(0.5, 1.0, dim=1)   # alpha = 1

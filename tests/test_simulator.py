@@ -935,19 +935,22 @@ def test_pool_units_split_trajectories_across_workers(monkeypatch):
 # -- kept slots ------------------------------------------------------------------
 
 
-def reference_slots(gaps, t, target, limits):
-    """The lockstep loop's clock, one slot at a time in plain floats."""
-    for k, gap in enumerate(gaps.tolist()):
-        if t + gap > limits[target]:
+def reference_clock(gaps, t, target, limits):
+    """Event times of a block of waiting times, one slot at a time in plain
+    floats, the slots used and the clock the next block starts from."""
+    times = []
+    for gap in gaps.tolist():
+        times.append(t + gap)
+        if times[-1] > limits[target]:
             t, target = limits[target], target + 1
             if target == len(limits):
-                return k + 1
+                break
         else:
-            t += gap
-    return len(gaps)
+            t = times[-1]
+    return times, len(times), t
 
 
-def test_slots_used_matches_the_loop_clock():
+def test_clock_matches_a_plain_float_clock():
     rng = np.random.default_rng(17)
     for trial in range(300):
         gaps = rng.standard_exponential(int(rng.integers(1, 700))) * rng.uniform(0.01, 1)
@@ -957,20 +960,24 @@ def test_slots_used_matches_the_loop_clock():
             limits = np.repeat(limits, 2)  # duplicated limits
         target = int(rng.integers(0, len(limits)))
         t = float(limits[target - 1]) if target else 0.0
-        assert simulator._slots_used(gaps, t, target, limits) == reference_slots(
-            gaps, t, target, limits)
+        times, used, resume = reference_clock(gaps, t, target, limits)
+        block = gaps.copy()
+        assert simulator._clock(block, t, target, limits) == (used, resume)
+        assert block[:used].tolist() == times
+        assert np.array_equal(block[used:], gaps[used:])  # unused slots untouched
 
 
 def spy_slots(monkeypatch, shift=0):
     """Record each row's kept slots; report them `shift` slots off."""
     calls = []
-    real = simulator._slots_used
+    real = simulator._clock
 
     def spy(*args):
-        calls.append(real(*args))
-        return calls[-1] + shift
+        used, t = real(*args)
+        calls.append(used)
+        return used + shift, t
 
-    monkeypatch.setattr(simulator, "_slots_used", spy)
+    monkeypatch.setattr(simulator, "_clock", spy)
     return calls
 
 
