@@ -36,6 +36,6 @@ __version__ = "0.1.0"
 
 # Importing the package leaves the collector's counters at their thresholds,
 # so a run's first young-generation collection would cascade into a full
-# collection of every object numpy and scipy made (17-24 ms inside the run's
-# work). One full collection here, at import, resets the counters.
+# collection of every object numpy made inside the run's work. One full
+# collection here, at import, resets the counters.
 gc.collect()

@@ -101,11 +101,17 @@ def _require_number(name, value, lo=-math.inf, strict=False, integer=False,
 
 
 def _require_reals(name, values):
-    """Raise ConfigError naming `name` unless each of values is a real number,
-    not a bool; NaN and +-inf pass, for the field's own rule to word."""
+    """values as a tuple; ConfigError naming `name` unless they are a sequence
+    of real numbers, none a bool. NaN and +-inf pass, for the field's own rule
+    to word."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}") from None
     for v in values:
         if isinstance(v, bool) or not isinstance(v, numbers.Real):
             raise ConfigError(f"{name} must hold real numbers, got {v!r}")
+    return values
 
 
 def _require_flag(name, value, error=ConfigError):

@@ -7,13 +7,14 @@ times torus volume, so that for a Poisson sample of density rho the radial
 pair estimate is flat at rho^2 with no combinatorial 1/2. Standard errors
 are always computed across trajectories, never within one.
 
-Pair counts cost O(n log n + pairs within r_max) time per snapshot rather
-than O(n^2): a periodic kd-tree (scipy.spatial.cKDTree) per snapshot proposes
-the candidate pairs, and each candidate is binned by its exact minimal-image
-distance recomputed from the raw positions, so the counts equal those of an
-all-pairs histogram bit for bit. Memory is O(pairs within r_max): 16 bytes of
-candidate indices per unordered pair, about 0.39 n^2 pairs in 2-d at
-r_max = L/2.
+Pair counts cost O(n log n + n rho r_max^d) time per snapshot rather than
+O(n^2): a numpy cell list per snapshot, of cells at least r_max / 2 wide,
+proposes each unordered pair within r_max once, and each candidate is binned
+by its exact minimal-image distance computed from the raw positions, so the
+counts equal those of an all-pairs histogram bit for bit. The candidates are
+made and binned in blocks of about _PAIR_SLICE, so memory is O(n) plus one
+block, however many pairs lie within r_max (about 0.39 n^2 in 2-d at
+r_max = L/2).
 
 Every estimate takes one path in two halves. `estimate_parts` computes the
 per-snapshot values of a run of snapshots (hist / cell volume, and pair
@@ -40,13 +41,13 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConfigError
 from .fields import DensityField
 from .torus import Torus
 
-_PAIR_SLICE = 1 << 16  # candidate pairs binned at a time
+_PAIR_SLICE = 1 << 14  # candidate pairs binned at a time, their temporaries kept in cache
+_ALL_PAIRS = 1 << 13  # n^2 below which a snapshot's pairs are all candidates
 _DENSITY_BINS = 1 << 20  # snapshot-by-cell histogram bins binned at a time
 
 
@@ -156,26 +157,65 @@ def _write_profile_csv(path, key, index, values, stderr):
 def _pair_distance_counts(pos, torus, r_edges):
     """Ordered-pair counts per distance bin of one snapshot.
 
-    A periodic kd-tree over the wrapped positions proposes the unordered
-    pairs within r_q, the last edge padded against round-off. Each
-    candidate's minimal-image distance is then recomputed from the raw
-    positions (diff -= L round(diff / L)) and binned by np.histogram, so the
-    counts equal those of an all-pairs histogram whatever the tree's own
-    rounding. The candidates are binned _PAIR_SLICE at a time, which bounds
-    the float temporaries; the candidate index array itself takes 16 bytes
-    per pair within r_q.
+    A cell list of the wrapped positions proposes each unordered pair within
+    r_q, the last edge padded against round-off, once: with the particles
+    sorted by cell, each pairs with the later ones of its cell and with all
+    of the cells after the centre of its 5^d stencil, in lexicographic order,
+    of cells at least r_q / 2 wide. Below 5 cells per axis, or for n^2 below
+    _ALL_PAIRS, one cell holds all pairs. Each candidate's minimal-image
+    distance is computed from the raw positions (diff -= L round(diff / L))
+    and binned by np.histogram, so the counts equal those of an all-pairs
+    histogram. The candidates of a block of particles, about _PAIR_SLICE of
+    them, are made and binned at a time, so memory is O(n) plus one block.
     """
     d, L = torus.dim, torus.side
     pos = pos.reshape(-1, d)
+    n = len(pos)
     # > 0 even for bins that end at or below 0
     r_q = max(r_edges[-1], 0.0) * (1.0 + 1e-9) + 1e-12
-    cand = cKDTree(torus.wrap(pos), boxsize=L).query_pairs(r_q, output_type="ndarray")
+    # about one particle per cell at most, so a sparse snapshot stays small
+    m = min(torus.cells_per_axis(r_q / 2), int(n ** (1.0 / d)))
+    m = m if m >= 5 and n * n >= _ALL_PAIRS else 1
+    cell, fill, beyond = np.zeros(n, dtype=np.int64), np.array([n]), np.zeros(1, int)
+    if m > 1:
+        index, strides = torus.cell_index(torus.wrap(pos), m), torus.strides(m)
+        cell = index @ strides
+        order = np.argsort(cell, kind="stable")
+        pos, index, cell = pos[order], index[order], cell[order]
+        fill = np.bincount(cell, minlength=m ** d)
+        # the offsets after the centre of a 5^d stencil, and the particles in
+        # the cells they lead to from each cell. Those are the offsets that are
+        # 0 on the axes before some axis k, 1 or 2 on axis k and -2 to 2 on
+        # the axes after it; the sums over the later axes build up axis by axis
+        ahead = np.indices((5,) * d).reshape(d, -1).T[5 ** d // 2 + 1:] - 2
+        grid, beyond = fill.reshape((m,) * d), 0
+        for k in reversed(range(d)):
+            step = [grid.take((np.arange(m) + o) % m, axis=k) for o in (1, 2, -1, -2)]
+            beyond, grid = beyond + step[0] + step[1], grid + sum(step)
+        beyond = beyond.ravel()
+    end = np.cumsum(fill)
+    begin = end - fill
+    per = end[cell] - np.arange(1, n + 1) + beyond[cell]  # candidates
+    last = np.cumsum(per)
     counts = np.zeros(len(r_edges) - 1, dtype=np.int64)
-    for a in range(0, len(cand), _PAIR_SLICE):
-        i, j = cand[a:a + _PAIR_SLICE].T
-        diff = np.take(pos, i, axis=0) - np.take(pos, j, axis=0)
+    a = 0
+    while a < n:
+        # a block: about _PAIR_SLICE candidates, and no more (particle, cell) ranges
+        b = int(last.searchsorted(last[a] - per[a] + _PAIR_SLICE, "right"))
+        b = max(a + 1, b if m == 1 else min(b, a + _PAIR_SLICE // len(ahead)))
+        p = np.arange(a, b)
+        # the cells ahead of each particle's own
+        near = (index[a:b, None] + ahead) % m @ strides if m > 1 else np.zeros((b - a, 0), int)
+        lo = np.column_stack([p + 1, begin[near]]).ravel()
+        size = np.column_stack([end[cell[a:b]] - p - 1, fill[near]]).ravel()
+        j = np.repeat(lo - (np.cumsum(size) - size), size)
+        j += np.arange(j.size)
+        diff = np.repeat(pos[a:b], per[a:b], axis=0) - np.take(pos, j, axis=0)
         diff -= L * np.round(diff / L)
-        counts += np.histogram(np.sqrt(np.einsum("ij,ij->i", diff, diff)), r_edges)[0]
+        r = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        # np.histogram drops what lies past the last edge: dropping it first spares its sort
+        counts += np.histogram(r[r <= r_edges[-1]], r_edges)[0]
+        a = b
     return 2.0 * counts
 
 

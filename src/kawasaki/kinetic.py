@@ -41,9 +41,10 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+import numpy.fft  # numpy 2 loads it lazily: at import here, not inside a run
 
 from .errors import (ConfigError, HorizonError, NumericError, StepSizeError,
-                     _require_number, collect_violations, raise_first)
+                     _require_number, _require_reals, collect_violations, raise_first)
 from .fields import DensityField
 from .horizon import contraction_factor
 from .kernels import KernelSpec, PotentialSpec, alpha as kernel_alpha, mean_phi
@@ -210,7 +211,7 @@ def snapshot_steps(times, t_end: float, dt: float) -> list:
     _require_number("t_end", t_end, 0)
     n_steps, h = _time_grid(t_end, dt)
     steps = []
-    for s in times:
+    for s in _require_reals("snapshot_times", times):
         s = _require_number("snapshot_times", s)
         k = int(round(s / h)) if h and math.isfinite(s / h) else 0
         if abs(k * h - s) > 1e-9 or not 0 <= k <= n_steps:
@@ -434,6 +435,7 @@ def picard_solve(rho0: DensityField, T: float, kernel: KernelSpec,
     Iteration stops once the sup-over-time sup-norm update is below
     `tolerance`; the update sizes and their successive ratios are reported.
     """
+    _require_number("T", T)
     tolerance = _require_number("tolerance", tolerance, 0, strict=True)
     max_iter = _require_number("max_iter", max_iter, 1, integer=True)
     a = kernel_alpha(kernel)

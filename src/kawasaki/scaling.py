@@ -58,16 +58,18 @@ class SweepSpec:
     def violations(self) -> list:
         """A ConfigError for every rule the spec breaks, in the order they are
         checked below; a rule whose inputs an earlier rule rejected is skipped."""
-        eps, times, dt = tuple(self.epsilons), tuple(self.times), self.reference_dt()
+        dt = self.reference_dt()
         found = collect_violations(
             lambda: check_model(self.torus, self.kernel, self.potential),
             lambda: check_pair_bins(self.pair_edges(), self.torus))
-        bad_eps = collect_violations(lambda: _require_reals("epsilons", eps))
+        bad_eps = collect_violations(lambda: _require_reals("epsilons", self.epsilons))
+        eps = () if bad_eps else tuple(self.epsilons)
         if bad_eps or len(eps) < 1 or any(not (0 < e <= 1) for e in eps):
             found += bad_eps or [ConfigError("epsilons must lie in (0, 1]")]
         elif len(set(eps)) != len(eps) or list(eps) != sorted(eps, reverse=True):
             found.append(ConfigError("epsilons must be strictly decreasing"))
-        bad_times = collect_violations(lambda: _require_reals("times", times))
+        bad_times = collect_violations(lambda: _require_reals("times", self.times))
+        times = () if bad_times else tuple(self.times)
         if bad_times or not (len(times) >= 1 and all(t >= 0 for t in times)):
             found += bad_times or [ConfigError("comparison times must be >= 0")]
         else:  # the kinetic reference solve checks this too, but only after a run starts

@@ -91,11 +91,12 @@ def _sum_phi(potential, r2):
     return potential.height * float(_profile(potential, r2[mask]).sum())
 
 
-def _profile(potential, r2):
-    """phi / height of a smooth potential at squared distances r2 (no cutoff)."""
+def _profile(potential, r2, out=None):
+    """phi / height of a smooth potential at squared distances r2 (no cutoff),
+    written into `out` when given."""
     if potential.family == "gaussian":
-        return np.exp(r2 * (-0.5 / potential.sigma**2))
-    return np.exp(-potential.rate * np.sqrt(r2))
+        return np.exp(np.multiply(r2, -0.5 / potential.sigma**2, out=out), out=out)
+    return np.exp(np.multiply(np.sqrt(r2, out=out), -potential.rate, out=out), out=out)
 
 
 def _require_microscopic(potential):
@@ -113,15 +114,21 @@ def check_model(torus: Torus, kernel: KernelSpec, potential: PotentialSpec):
     _require_microscopic(potential)
 
 
-def _norm2(diff, side, image=None):
+def _norm2(diff, side, image=None, tmp=None):
     """Squared minimal-image lengths of displacements whose coordinates run
     along the first axis, summed one coordinate after another; `image`, when
-    known in advance, is side * round(diff / side). Every energy query goes
-    through it, so all of them agree to the last bit."""
-    diff -= side * np.round(diff / side) if image is None else image
-    r2 = diff[0] * diff[0]
+    known in advance, is side * round(diff / side). With `tmp`, scratch of
+    diff's shape, every term is written into it rather than into new arrays,
+    and the lengths into tmp[0]. Every energy query goes through it, so all
+    of them agree to the last bit."""
+    if image is None:
+        image = np.round(np.divide(diff, side, out=tmp), out=tmp)
+        image *= side
+    diff -= image
+    sq = (None, None) if tmp is None else (tmp[0], tmp[-1])
+    r2 = np.multiply(diff[0], diff[0], out=sq[0])
     for c in diff[1:]:
-        r2 += c * c
+        r2 += np.multiply(c, c, out=sq[1])
     return r2
 
 
@@ -377,7 +384,7 @@ class _CellTable:
 
     def __init__(self, torus, potential, m, starts):
         d = torus.dim
-        self.side, self.m, self.inv_width = torus.side, m, m / torus.side
+        self.torus, self.side, self.m = torus, torus.side, m
         self.potential = potential
         self.cut = potential.support_radius * potential.support_radius
         self.strides = torus.strides(m)
@@ -410,10 +417,11 @@ class _CellTable:
         self.slot = np.zeros((rows, sizes.max(initial=0)), dtype=np.int64)
         self.slot[owner, index] = slot
         self.rows = np.arange(rows)
+        self.scratch = [np.empty(0), np.empty(0), np.empty(0, bool)]
 
     def index(self, x):
         """Cell index along each axis of each point of x, shape (..., d)."""
-        return np.minimum((x * self.inv_width).astype(np.int64), self.m - 1)
+        return self.torus.cell_index(x, self.m)
 
     def cell(self, x):
         """Flat cell index of each point of x, shape (..., d)."""
@@ -446,25 +454,40 @@ class _CellTable:
         """E(y_r, gamma_r) / height for every target y_r of every row r, y
         and cells as in `energies`. Terms are summed one after another in
         table order, so the zeros of empty slots leave the sum unchanged;
-        top-hat sums are the integer neighbour counts."""
+        top-hat sums are the integer neighbour counts. Each term is written
+        into scratch the table keeps, with the arithmetic of fresh arrays."""
         rows, d, _ = self.tab.shape
         shape = y.shape[:-1]
         y = y.reshape(rows, -1, d).transpose(2, 0, 1)[..., None]  # (d, rows, targets, 1)
         if self.m == 1:
-            r2 = _norm2(self.tab.transpose(1, 0, 2)[:, :, None] - y, self.side)
+            diff = np.subtract(self.tab.transpose(1, 0, 2)[:, :, None], y,
+                               out=self._scratch(0, (d, rows, y.shape[2], self.cap)))
+            image = None
         else:
             cells = cells.reshape(rows, -1)
             # the cap-slot line of each (coordinate, row, cell)
             line = (np.arange(d)[:, None] + d * self.rows) * self.fill.shape[1]
-            diff = self.tab.reshape(-1, self.cap)[line[:, :, None, None]
-                                                  + self.neighbours[cells]]
+            lines = line[:, :, None, None] + self.neighbours[cells]
+            diff = np.take(self.tab.reshape(-1, self.cap), lines, axis=0, mode="clip",
+                           out=self._scratch(0, lines.shape + (self.cap,)))
             diff -= y[..., None]
             image = self.side * self.images[cells].transpose(2, 0, 1, 3)[..., None]
-            r2 = _norm2(diff, self.side, image).reshape(rows, y.shape[2], -1)
+        r2 = _norm2(diff, self.side, image, self._scratch(1, diff.shape))
+        r2 = r2.reshape(rows, y.shape[2], -1)
+        near = np.less_equal(r2, self.cut, out=self._scratch(2, r2.shape))
         if self.potential.family == "top_hat":
-            return (r2 <= self.cut).sum(axis=-1).reshape(shape)
-        phi = np.where(r2 <= self.cut, _profile(self.potential, r2), 0.0)
-        return np.cumsum(phi, axis=-1)[..., -1].reshape(shape)
+            return near.sum(axis=-1).reshape(shape)
+        phi = _profile(self.potential, r2, out=diff[0].reshape(r2.shape))
+        np.copyto(phi, 0.0, where=np.logical_not(near, out=near))
+        return np.cumsum(phi, axis=-1, out=r2)[..., -1].reshape(shape).copy()
+
+    def _scratch(self, k, shape):
+        """Scratch array k of `shape`, over memory kept from query to query: a
+        query's terms, 100 kB or more, would be mapped and faulted anew each time."""
+        size = math.prod(shape)
+        if self.scratch[k].size < size:
+            self.scratch[k] = np.empty(size, self.scratch[k].dtype)
+        return self.scratch[k][:size].reshape(shape)
 
     def clashes(self, mover, old, y, accept):
         """Per row r, the first proposal j of its batch, the move of particle

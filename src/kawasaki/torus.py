@@ -10,8 +10,8 @@ The torus owns the grid and cell rules that several modules share:
 `cell_centers` and `cell_volume` (where fields and k1 estimates sit, and the
 measure of one cell), `cell_offsets` and `offset_distances` (the
 minimal-image grid on which kernels are tabulated and k1 (x) k1 is binned),
-and `cells_per_axis`, `strides` and `stencil` (the cell lists of the particle
-simulator and of the Gibbs sampler).
+and `cells_per_axis`, `cell_index`, `strides` and `stencil` (the cell lists
+of the particle simulator, the Gibbs sampler and the pair counts).
 """
 
 from dataclasses import dataclass
@@ -67,6 +67,11 @@ class Torus:
         point whose cell index rounds across a boundary inside the neighbour
         cells of every point within `width`."""
         return int(self.side / (width * (1.0 + 1e-9)))
+
+    def cell_index(self, x, m: int) -> np.ndarray:
+        """Index along each axis of the cell of the m^d grid that holds each
+        point of x, shape (..., d), for points in [0, L)^d."""
+        return np.minimum((x * (m / self.side)).astype(np.int64), m - 1)
 
     def strides(self, m: int) -> np.ndarray:
         """Row-major strides of the m^d cell grid: flat index = index per axis @ strides."""

@@ -110,4 +110,4 @@ def test_source_line_count():
         if name.endswith(".py"):
             with open(os.path.join(src, name), "rb") as fh:
                 counts[name] = fh.read().count(b"\n")  # as wc -l counts
-    assert sum(counts.values()) <= 3790, counts
+    assert sum(counts.values()) <= 3868, counts

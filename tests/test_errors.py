@@ -29,9 +29,22 @@ BELOW_ZERO = -math.ulp(0.0)
 # what every number rule refuses
 HUGE = 10**400  # past the float range
 NOT_NUMBERS = (math.nan, math.inf, -math.inf, True, "1", HUGE)
-# what every rule on a list of numbers refuses in an element; the list's own
-# rules word NaN, +-inf and out-of-range elements
-NOT_REALS = (True, "1", None)
+
+
+class Scalar(float):
+    """A number given where a list is due: `listed` passes it as it is."""
+
+
+# what every rule on a list of numbers refuses: an element that is not a real
+# number (the list's own rules word NaN, +-inf and out-of-range elements), or
+# a scalar in place of the list
+SCALAR = Scalar(0.5)
+NOT_REALS = (True, "1", None, SCALAR)
+
+
+def listed(value):
+    """A list field's value that holds `value`, or a Scalar itself."""
+    return value if isinstance(value, Scalar) else (value,)
 
 
 def gibbs(**kw):
@@ -73,11 +86,12 @@ RULES = {
     "SimulationParams.rho0": Rule(lambda v: SimulationParams(TORUS, HAT, POT, rho0=v),
                                   (BELOW_ZERO,), lambda v: ("simulate", {"rho0": v})),
     "SimulationParams.snapshot_times": Rule(  # True lies in [0, t_end]
-        lambda v: SimulationParams(TORUS, HAT, POT, t_end=2.0, snapshot_times=(v,)), (),
+        lambda v: SimulationParams(TORUS, HAT, POT, t_end=2.0, snapshot_times=listed(v)), (),
         bad=NOT_REALS),
-    "SweepSpec.epsilons": Rule(lambda v: SweepSpec(**{**SWEEP, "epsilons": (v,)}), (),
+    "SweepSpec.epsilons": Rule(lambda v: SweepSpec(**{**SWEEP, "epsilons": listed(v)}), (),
                                bad=NOT_REALS),
-    "SweepSpec.times": Rule(lambda v: SweepSpec(**{**SWEEP, "times": (v,)}), (), bad=NOT_REALS),
+    "SweepSpec.times": Rule(lambda v: SweepSpec(**{**SWEEP, "times": listed(v)}), (),
+                            bad=NOT_REALS),
     "SimulationParams.record_events": Rule(
         lambda v: SimulationParams(TORUS, HAT, POT, record_events=v), (),
         lambda v: ("simulate", {"record_events": v}), bad=(math.nan, 1, 0, "true", None)),
@@ -116,8 +130,10 @@ RULES = {
         lambda v: solve_kinetic(RHO, KernelSpec.top_hat(0.01), POT, v, 0.1), (0.0,),
                              lambda v: ("kinetic", {"dt": v})),
     "solve_kinetic.snapshot_times": Rule(
-        lambda v: solve_kinetic(RHO, HAT, POT, 0.01, 0.1, (v,)), (),
-        lambda v: ("kinetic", {"snapshots": [v]})),
+        lambda v: solve_kinetic(RHO, HAT, POT, 0.01, 0.1, listed(v)), (),
+        lambda v: ("kinetic", {"snapshots": listed(v)}),
+        bad=NOT_NUMBERS + (SCALAR,)),
+    "picard_solve.T": Rule(lambda v: picard_solve(RHO, v, HAT, POT), ()),
     "picard_solve.tolerance": Rule(
         lambda v: picard_solve(RHO, 0.01, HAT, POT, tolerance=v), (0.0,),
         lambda v: ("kinetic", {"picard_tolerance": v, "method": "picard"})),
@@ -130,9 +146,14 @@ RULES = {
 }
 
 
+def shown(value):
+    """A value's part of a test id: its repr, unless that would mislabel it."""
+    return "10**400" if value is HUGE else "scalar" if isinstance(value, Scalar) else repr(value)
+
+
 def cases(cli):
     return [pytest.param(name.rsplit(".", 1)[1], rule, value,
-                         id=f"{name}-{'10**400' if value is HUGE else repr(value)}")
+                         id=f"{name}-{shown(value)}")
             for name, rule in RULES.items() if rule.cli or not cli
             for value in rule.bad + rule.outside + (() if cli else rule.library_only)]
 

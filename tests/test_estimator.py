@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -203,16 +204,24 @@ def _pair_case(name):
     if name.endswith("below-zero"):
         return _lattice(rng, [40, 12], torus, m=4), torus, np.array([-2.0, -1.0])
     if name.endswith("many-slices"):
-        # about 0.39 n^2 candidates within L/2: several slices of them
-        n = int(np.sqrt(3 * estimator._PAIR_SLICE / 0.39))
+        # at r_max = L/2 one cell holds them all, so every one of the n^2 / 2
+        # pairs is a candidate: three blocks of them
+        n = int(np.sqrt(6 * estimator._PAIR_SLICE))
         return _uniform(rng, [n], torus), torus, np.linspace(0.0, L / 2, 9)
+    if name.endswith("cell-list"):
+        # enough particles for a cell list of 7 cells per axis at r_max = 0.27 L:
+        # lattice points on its cell edges and on the bin edges, and unwrapped
+        # points
+        snaps = _lattice(rng, [700], torus, m=14) + _uniform(rng, [500], torus, -1.0, 2.0)
+        return snaps, torus, np.append(np.arange(4) * (L / 14), 0.27 * L)
     raise KeyError(name)
 
 
 PAIR_CASES = [f"d{dim}-{kind}" for dim in (1, 2, 3)
               for kind in ("from-zero", "above-zero", "half-side", "lattice-on-edges",
                            "unwrapped", "tiny")] + [
-    "d1-ending-at-zero", "d1-below-zero", "d2-many-slices"]
+    "d1-ending-at-zero", "d1-below-zero", "d2-many-slices", "d1-cell-list",
+    "d2-cell-list", "d3-cell-list"]
 
 
 @pytest.mark.parametrize("name", PAIR_CASES)
@@ -221,6 +230,28 @@ def test_pair_counts_equal_all_pairs_reference(name):
     for pos in snaps:
         counts = estimator._pair_distance_counts(pos, torus, edges)
         assert np.array_equal(counts, all_pairs_counts(pos, torus, edges))
+
+
+MEMORY_CASES = {
+    # at r_max = L/2 about 0.39 n^2 pairs fall within r_max: 4 million here,
+    # whose candidate indices alone would take 64 MB
+    "one-cell": (Torus(2, 40.0), 3200, 20.0),
+    # 27^3 cells: a table of the 5^3 cells around each cell took 132 MiB
+    "cell-list": (Torus(3, 20.0), 20000, 0.8),
+}
+
+
+@pytest.mark.parametrize("case", MEMORY_CASES.values(), ids=MEMORY_CASES.keys())
+def test_pair_counts_keep_their_memory_bounded(case):
+    torus, n, r_max = case
+    pos = torus.side * np.random.default_rng(0).random((n, torus.dim))
+    tracemalloc.start()
+    try:
+        estimator._pair_distance_counts(pos, torus, np.linspace(0.0, r_max, 26))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_pair_bins_validation():
